@@ -54,7 +54,7 @@ END_TO_END = {
     "peak_rss_mb": "MB",
 }
 PER_LAYER_UNITS = {"_us": "us", "_ms": "ms", "_s": "s", "_pct": "%"}
-SETUP_PROBES = 5
+SETUP_PROBES = 3
 #: Timings are reported at the speed where ``session.SpeedProbe`` reads
 #: 1.5 ms, about this machine's speed when its neighbours are quiet.
 REFERENCE_PROBE_S = 1.5e-3
