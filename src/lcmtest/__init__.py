@@ -58,11 +58,8 @@ from .pwl import (
     build_ecdf,
     diff_segments,
     gap_pow_integral,
-    gap_sup,
     lcm_gap_on_grid,
-    lcm_of_path,
     lcm_of_step,
-    lcm_values_on_grid,
     lp_norm,
 )
 from .stats import StatisticResult, empirical_stat, exact_gap_pow_integral, lp_stat, weighted_stat

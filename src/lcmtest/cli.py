@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import limits, models, stats
+from . import limits, models, pwl, stats
 from .streams import substream
 
 
@@ -197,8 +197,13 @@ def cmd_test(args) -> int:
     except ValueError as exc:
         raise InputError(str(exc)) from None
     alphas = [float(a) for a in args.alpha]
+    try:
+        result = stats.lp_stat(samples, p)
+    except pwl.GeometryError:
+        raise
+    except ValueError as exc:  # a sample the ECDF cannot be built from
+        raise InputError(f"{args.data}: {exc}") from None
     quants, provenance = _critical_values_for_test(args, p, alphas)
-    result = stats.lp_stat(samples, p)
     report = {
         "kind": result.kind,
         "p": limits.p_key(p),
@@ -446,9 +451,21 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _check_scale(args) -> None:
+    # Replication, path and grid counts shared by the commands that take them.
+    for flag in ("reps", "paths"):
+        value = getattr(args, flag, None)
+        if value is not None and value < 1:
+            raise InputError(f"--{flag} must be at least 1, got {value}")
+    grid = getattr(args, "grid", None)
+    if grid is not None and grid < 2:
+        raise InputError(f"--grid must be at least 2, got {grid}")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_scale(args)
         return args.func(args)
     except InputError as exc:
         _log(f"error: {exc}")

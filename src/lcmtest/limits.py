@@ -70,14 +70,11 @@ class SimConfig:
     """Scale knobs for the simulator.
 
     ``grid_size`` is the number of subintervals of the uniform base grid.
-    ``p`` is the norm index for single-norm workflows; table builds take an
-    explicit list instead.
     """
 
     grid_size: int = DEFAULT_GRID
     replications: int = DEFAULT_REPLICATIONS
     master_seed: int = DEFAULT_SEED
-    p: float | None = None
 
     def __post_init__(self):
         if self.grid_size < 2:
@@ -148,16 +145,13 @@ def gap_norm(path: SampledPath, p: float) -> float:
 # -- Limit draws ----------------------------------------------------------------
 
 
-def limit_draw_uniform(config: SimConfig, stream: Stream) -> float:
+def limit_draw_uniform(p: float, stream: Stream, grid_size: int = DEFAULT_GRID) -> float:
     """One draw of the uniform-CDF limit: the gap norm of a Wiener path.
 
-    Supports every p in [1, inf]; the norm index comes from ``config.p``.
+    Supports every p in [1, inf].
     """
-    if config.p is None:
-        raise ValueError("config.p must be set for limit draws")
-    grid = uniform_grid(config.grid_size)
-    w = sample_wiener(grid, substream(stream, 0))
-    return gap_norm(w, config.p)
+    w = sample_wiener(uniform_grid(grid_size), substream(stream, 0))
+    return gap_norm(w, p)
 
 
 def limit_draw_general(
@@ -340,12 +334,9 @@ def verify_dominance_coupling(
     if np.isinf(p):
         raise ValueError("the dominance coupling covers finite p only")
     lengths = models.coupling_lengths(iv, p)
-    ends = np.cumsum(lengths)
-    starts = np.concatenate(([0.0], ends[:-1]))
+    packed = models.pack_intervals(lengths)
     base = uniform_grid(grid_size)
-    parts = [
-        _scaled_block(a, l, e, base) for a, l, e in zip(starts, lengths, ends)
-    ]
+    parts = [_scaled_block(a, l, e, base) for (a, e), l in zip(packed, lengths)]
     master = merge_grids(np.concatenate(parts), base)
     w = sample_wiener(master, substream(stream, 0))
 
@@ -354,7 +345,7 @@ def verify_dominance_coupling(
 
     lhs_pow = 0.0
     hull_excess = 0.0
-    for a, l, e in zip(starts, lengths, ends):
+    for (a, e), l in zip(packed, lengths):
         i0 = int(np.searchsorted(master, a))
         i1 = int(np.searchsorted(master, e))
         u_pre = (master[i0 : i1 + 1] - a) / l

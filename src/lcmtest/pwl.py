@@ -8,12 +8,12 @@ This module owns three kinds of objects and the arithmetic between them:
 * :class:`DiffSegments` -- the nonnegative piecewise-affine difference
   ``majorant - function``, ready for closed-form L^p integration.
 
-Two hull routes are provided.  :func:`lcm_of_step` and :func:`lcm_of_path`
-compute hull knots with a monotone-chain scan; :func:`lcm_gap_on_grid`
-computes hull values at every grid point through weighted antitonic
-regression (pool-adjacent-violators), which is the fast route used by the
-Monte Carlo engine.  Both describe the same function and are cross-checked
-in the test suite.
+One hull algorithm serves every caller: weighted antitonic regression of
+segment slopes (pool-adjacent-violators).  :func:`lcm_gap_on_grid` turns the
+fitted slopes into hull values at every grid point for the Monte Carlo
+engine; :func:`lcm_of_step` uses the same regression only to choose which
+corner points of a step CDF are hull vertices, and interpolates between
+those original points, so its knots are exact input values.
 
 All L^p norms are evaluated exactly: on each segment the integrand is a
 power of an affine ramp, for which the antiderivative is closed-form.
@@ -162,25 +162,6 @@ class PiecewiseLinear:
         return out if out.ndim else out[()]
 
 
-def _upper_hull(px: np.ndarray, py: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # Monotone chain over points already sorted by strictly increasing x.
-    # A nonnegative cross product means the middle point lies on or below the
-    # chord, so it is dropped: collinear knots are never kept.
-    hx: list[float] = []
-    hy: list[float] = []
-    for x, y in zip(px.tolist(), py.tolist()):
-        while len(hx) >= 2:
-            cross = (hx[-1] - hx[-2]) * (y - hy[-2]) - (x - hx[-2]) * (hy[-1] - hy[-2])
-            if cross >= 0.0:
-                hx.pop()
-                hy.pop()
-            else:
-                break
-        hx.append(x)
-        hy.append(y)
-    return np.asarray(hx), np.asarray(hy)
-
-
 def lcm_of_step(f: StepCdf) -> PiecewiseLinear:
     """Least concave majorant of a step CDF on [0, last jump].
 
@@ -196,37 +177,13 @@ def lcm_of_step(f: StepCdf) -> PiecewiseLinear:
         # A jump at zero lifts the anchor: the majorant must start at the
         # post-jump value, not at the origin.
         px, py = f.xs, f.vs
-    hx, hy = _upper_hull(px, py)
-    return PiecewiseLinear(hx, hy, concave=True)
-
-
-def _locate_on_grid(grid: np.ndarray, value: float, name: str) -> int:
-    idx = int(np.searchsorted(grid, value))
-    if idx >= grid.size or grid[idx] != value:
-        raise GeometryError(f"{name}={value!r} is not a grid point")
-    return idx
-
-
-def lcm_of_path(grid, values, lo: float | None = None, hi: float | None = None) -> PiecewiseLinear:
-    """Least concave majorant of a sampled path over ``[lo, hi]``.
-
-    The path is read as the piecewise-linear interpolant of its grid values;
-    the LCM over a subdomain is then the upper concave hull of the grid
-    points falling inside it.  ``lo`` and ``hi`` must be grid points: a miss
-    means the caller's grids are misaligned.
-    """
-    grid = _as_sorted_array(grid, "grid")
-    values = np.ascontiguousarray(values, dtype=np.float64)
-    if values.shape != grid.shape:
-        raise ValueError("grid and values differ in length")
-    lo = float(grid[0]) if lo is None else float(lo)
-    hi = float(grid[-1]) if hi is None else float(hi)
-    i0 = _locate_on_grid(grid, lo, "lo")
-    i1 = _locate_on_grid(grid, hi, "hi")
-    if i1 - i0 < 1:
-        raise GeometryError("domain [lo, hi] must contain at least two grid points")
-    hx, hy = _upper_hull(grid[i0 : i1 + 1], values[i0 : i1 + 1])
-    return PiecewiseLinear(hx, hy, concave=True)
+    # Blocks of pooled slopes are the hull's segments; their ends are its
+    # vertices.  Equal adjacent slopes pool, so collinear corners drop out.
+    # Scaling the spacings by 2**600 is exact and keeps slopes over subnormal
+    # spacings finite; as infinities they would compare equal and pool.
+    dx = np.ldexp(np.diff(px), 600)
+    blocks = isotonic_regression(np.diff(py) / dx, weights=dx, increasing=False).blocks
+    return PiecewiseLinear(px[blocks], py[blocks], concave=True)
 
 
 @dataclass(frozen=True, eq=False)
@@ -409,11 +366,6 @@ def lcm_gap_on_grid(grid, values) -> np.ndarray:
     return gap
 
 
-def lcm_values_on_grid(grid, values) -> np.ndarray:
-    """Hull values at every grid point (``values + gap``)."""
-    return np.asarray(values, dtype=np.float64) + lcm_gap_on_grid(grid, values)
-
-
 def pow_integral_from_gaps(grid, gaps, p: float) -> float:
     """Exact ``integral gap(t)**p dt`` for a gap sampled on ``grid``."""
     lengths = np.diff(np.asarray(grid, dtype=np.float64))
@@ -423,8 +375,3 @@ def pow_integral_from_gaps(grid, gaps, p: float) -> float:
 def gap_pow_integral(grid, values, p: float) -> float:
     """Exact ``integral (LCM(path) - path)**p`` over the grid span."""
     return pow_integral_from_gaps(grid, lcm_gap_on_grid(grid, values), p)
-
-
-def gap_sup(grid, values) -> float:
-    """Sup of ``LCM(path) - path`` over the grid."""
-    return float(lcm_gap_on_grid(grid, values).max())

@@ -195,25 +195,23 @@ def exact_gap_pow_integral(samples, p: int) -> Fraction:
         hx.append(x)
         hy.append(y)
 
-    def hull_at(x: Fraction) -> Fraction:
-        for i in range(len(hx) - 1):
-            if hx[i] <= x <= hx[i + 1]:
-                t = (x - hx[i]) / (hx[i + 1] - hx[i])
-                return hy[i] + t * (hy[i + 1] - hy[i])
-        raise ValueError("point outside hull domain")
-
-    breaks = sorted(set(hx) | set(xs) | {Fraction(0)})
+    # Every hull knot is a corner point, so the corner points are all the
+    # breakpoints, and one merge walk over them and the hull segments
+    # evaluates the hull at each.  On [px[j], px[j+1]) the step equals py[j].
+    if len(px) < 2:
+        return Fraction(0)
+    hull = []
+    k = 0
+    for x in px:
+        while hx[k + 1] < x:
+            k += 1
+        hull.append(hy[k] + (x - hx[k]) / (hx[k + 1] - hx[k]) * (hy[k + 1] - hy[k]))
     total = Fraction(0)
-    for b0, b1 in zip(breaks, breaks[1:]):
-        idx = -1
-        for i, x in enumerate(xs):
-            if x <= b0:
-                idx = i
-        fval = vs[idx] if idx >= 0 else Fraction(0)
-        g0 = hull_at(b0) - fval
-        g1 = hull_at(b1) - fval
+    for j in range(len(px) - 1):
+        g0 = hull[j] - py[j]
+        g1 = hull[j + 1] - py[j]
         acc = Fraction(0)
         for i in range(p + 1):
             acc += g0**i * g1 ** (p - i)
-        total += (b1 - b0) * acc / (p + 1)
+        total += (px[j + 1] - px[j]) * acc / (p + 1)
     return total

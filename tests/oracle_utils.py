@@ -3,9 +3,10 @@
 The hull oracle evaluates the upper concave envelope pointwise as the max
 over all bracketing chords, in exact integer arithmetic (every double is a
 dyadic rational, so the points scale to integers losslessly).  It shares no
-code and no rounding with the monotone-chain implementation.  The
-quadrature oracle integrates difference functions numerically with scipy's
-adaptive rule.
+code and no rounding with the library's pool-adjacent-violators hull.  The
+qhull oracle takes the upper hull from scipy's Quickhull, which shares no
+code with it either.  The quadrature oracle integrates difference functions
+numerically with scipy's adaptive rule.
 
 The sup-gap oracle gives the exact limit law of ``sup(LCM(B) - B)`` for a
 Brownian bridge ``B`` on [0, 1], with no grid.  It uses the representation of
@@ -21,6 +22,7 @@ from fractions import Fraction
 import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import brentq
+from scipy.spatial import ConvexHull, QhullError
 
 
 def _to_scaled_ints(values) -> tuple[list[int], int]:
@@ -65,6 +67,26 @@ def eval_pl_exact(hx, hy, x) -> Fraction:
         if X[i] <= xq <= X[i + 1]:
             return Y[i] + (Y[i + 1] - Y[i]) * (xq - X[i]) / (X[i + 1] - X[i])
     raise ValueError("point outside hull domain")
+
+
+def qhull_upper_hull(px, py) -> tuple[np.ndarray, np.ndarray]:
+    """Upper-hull vertices of points with strictly increasing x, left to right.
+
+    Quickhull lists the vertices counterclockwise, so the run from the
+    rightmost point round to the leftmost one is the upper chain.  Points
+    that qhull finds degenerate (all collinear) have the chord as their hull.
+    """
+    px = np.asarray(px, dtype=float)
+    py = np.asarray(py, dtype=float)
+    try:
+        ccw = ConvexHull(np.column_stack([px, py])).vertices.tolist()
+    except QhullError:
+        return px[[0, -1]], py[[0, -1]]
+    last = px.size - 1
+    start = ccw.index(last)
+    turn = ccw[start:] + ccw[:start]
+    upper = turn[: turn.index(0) + 1][::-1]
+    return px[upper], py[upper]
 
 
 def step_hull_points(xs, vs):

@@ -2,7 +2,8 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s``.  The full-scale
 critical-value simulation (criterion 1) is built once and shared; expect a
-few minutes of total runtime.
+few minutes of total runtime.  Every test here is marked ``slow``, so
+``pytest -m "not slow"`` runs the fast suite without them.
 """
 
 import json
@@ -23,6 +24,8 @@ from oracle_utils import (
     step_hull_points,
     sup_gap_quantiles,
 )
+
+pytestmark = pytest.mark.slow
 
 TWO_SEGMENT = lt.PiecewiseAffineCdf.from_knots([(0, 0), (0.5, 0.75), (1, 1)])
 

@@ -256,3 +256,28 @@ def test_cmd_verify_exit_code_on_violation(capsys, two_segment_file, monkeypatch
     )
     assert code == 1
     assert doc["violations"] == 3 and doc["pass"] is False
+
+
+# -- input faults --------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["test", "{zeros}", "--simulate", "--reps", "10", "--grid", "16"],
+        ["critvals", "--reps", "0", "--out", "{out}"],
+        ["critvals", "--grid", "1", "--reps", "5", "--out", "{out}"],
+        ["simulate-limit", "--cdf", "{spec}", "--reps", "0"],
+        ["verify", "--cdf", "{spec}", "--mode", "dominance", "--paths", "0"],
+    ],
+    ids=["all-zero-data", "zero-reps", "grid-1", "zero-draws", "zero-paths"],
+)
+def test_cmd_input_faults_exit_2(capsys, tmp_path, two_segment_file, argv):
+    zeros = tmp_path / "zeros.txt"
+    zeros.write_text("0\n0\n0\n")
+    paths = {"zeros": zeros, "out": tmp_path / "table.json", "spec": two_segment_file}
+    code = cli.main([tok.format(**paths) for tok in argv])
+    out = capsys.readouterr()
+    assert code == 2
+    assert "error:" in out.err
+    assert out.out == ""

@@ -90,8 +90,8 @@ def test_refined_grid_hull_dominates_coarse(rng):
     fine = limits.uniform_grid(64)
     for i in range(50):
         w = limits.sample_wiener(fine, substream(13, i))
-        fine_hull = pwl.lcm_values_on_grid(fine, w.values)
-        coarse_hull = pwl.lcm_values_on_grid(coarse, w.values[::2])
+        fine_hull = w.values + pwl.lcm_gap_on_grid(fine, w.values)
+        coarse_hull = w.values[::2] + pwl.lcm_gap_on_grid(coarse, w.values[::2])
         assert np.all(coarse_hull <= fine_hull[::2] + 1e-12)
 
 
@@ -104,10 +104,9 @@ def test_limit_draw_general_empty_is_zero():
 
 
 def test_limit_draw_unit_interval_matches_uniform():
-    cfg = limits.SimConfig(grid_size=128, replications=1, p=2.0)
     iv = models.extract_intervals(models.UniformCdf())
     for i in range(20):
-        assert limits.limit_draw_uniform(cfg, substream(3, i)) == limits.limit_draw_general(
+        assert limits.limit_draw_uniform(2.0, substream(3, i), 128) == limits.limit_draw_general(
             iv, 2.0, substream(3, i), grid_size=128
         )
 
@@ -118,15 +117,9 @@ def test_limit_draw_general_rejects_inf():
         limits.limit_draw_general(iv, math.inf, 1)
 
 
-def test_limit_draw_uniform_requires_p():
-    with pytest.raises(ValueError):
-        limits.limit_draw_uniform(limits.SimConfig(grid_size=16, replications=1), 1)
-
-
 def test_derivative_route_uniform_matches_uniform_draw():
-    cfg = limits.SimConfig(grid_size=128, replications=1, p=2.0)
     for i in range(20):
-        a = limits.limit_draw_uniform(cfg, substream(11, i))
+        a = limits.limit_draw_uniform(2.0, substream(11, i), 128)
         b = limits.limit_draw_derivative(models.UniformCdf(), 2.0, substream(11, i), 128)
         assert a == b
 
@@ -232,11 +225,9 @@ def test_table_deterministic_across_workers():
 
 
 def test_table_matches_single_draws():
-    cfg = limits.SimConfig(grid_size=64, replications=50, master_seed=99, p=2.0)
+    cfg = limits.SimConfig(grid_size=64, replications=50, master_seed=99)
     table = limits.build_critical_table(cfg, alphas=(0.5,), ps=(2.0,), workers=1)
-    draws = np.array(
-        [limits.limit_draw_uniform(cfg, substream(99, i)) for i in range(50)]
-    )
+    draws = np.array([limits.limit_draw_uniform(2.0, substream(99, i), 64) for i in range(50)])
     want = limits.estimate_quantiles(draws, [0.5])[0.5].quantile
     assert table.lookup(2.0, 0.5).quantile == want
 

@@ -1,18 +1,24 @@
-"""Checks of the exact sup-gap oracle that criterion 1 uses as its p = inf
+"""Checks of the oracles themselves.
+
+Most check the exact sup-gap oracle that criterion 1 uses as its p = inf
 reference.  They run in about two seconds, so the reference is checked
-without building the full-scale table.
+without building the full-scale table.  One checks the qhull upper hull
+against the exact chord oracle.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 from scipy.integrate import quad
 
 from oracle_utils import (
     KENNEDY_SWITCH,
+    exact_hull_values,
     kennedy_cdf,
     kennedy_cdf_dual,
     kennedy_cdf_theta,
+    qhull_upper_hull,
     sample_sup_gap,
     sup_gap_cdf,
     sup_gap_quantiles,
@@ -66,3 +72,15 @@ def test_sup_gap_quantiles_match_direct_sample():
         spread = math.sqrt(n * alpha * (1.0 - alpha))
         se = 0.5 * (draws[math.ceil(rank + spread) - 1] - draws[math.floor(rank - spread) - 1])
         assert abs(draws[rank - 1] - exact[alpha]) <= 3.0 * se, (alpha, draws[rank - 1], se)
+
+
+def test_qhull_upper_hull_matches_exact_chord_oracle(rng):
+    for n in (2, 3, 10, 40):
+        for _ in range(10):
+            px = np.unique(np.concatenate([[0.0, 1.0], rng.random(n - 2)]))
+            py = np.cumsum(rng.standard_normal(px.size)) * 0.1
+            hx, hy = qhull_upper_hull(px, py)
+            assert hx[0] == px[0] and hx[-1] == px[-1]
+            got = np.interp(px, hx, hy)
+            for g, want in zip(got, exact_hull_values(px, py)):
+                assert abs(Fraction(float(g)) - want) <= 1e-15

@@ -7,7 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lcmtest import pwl
-from oracle_utils import eval_pl_exact, exact_hull_values, quad_gap_norm, step_hull_points
+from oracle_utils import (
+    eval_pl_exact,
+    exact_hull_values,
+    qhull_upper_hull,
+    quad_gap_norm,
+    step_hull_points,
+)
 
 NORM_RTOL = 1e-8
 
@@ -83,25 +89,18 @@ def test_lcm_of_step_jump_at_zero():
 
 
 def test_lcm_of_path_affine():
-    m = pwl.lcm_of_path([0.0, 0.5, 1.0], [0.0, 0.5, 1.0])
-    assert m.xs.tolist() == [0.0, 1.0]
+    assert pwl.lcm_gap_on_grid([0.0, 0.5, 1.0], [0.0, 0.5, 1.0]).tolist() == [0.0, 0.0, 0.0]
 
 
 def test_lcm_of_path_vee():
-    m = pwl.lcm_of_path([0.0, 0.5, 1.0], [0.5, 0.0, 0.5])
-    assert m.xs.tolist() == [0.0, 1.0]
-    assert m.ys.tolist() == [0.5, 0.5]
+    assert pwl.lcm_gap_on_grid([0.0, 0.5, 1.0], [0.5, 0.0, 0.5]).tolist() == [0.0, 0.5, 0.0]
 
 
 def test_lcm_of_path_restriction():
-    m = pwl.lcm_of_path([0.0, 0.5, 1.0], [0.0, 1.0, 0.0], lo=0.5, hi=1.0)
-    assert m.xs.tolist() == [0.5, 1.0]
-    assert m.ys.tolist() == [1.0, 0.0]
-
-
-def test_lcm_of_path_misaligned_domain():
-    with pytest.raises(pwl.GeometryError):
-        pwl.lcm_of_path([0.0, 0.5, 1.0], [0.0, 1.0, 0.0], lo=0.25, hi=1.0)
+    # Over the slice [0.5, 1] the path is a single segment: its own majorant.
+    grid = np.array([0.0, 0.5, 1.0])
+    values = np.array([0.0, 1.0, 0.0])
+    assert pwl.lcm_gap_on_grid(grid[1:], values[1:]).tolist() == [0.0, 0.0]
 
 
 # -- difference segments -----------------------------------------------------------
@@ -185,6 +184,31 @@ def test_hull_matches_exact_oracle(rng):
             assert eval_pl_exact(m.xs, m.ys, x) == want
 
 
+def _tied_samples(rng):
+    for _ in range(150):
+        yield np.round(rng.random(int(rng.integers(1, 51))), 2)
+    for _ in range(50):
+        s = rng.random(int(rng.integers(2, 51)))
+        s[: s.size // 2] = 0.0
+        s[-max(1, s.size // 4) :] = 1.0
+        yield s
+    for v in (0.3, 1.0, 1e-300):
+        yield np.array([v])
+    yield np.array([5e-324] * 3 + [1e-323])  # slopes overflow without scaling
+
+
+def test_hull_matches_exact_oracle_on_ties(rng):
+    # Ties, mass at 0 and 1, n = 1 and subnormal spacings.  Tied corners can
+    # make the float hull pick a different but numerically equivalent vertex
+    # set, so these inputs get a tolerance, not ``==``.
+    for samples in _tied_samples(rng):
+        f = pwl.build_ecdf(samples)
+        px, py = step_hull_points(f.xs, f.vs)
+        m = pwl.lcm_of_step(f)
+        for x, want in zip(px, exact_hull_values(px, py)):
+            assert abs(eval_pl_exact(m.xs, m.ys, x) - want) <= Fraction(1, 2**52)
+
+
 def test_lp_norm_matches_quadrature(rng):
     for _ in range(40):
         n = int(rng.integers(2, 51))
@@ -209,8 +233,8 @@ def test_gap_on_grid_matches_knot_route(rng):
         if grid.size < 3:
             continue
         values = np.cumsum(rng.standard_normal(grid.size)) * 0.1
-        hull = pwl.lcm_of_path(grid, values)
-        want = np.asarray(hull.evaluate(grid)) - values
+        hx, hy = qhull_upper_hull(grid, values)
+        want = np.interp(grid, hx, hy) - values
         got = pwl.lcm_gap_on_grid(grid, values)
         np.testing.assert_allclose(got, np.maximum(want, 0.0), atol=1e-11)
 
@@ -224,7 +248,7 @@ def test_gap_on_grid_concave_input_is_exactly_zero():
 def test_gap_pow_integral_matches_lp_norm(rng):
     grid = np.linspace(0.0, 1.0, 129)
     values = np.cumsum(rng.standard_normal(129)) * 0.1
-    hull = pwl.lcm_of_path(grid, values)
+    hull = pwl.PiecewiseLinear(*qhull_upper_hull(grid, values), concave=True)
     interp = pwl.PiecewiseLinear(grid, values)
     d = pwl.diff_segments(hull, interp, (0.0, 1.0))
     for p in (1.0, 2.0, 3.0, 2.5):
@@ -281,9 +305,8 @@ def test_hull_minimality(samples, salt):
 @settings(max_examples=100, deadline=None)
 def test_hull_idempotent(samples):
     m = pwl.lcm_of_step(pwl.build_ecdf(samples))
-    again = pwl.lcm_of_path(m.xs, m.ys)
-    assert again.xs.tolist() == m.xs.tolist()
-    assert again.ys.tolist() == m.ys.tolist()
+    assert np.all(pwl.lcm_gap_on_grid(m.xs, m.ys) == 0.0)
+    assert np.all(np.diff(m.slopes()) < 0.0)
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -307,9 +330,7 @@ def test_hull_monotone_under_domain_restriction(seed):
     i0, i1 = sorted(rng.choice(np.arange(33), size=2, replace=False))
     if i1 - i0 < 1:
         return
-    small = pwl.lcm_of_path(grid, values, lo=grid[i0], hi=grid[i1])
-    big = pwl.lcm_of_path(grid, values)
-    inner = grid[i0 : i1 + 1]
-    assert np.all(
-        np.asarray(small.evaluate(inner)) <= np.asarray(big.evaluate(inner)) + 1e-12
-    )
+    inner = slice(i0, i1 + 1)
+    small = values[inner] + pwl.lcm_gap_on_grid(grid[inner], values[inner])
+    big = values + pwl.lcm_gap_on_grid(grid, values)
+    assert np.all(small <= big[inner] + 1e-12)

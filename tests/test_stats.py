@@ -123,8 +123,8 @@ def test_exact_gap_integral_worked_examples():
 
 
 def test_exact_gap_integral_matches_float(rng):
-    for _ in range(25):
-        samples = rng.random(int(rng.integers(1, 12)))
+    cases = [rng.random(int(rng.integers(1, 12))) for _ in range(25)] + [rng.random(2000)]
+    for samples in cases:
         for p in (1, 2, 3):
             exact = float(stats.exact_gap_pow_integral(samples, p))
             got = (stats.lp_stat(samples, float(p)).value / math.sqrt(samples.size)) ** p
