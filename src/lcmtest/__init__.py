@@ -21,12 +21,12 @@ from .limits import (
     concavity_gap,
     estimate_quantiles,
     gap_norm,
-    limit_draw_derivative,
     limit_draw_general,
     limit_draw_uniform,
     p_key,
     parse_p,
     sample_wiener,
+    simulate_draws,
     to_bridge,
     uniform_grid,
     verify_dominance_coupling,

@@ -133,6 +133,16 @@ def _progress_logger(label: str):
     return cb
 
 
+def _limit_quantiles(args, iv: models.IntervalStructure, p: float, alphas, workers: int = 1):
+    # Upper quantiles of the limit law with affine intervals iv, at the
+    # command's grid, replications and seed.
+    config = limits.SimConfig(args.grid, args.reps, args.seed)
+    draws = limits.simulate_draws(
+        iv, (p,), config, workers=workers, progress=_progress_logger("limit draws")
+    )
+    return limits.estimate_quantiles(draws[:, 0], alphas)
+
+
 def _critical_values_for_test(args, p: float, alphas):
     """Resolve critical values: a cached table, a fresh simulation, or the
     simulated limit of a user-supplied concave CDF."""
@@ -142,16 +152,7 @@ def _critical_values_for_test(args, p: float, alphas):
         spec = load_spec(args.cdf)
         iv = models.extract_intervals(spec)
         _log(f"simulating limit for spec {models.spec_to_dict(spec)} ({args.reps} draws)")
-        if iv.is_empty:
-            draws = np.zeros(args.reps)
-        else:
-            draws = np.array(
-                [
-                    limits.limit_draw_general(iv, p, substream(args.seed, i), args.grid)
-                    for i in range(args.reps)
-                ]
-            )
-        quants = limits.estimate_quantiles(draws, alphas)
+        quants = _limit_quantiles(args, iv, p, alphas, args.workers)
         provenance = {
             "mode": "cdf-limit",
             "cdf": models.spec_to_dict(spec),
@@ -256,15 +257,7 @@ def cmd_simulate_limit(args) -> int:
     iv = models.extract_intervals(spec)
     if iv.is_empty:
         _log("strictly concave CDF: the limit is degenerate at zero")
-        draws = np.zeros(args.reps)
-    else:
-        draws = np.array(
-            [
-                limits.limit_draw_general(iv, p, substream(args.seed, i), args.grid)
-                for i in range(args.reps)
-            ]
-        )
-    quants = limits.estimate_quantiles(draws, args.alphas)
+    quants = _limit_quantiles(args, iv, p, args.alphas)
     _emit(
         {
             "cdf": models.spec_to_dict(spec),
@@ -452,14 +445,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_scale(args) -> None:
-    # Replication, path and grid counts shared by the commands that take them.
-    for flag in ("reps", "paths"):
+    # Counts and levels shared by the commands that take them, checked
+    # before any simulation runs.
+    for flag in ("reps", "paths", "workers"):
         value = getattr(args, flag, None)
         if value is not None and value < 1:
             raise InputError(f"--{flag} must be at least 1, got {value}")
     grid = getattr(args, "grid", None)
     if grid is not None and grid < 2:
         raise InputError(f"--grid must be at least 2, got {grid}")
+    for flag in ("alpha", "alphas"):
+        for level in getattr(args, flag, None) or ():
+            if not 0.0 < level < 1.0:
+                raise InputError(f"--{flag} levels must lie in (0, 1), got {level:g}")
 
 
 def main(argv=None) -> int:

@@ -15,9 +15,11 @@ never matters.
 
 from __future__ import annotations
 
+import contextlib
 import datetime as _dt
 import json
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -36,6 +38,9 @@ DEFAULT_REPLICATIONS = 200_000
 COUPLING_TOL = 1e-9
 
 _GRID_MERGE_TOL = 1e-12
+
+#: The uniform law's affine intervals: the single unit interval, d = h = 1.
+_UNIT = models.extract_intervals(models.UniformCdf())
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,13 +150,51 @@ def gap_norm(path: SampledPath, p: float) -> float:
 # -- Limit draws ----------------------------------------------------------------
 
 
+def _norm_indices(ps) -> tuple:
+    ps = tuple(float(p) for p in ps)
+    if not all(p >= 1.0 for p in ps):
+        raise ValueError("norm indices must be >= 1")
+    return ps
+
+
+def _law_draws(d, h, ps, streams, grid: np.ndarray) -> np.ndarray:
+    # The one simulation engine: row i, column j is the draw for streams[i]
+    # at norm index ps[j] of the law with affine widths d and rises h,
+    # (sum_k d_k h_k^{p/2} ||gap(W_k)||_p^p)^{1/p}, or max_k h_k^{1/2}
+    # sup gap(W_k) at p = inf, with W_k drawn from substream(streams[i], k).
+    # The uniform law is d = h = [1], for which the arithmetic is exact.
+    # Both loops stay in here so that the last path arrays live until the
+    # next draw allocates its own: freed on every return, these just-over
+    # 128 KiB arrays made glibc trim the heap and fault it back in per draw.
+    sqdt = np.sqrt(np.diff(grid))
+    out = np.zeros((len(streams), len(ps)))
+    for row, stream in enumerate(streams):
+        for k in range(len(d)):
+            rng = generator(substream(stream, k))
+            values = np.empty(grid.size)
+            values[0] = 0.0
+            np.cumsum(rng.standard_normal(grid.size - 1) * sqdt, out=values[1:])
+            g = pwl.lcm_gap_on_grid(grid, values)
+            for j, p in enumerate(ps):
+                if math.isinf(p):
+                    out[row, j] = max(out[row, j], h[k] ** 0.5 * g.max())
+                else:
+                    out[row, j] += d[k] * h[k] ** (p / 2.0) * pwl.pow_integral_from_gaps(grid, g, p)
+        for j, p in enumerate(ps):
+            if not math.isinf(p):
+                # A scalar power per entry: numpy's array ** 0.5 is sqrt,
+                # which need not round like pow.
+                out[row, j] = out[row, j] ** (1.0 / p)
+    return out
+
+
 def limit_draw_uniform(p: float, stream: Stream, grid_size: int = DEFAULT_GRID) -> float:
     """One draw of the uniform-CDF limit: the gap norm of a Wiener path.
 
     Supports every p in [1, inf].
     """
-    w = sample_wiener(uniform_grid(grid_size), substream(stream, 0))
-    return gap_norm(w, p)
+    draws = _law_draws(_UNIT.d, _UNIT.h, _norm_indices((p,)), [stream], uniform_grid(grid_size))
+    return float(draws[0, 0])
 
 
 def limit_draw_general(
@@ -166,94 +209,32 @@ def limit_draw_general(
     """
     if np.isinf(p):
         raise ValueError("the interval representation covers finite p only")
-    if p < 1.0:
-        raise ValueError("norm index p must be at least 1")
-    if iv.is_empty:
-        return 0.0
-    grid = uniform_grid(grid_size)
-    total = 0.0
-    for k in range(len(iv)):
-        w = sample_wiener(grid, substream(stream, k))
-        total += iv.d[k] * iv.h[k] ** (p / 2.0) * pwl.gap_pow_integral(grid, w.values, p)
-    return total ** (1.0 / p)
+    draws = _law_draws(iv.d, iv.h, _norm_indices((p,)), [stream], uniform_grid(grid_size))
+    return float(draws[0, 0])
 
 
-def _affine_knots(spec: models.ConcaveCdf) -> tuple[np.ndarray, np.ndarray]:
-    # Knot abscissas and ordinates of a (piecewise-)affine concave CDF; the
-    # ordinates double as the exact cumulative interval rises.
-    if isinstance(spec, models.UniformCdf) or (
-        isinstance(spec, models.PowerCdf) and spec.gamma == 1.0
-    ):
-        return np.array([0.0, 1.0]), np.array([0.0, 1.0])
-    if isinstance(spec, models.PiecewiseAffineCdf):
-        return np.asarray(spec.xs), np.asarray(spec.ys)
-    raise ValueError(
-        "the derivative route needs a piecewise-affine (or uniform) CDF; "
-        "strictly concave specs have a degenerate limit"
-    )
-
-
-def _scaled_block(offset: float, scale: float, end: float, base: np.ndarray) -> np.ndarray:
-    # offset + scale * base with the endpoints pinned to the exact knot
-    # values, so junctions between blocks coincide bit-for-bit.
-    pts = offset + scale * base
-    pts[0] = offset
-    pts[-1] = end
-    return pts
-
-
-def _block_grid(ku: np.ndarray, grid_size: int) -> tuple[np.ndarray, list[tuple[int, int]]]:
+def _block_grid(knots, widths, grid_size: int) -> tuple[np.ndarray, list[tuple[int, int]]]:
+    # The base grid scaled into each block [knots[k], knots[k] + widths[k]],
+    # merged with the base grid itself, and each block's index span.  Block
+    # ends are pinned to the exact knots, so junctions coincide bit-for-bit.
     base = uniform_grid(grid_size)
-    parts = [
-        _scaled_block(ku[k], ku[k + 1] - ku[k], ku[k + 1], base) for k in range(ku.size - 1)
-    ]
+    parts = []
+    for k, width in enumerate(widths):
+        pts = knots[k] + width * base
+        pts[0] = knots[k]
+        pts[-1] = knots[k + 1]
+        parts.append(pts)
     master = merge_grids(np.concatenate(parts), base)
-    spans = []
-    for k in range(ku.size - 1):
-        i0 = int(np.searchsorted(master, ku[k]))
-        i1 = int(np.searchsorted(master, ku[k + 1]))
-        spans.append((i0, i1))
-    return master, spans
+    ends = np.searchsorted(master, knots).tolist()
+    return master, list(zip(ends[:-1], ends[1:]))
 
 
-def limit_draw_derivative(
-    spec: models.ConcaveCdf, p: float, stream: Stream, grid_size: int = DEFAULT_GRID
-) -> float:
-    """One draw of the limit via the derivative of the majorant operator.
-
-    A single bridge path is composed with the CDF, the majorant is applied
-    separately over each maximal affine interval (and as the identity
-    elsewhere), and the L^p norm of the resulting gap over [0, 1] is
-    returned.  Piecewise-affine and uniform specs only; finite p.
-    """
-    if np.isinf(p):
-        raise ValueError("the derivative route covers finite p only")
-    if p < 1.0:
-        raise ValueError("norm index p must be at least 1")
-    kx, ku = _affine_knots(spec)
-    master, spans = _block_grid(ku, grid_size)
-    w = sample_wiener(master, substream(stream, 0))
-    b = to_bridge(w)
-    total = 0.0
-    for k, (i0, i1) in enumerate(spans):
-        x_blk = _interval_abscissas(kx, ku, k, master[i0 : i1 + 1])
-        total += pwl.gap_pow_integral(x_blk, b.values[i0 : i1 + 1], p)
-    return total ** (1.0 / p)
-
-
-def _interval_abscissas(kx, ku, k: int, u_blk: np.ndarray) -> np.ndarray:
-    # Map grid points in CDF-value space back to abscissas on [kx[k], kx[k+1]].
-    x = kx[k] + (kx[k + 1] - kx[k]) * ((u_blk - ku[k]) / (ku[k + 1] - ku[k]))
-    x[0] = kx[k]
-    x[-1] = kx[k + 1]
-    return x
-
-
-def _unit_preimage(ku, k: int, u_blk: np.ndarray) -> np.ndarray:
-    u = (u_blk - ku[k]) / (ku[k + 1] - ku[k])
-    u[0] = 0.0
-    u[-1] = 1.0
-    return u
+def _unit_preimage(u: np.ndarray, start: float, width: float) -> np.ndarray:
+    # Block grid points mapped affinely onto [0, 1], ends pinned.
+    out = (u - start) / width
+    out[0] = 0.0
+    out[-1] = 1.0
+    return out
 
 
 @dataclass(frozen=True)
@@ -282,22 +263,24 @@ def verify_rescaling_identity(
     """
     if np.isinf(p):
         raise ValueError("the rescaling identity covers finite p only")
-    kx, ku = _affine_knots(spec)
-    master, spans = _block_grid(ku, grid_size)
+    iv = models.extract_intervals(spec)
+    if iv.is_empty:
+        raise ValueError("a strictly concave CDF has a degenerate limit: no intervals to rescale")
+    kx = np.append(iv.a, iv.b[-1])
+    ku = models.evaluate(spec, kx)  # np.interp returns the knot ordinates exactly
+    master, spans = _block_grid(ku, iv.h, grid_size)
     w = sample_wiener(master, substream(stream, 0))
     b = to_bridge(w)
     lhs_pow = 0.0
     rhs_pow = 0.0
     for k, (i0, i1) in enumerate(spans):
-        u_blk = master[i0 : i1 + 1]
-        x_blk = _interval_abscissas(kx, ku, k, u_blk)
+        u_pre = _unit_preimage(master[i0 : i1 + 1], ku[k], iv.h[k])
+        x_blk = kx[k] + iv.d[k] * u_pre
+        x_blk[-1] = kx[k + 1]
         lhs_pow += pwl.gap_pow_integral(x_blk, b.values[i0 : i1 + 1], p)
 
-        d_k = kx[k + 1] - kx[k]
-        h_k = ku[k + 1] - ku[k]
-        u_pre = _unit_preimage(ku, k, u_blk)
-        w_k = (w.values[i0 : i1 + 1] - w.values[i0]) * h_k**-0.5
-        rhs_pow += d_k * h_k ** (p / 2.0) * pwl.gap_pow_integral(u_pre, w_k, p)
+        w_k = (w.values[i0 : i1 + 1] - w.values[i0]) * iv.h[k] ** -0.5
+        rhs_pow += iv.d[k] * iv.h[k] ** (p / 2.0) * pwl.gap_pow_integral(u_pre, w_k, p)
     return CouplingIdentity(lhs_pow ** (1.0 / p), rhs_pow ** (1.0 / p))
 
 
@@ -335,9 +318,8 @@ def verify_dominance_coupling(
         raise ValueError("the dominance coupling covers finite p only")
     lengths = models.coupling_lengths(iv, p)
     packed = models.pack_intervals(lengths)
-    base = uniform_grid(grid_size)
-    parts = [_scaled_block(a, l, e, base) for (a, e), l in zip(packed, lengths)]
-    master = merge_grids(np.concatenate(parts), base)
+    knots = [a for a, _ in packed] + [packed[-1][1]]
+    master, spans = _block_grid(knots, lengths, grid_size)
     w = sample_wiener(master, substream(stream, 0))
 
     full_gap = pwl.lcm_gap_on_grid(master, w.values)
@@ -345,12 +327,8 @@ def verify_dominance_coupling(
 
     lhs_pow = 0.0
     hull_excess = 0.0
-    for (a, e), l in zip(packed, lengths):
-        i0 = int(np.searchsorted(master, a))
-        i1 = int(np.searchsorted(master, e))
-        u_pre = (master[i0 : i1 + 1] - a) / l
-        u_pre[0] = 0.0
-        u_pre[-1] = 1.0
+    for (i0, i1), a, l in zip(spans, knots, lengths):
+        u_pre = _unit_preimage(master[i0 : i1 + 1], a, l)
         root = math.sqrt(l)
         w_k = (w.values[i0 : i1 + 1] - w.values[i0]) / root
         sub_gap = pwl.lcm_gap_on_grid(u_pre, w_k)
@@ -479,26 +457,48 @@ class CriticalValueTable:
         return cls.from_dict(json.loads(Path(path).read_text()))
 
 
-def _draw_block(master_seed: int, grid_size: int, ps: tuple, start: int, stop: int) -> np.ndarray:
-    # Draws for replications [start, stop); one row per replication, one
-    # column per norm index.  Replication i uses substream (i, 0), matching
-    # limit_draw_uniform called with substream(master_seed, i).
-    grid = uniform_grid(grid_size)
-    sqdt = np.sqrt(np.diff(grid))
-    m = grid_size
-    out = np.empty((stop - start, len(ps)))
-    for row, i in enumerate(range(start, stop)):
-        rng = generator(substream(master_seed, i, 0))
-        values = np.empty(m + 1)
-        values[0] = 0.0
-        np.cumsum(rng.standard_normal(m) * sqdt, out=values[1:])
-        g = pwl.lcm_gap_on_grid(grid, values)
-        for j, p in enumerate(ps):
-            if math.isinf(p):
-                out[row, j] = g.max()
-            else:
-                out[row, j] = pwl.pow_integral_from_gaps(grid, g, p) ** (1.0 / p)
-    return out
+def _draw_block(
+    master_seed: int, grid_size: int, d, h, ps: tuple, start: int, stop: int
+) -> np.ndarray:
+    # Draws for replications [start, stop); replication i uses substream
+    # (master_seed, i), matching the single-draw functions.
+    streams = [substream(master_seed, i) for i in range(start, stop)]
+    return _law_draws(d, h, ps, streams, uniform_grid(grid_size))
+
+
+def simulate_draws(
+    iv: models.IntervalStructure, ps, config: SimConfig, workers: int = 1, progress=None
+) -> np.ndarray:
+    """Draws of the limit law with affine intervals ``iv``: one row per
+    replication, one column per norm index in ``ps`` (p = inf included).
+
+    Row i is drawn from ``substream(config.master_seed, i)``, as in
+    ``limit_draw_general``, so the result is bit-identical for any
+    ``workers`` (capped at ``os.cpu_count()``).  All norm indices share the
+    same paths.  ``progress`` is an optional callback ``(done, total)``.
+    """
+    ps = _norm_indices(ps)
+    n = config.replications
+    draws = np.zeros((n, len(ps)))
+    if iv.is_empty:
+        return draws
+    workers = min(workers, os.cpu_count() or 1)
+    step = max(1, min(n, 2000 if workers <= 1 else math.ceil(n / (workers * 8))))
+    blocks = [(start, min(start + step, n)) for start in range(0, n, step)]
+    task = (config.master_seed, config.grid_size, iv.d, iv.h, ps)
+    with ProcessPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool:
+        if pool is None:
+            finished = ((block, _draw_block(*task, *block)) for block in blocks)
+        else:
+            futures = {pool.submit(_draw_block, *task, *block): block for block in blocks}
+            finished = ((futures[f], f.result()) for f in as_completed(futures))
+        done = 0
+        for (start, stop), rows in finished:
+            draws[start:stop] = rows
+            done += stop - start
+            if progress is not None:
+                progress(done, n)
+    return draws
 
 
 def build_critical_table(
@@ -515,39 +515,7 @@ def build_critical_table(
     covers.  Deterministic for a given master seed, whatever ``workers`` is;
     ``progress`` is an optional callback ``(done, total)``.
     """
-    ps = tuple(float(p) for p in ps)
-    for p in ps:
-        if not math.isinf(p) and p < 1.0:
-            raise ValueError("norm indices must be >= 1")
-    n = config.replications
-    draws = np.empty((n, len(ps)))
-
-    step = max(1, min(n, 2000 if workers <= 1 else math.ceil(n / (workers * 8))))
-    blocks = [(start, min(start + step, n)) for start in range(0, n, step)]
-    if workers <= 1:
-        done = 0
-        for start, stop in blocks:
-            draws[start:stop] = _draw_block(config.master_seed, config.grid_size, ps, start, stop)
-            done = stop
-            if progress is not None:
-                progress(done, n)
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {
-                pool.submit(_draw_block, config.master_seed, config.grid_size, ps, start, stop): (
-                    start,
-                    stop,
-                )
-                for start, stop in blocks
-            }
-            done = 0
-            for future in as_completed(futures):
-                start, stop = futures[future]
-                draws[start:stop] = future.result()
-                done += stop - start
-                if progress is not None:
-                    progress(done, n)
-
+    draws = simulate_draws(_UNIT, ps, config, workers, progress)
     entries = {}
     for j, p in enumerate(ps):
         for alpha, est in estimate_quantiles(draws[:, j], alphas).items():

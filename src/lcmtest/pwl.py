@@ -136,8 +136,11 @@ class PiecewiseLinear:
         if not np.all(np.isfinite(ys)):
             raise ValueError("knot ordinates contain non-finite entries")
         if self.concave:
-            s = np.diff(ys) / np.diff(xs)
-            scale = max(1.0, float(np.max(np.abs(s))))
+            # Slopes over spacings scaled by 2**600, as in lcm_of_step, and
+            # the tolerance by the same exact power of two: over subnormal
+            # spacings plain slopes overflow and their differences are nan.
+            s = np.diff(ys) / np.ldexp(np.diff(xs), 600)
+            scale = max(2.0**-600, float(np.max(np.abs(s))))
             if np.any(np.diff(s) > _SLOPE_TOL * scale):
                 raise ValueError("slopes must strictly decrease for a concave function")
         xs.flags.writeable = False

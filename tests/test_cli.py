@@ -269,13 +269,22 @@ def test_cmd_verify_exit_code_on_violation(capsys, two_segment_file, monkeypatch
         ["critvals", "--grid", "1", "--reps", "5", "--out", "{out}"],
         ["simulate-limit", "--cdf", "{spec}", "--reps", "0"],
         ["verify", "--cdf", "{spec}", "--mode", "dominance", "--paths", "0"],
+        ["critvals", "--alpha", "1.5", "--reps", "3", "--grid", "4", "--out", "{out}"],
+        ["simulate-limit", "--cdf", "{spec}", "--alphas", "0", "--reps", "3", "--grid", "4"],
+        ["test", "{data}", "--cdf", "{spec}", "--alpha", "2", "--reps", "3", "--grid", "4"],
+        ["critvals", "--workers", "0", "--reps", "3", "--grid", "4", "--out", "{out}"],
     ],
-    ids=["all-zero-data", "zero-reps", "grid-1", "zero-draws", "zero-paths"],
+    ids=[
+        "all-zero-data", "zero-reps", "grid-1", "zero-draws", "zero-paths",
+        "critvals-alpha", "simulate-limit-alpha", "test-cdf-alpha", "zero-workers",
+    ],
 )
 def test_cmd_input_faults_exit_2(capsys, tmp_path, two_segment_file, argv):
     zeros = tmp_path / "zeros.txt"
     zeros.write_text("0\n0\n0\n")
-    paths = {"zeros": zeros, "out": tmp_path / "table.json", "spec": two_segment_file}
+    data = tmp_path / "data.txt"
+    data.write_text("0.1\n0.5\n0.9\n")
+    paths = {"zeros": zeros, "data": data, "out": tmp_path / "table.json", "spec": two_segment_file}
     code = cli.main([tok.format(**paths) for tok in argv])
     out = capsys.readouterr()
     assert code == 2

@@ -120,21 +120,43 @@ def test_limit_draw_general_rejects_inf():
 def test_derivative_route_uniform_matches_uniform_draw():
     for i in range(20):
         a = limits.limit_draw_uniform(2.0, substream(11, i), 128)
-        b = limits.limit_draw_derivative(models.UniformCdf(), 2.0, substream(11, i), 128)
+        b = limits.verify_rescaling_identity(models.UniformCdf(), 2.0, substream(11, i), 128).lhs
         assert a == b
 
 
 def test_derivative_route_rejects_strictly_concave():
     with pytest.raises(ValueError):
-        limits.limit_draw_derivative(models.PowerCdf(0.5), 2.0, 1, 64)
+        limits.verify_rescaling_identity(models.PowerCdf(0.5), 2.0, 1, 64)
 
 
 def test_derivative_route_matches_rescaled_representation():
     for i in range(50):
         check = limits.verify_rescaling_identity(TWO_SEGMENT, 2.0, substream(21, i), 128)
-        draw = limits.limit_draw_derivative(TWO_SEGMENT, 2.0, substream(21, i), 128)
-        assert draw == check.lhs
         assert check.gap < 1e-9
+
+
+def test_simulate_draws_match_single_draws_any_workers():
+    iv = models.extract_intervals(TWO_SEGMENT)
+    cfg = limits.SimConfig(grid_size=64, replications=30, master_seed=31)
+    ps = (1.0, 2.5)
+    serial = limits.simulate_draws(iv, ps, cfg, workers=1)
+    assert np.array_equal(serial, limits.simulate_draws(iv, ps, cfg, workers=2))
+    for i, row in enumerate(serial):
+        want = [limits.limit_draw_general(iv, p, substream(31, i), 64) for p in ps]
+        assert row.tolist() == want
+
+
+def test_simulate_draws_caps_workers_at_cpu_count(monkeypatch):
+    class NoPool:
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("a capped run must not start a process pool")
+
+    iv = models.extract_intervals(TWO_SEGMENT)
+    cfg = limits.SimConfig(grid_size=32, replications=12, master_seed=5)
+    want = limits.simulate_draws(iv, (2.0,), cfg, workers=1)
+    monkeypatch.setattr(limits.os, "cpu_count", lambda: 1)
+    monkeypatch.setattr(limits, "ProcessPoolExecutor", NoPool)
+    assert np.array_equal(limits.simulate_draws(iv, (2.0,), cfg, workers=8), want)
 
 
 # -- couplings ------------------------------------------------------------------------

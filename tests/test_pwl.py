@@ -148,6 +148,14 @@ def test_lp_norm_closed_form():
     assert pwl.lp_norm(d, np.inf) == 0.5
 
 
+def test_piecewise_linear_rejects_convex_knots():
+    with pytest.raises(ValueError):
+        pwl.PiecewiseLinear([0.0, 0.5, 1.0], [0.0, 0.25, 1.0], concave=True)
+    # Over subnormal spacings plain slopes overflow; the check must still bite.
+    with pytest.raises(ValueError):
+        pwl.PiecewiseLinear([0.0, 5e-324, 1e-323], [0.0, 0.25, 1.0], concave=True)
+
+
 def test_lp_norm_zero_difference():
     m = pwl.PiecewiseLinear([0.0, 1.0], [0.0, 1.0], concave=True)
     d = pwl.diff_segments(m, m, (0.0, 1.0))
