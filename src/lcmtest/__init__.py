@@ -6,6 +6,9 @@ law under the uniform distribution, which stochastically dominates the limit
 under every other concave CDF.
 """
 
+# Set before the submodules import it.
+__version__ = "0.1.0"
+
 from .limits import (
     COUPLING_TOL,
     DEFAULT_GRID,
@@ -51,18 +54,12 @@ from .models import (
 )
 from .pwl import (
     MAJORIZATION_TOL,
-    DiffSegments,
     GeometryError,
-    PiecewiseLinear,
-    StepCdf,
-    build_ecdf,
-    diff_segments,
+    corner_gaps,
+    ecdf_corners,
     gap_pow_integral,
+    hull_vertices,
     lcm_gap_on_grid,
-    lcm_of_step,
-    lp_norm,
 )
-from .stats import StatisticResult, empirical_stat, exact_gap_pow_integral, lp_stat, weighted_stat
+from .stats import StatisticResult, exact_gap_pow_integral, lp_stat
 from .streams import Stream, generator, seed_sequence, substream
-
-__version__ = "0.1.0"

@@ -5,7 +5,8 @@ values, simulate the limit law of a given concave CDF, run the pathwise
 coupling verifications, and print the exact two-point worked example.
 
 Reports are JSON on stdout; human-readable logs go to stderr.  Exit codes:
-0 success, 1 verification failure, 2 input error.
+0 success, 1 verification failure or a crashed simulation worker, 2 input
+error.
 """
 
 from __future__ import annotations
@@ -13,9 +14,12 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import io
 import json
 import math
 import sys
+import warnings
+from concurrent.futures.process import BrokenProcessPool
 from fractions import Fraction
 from pathlib import Path
 
@@ -46,15 +50,40 @@ def _check_value(v: float, where: str) -> float:
     return v
 
 
+def _parse_plain(text: str) -> np.ndarray | None:
+    # One numpy pass over a file of bare numbers, one per line.  None unless
+    # the result is a single column of finite values in [0, 1]; every other
+    # file goes to the line loop, which owns the error messages.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            arr = np.loadtxt(io.StringIO(text), ndmin=2)
+        except ValueError:
+            return None
+    # NaN fails both comparisons, so the range check also rejects non-finite values.
+    if arr.shape[1] != 1 or not np.all((arr >= 0.0) & (arr <= 1.0)):
+        return None
+    return arr[:, 0]
+
+
 def read_samples(path: str, column: str | None = None) -> np.ndarray:
     """Read observations from a text file (one number per line, '#' comments)
-    or from a CSV column given by name or 0-based index."""
+    or from a CSV column given by name or 0-based index.
+
+    A text file with no '#' is parsed by numpy in one pass; the Python line
+    loop takes over whenever that pass fails or finds a value the loop
+    would reject, so both routes accept the same files with the same values.
+    """
     p = Path(path)
     if not p.is_file():
         raise InputError(f"data file not found: {path}")
     text = p.read_text(encoding="utf-8")
     values: list[float] = []
     if column is None:
+        if "#" not in text and text.strip():
+            arr = _parse_plain(text)
+            if arr is not None:
+                return arr
         for ln, line in enumerate(text.splitlines(), 1):
             tok = line.strip()
             if not tok or tok.startswith("#"):
@@ -468,6 +497,9 @@ def main(argv=None) -> int:
     except InputError as exc:
         _log(f"error: {exc}")
         return 2
+    except BrokenProcessPool as exc:
+        _log(f"error: a simulation worker process died: {exc}")
+        return 1
 
 
 def console_main() -> None:

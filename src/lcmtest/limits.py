@@ -20,13 +20,15 @@ import datetime as _dt
 import json
 import math
 import os
+import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+import scipy
 
-from . import models, pwl
+from . import __version__, models, pwl
 from .streams import Stream, generator, substream
 
 DEFAULT_SEED = 171717
@@ -513,9 +515,13 @@ def build_critical_table(
     All norm indices share the same paths (the gap is computed once per
     path), so a table costs one simulation regardless of how many norms it
     covers.  Deterministic for a given master seed, whatever ``workers`` is;
-    ``progress`` is an optional callback ``(done, total)``.
+    ``progress`` is an optional callback ``(done, total)``.  The provenance
+    records the software versions, the worker count and the wall time of
+    the simulation.
     """
+    start = time.perf_counter()
     draws = simulate_draws(_UNIT, ps, config, workers, progress)
+    seconds = time.perf_counter() - start
     entries = {}
     for j, p in enumerate(ps):
         for alpha, est in estimate_quantiles(draws[:, j], alphas).items():
@@ -527,5 +533,10 @@ def build_critical_table(
         "ps": [p_key(p) for p in ps],
         "alphas": [float(a) for a in alphas],
         "built_at": _dt.datetime.now(_dt.timezone.utc).isoformat(),
+        "lcmtest_version": __version__,
+        "numpy_version": np.__version__,
+        "scipy_version": scipy.__version__,
+        "workers": workers,
+        "timing": {"seconds": seconds, "reps_per_s": config.replications / seconds},
     }
     return CriticalValueTable(entries, provenance)

@@ -1,15 +1,9 @@
-"""Finite-sample concavity test statistics.
+"""The finite-sample concavity test statistic.
 
-All three statistics measure how far the empirical CDF sits below its least
-concave majorant, scaled by sqrt(n):
-
-* :func:`lp_stat` -- unweighted L^p distance (Lebesgue measure on [0, 1]);
-* :func:`weighted_stat` -- distance integrated against a model CDF;
-* :func:`empirical_stat` -- distance integrated against the empirical measure.
-
-The unweighted and piecewise-affine-weighted integrals are closed-form; only
-the power-law weight needs adaptive quadrature, since ``(a + b*u)**p *
-u**(gamma-1)`` has no elementary antiderivative for general p.
+:func:`lp_stat` is sqrt(n) times the L^p distance between the empirical CDF
+and its least concave majorant, integrated exactly for every p.
+:func:`exact_gap_pow_integral` recomputes the integral in exact rational
+arithmetic, as a cross-check and for printing exact values.
 """
 
 from __future__ import annotations
@@ -18,11 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.integrate import quad
 
-from . import models, pwl
-
-_QUAD_EPSABS = 1e-12  # per-segment budget; total stays well under 1e-10
+from . import pwl
 
 
 @dataclass(frozen=True)
@@ -37,118 +28,23 @@ class StatisticResult:
             raise ValueError(f"statistic must be finite and nonnegative, got {self.value!r}")
 
 
-def _gap_segments(samples) -> tuple[pwl.DiffSegments, int]:
-    f = pwl.build_ecdf(samples)
-    m = pwl.lcm_of_step(f)
-    d = pwl.diff_segments(m, f, domain=(0.0, f.support_end))
-    return d, len(np.asarray(samples))
-
-
 def lp_stat(samples, p: float) -> StatisticResult:
     """sqrt(n) times the L^p distance between the ECDF and its majorant.
 
     The difference vanishes beyond the largest observation, so integrating
     over [0, max(X)] equals integrating over [0, 1].  Exact for every p,
-    including p = inf (breakpoint maximum).
+    including p = inf: the gap is affine between corners, so its maximum is
+    a corner value.
     """
-    d, n = _gap_segments(samples)
-    value = float(np.sqrt(n) * pwl.lp_norm(d, p))
-    return StatisticResult(value, n, float(p), "lp")
-
-
-def weighted_stat(samples, p: float, weight: models.ConcaveCdf) -> StatisticResult:
-    """sqrt(n) times the L^p distance weighted by a model CDF.
-
-    Defined for finite p only.  Uniform and piecewise-affine weights are
-    integrated exactly (their densities are piecewise constant); power
-    weights use adaptive quadrature with an algebraic-singularity rule on
-    the segment touching zero.
-    """
+    px, py = pwl.ecdf_corners(samples)
+    v_lo, v_hi = pwl.corner_gaps(px, py, pwl.hull_vertices(px, py))
     if np.isinf(p):
-        raise ValueError("the weighted statistic is defined for finite p only")
-    if p < 1.0:
-        raise ValueError("norm index p must be at least 1")
-    d, n = _gap_segments(samples)
-
-    if isinstance(weight, models.UniformCdf) or (
-        isinstance(weight, models.PowerCdf) and weight.gamma == 1.0
-    ):
-        total = float(np.sum(pwl.ramp_pow_integrals(d.v_lo, d.v_hi, d.lengths, p)))
-    elif isinstance(weight, models.PiecewiseAffineCdf):
-        total = _piecewise_weighted_integral(d, weight, p)
-    elif isinstance(weight, models.PowerCdf):
-        total = _power_weighted_integral(d, weight.gamma, p)
+        norm = float(max(v_lo.max(), v_hi.max()))
     else:
-        raise TypeError(f"not a concave CDF spec: {weight!r}")
-    value = float(np.sqrt(n) * total ** (1.0 / p))
-    return StatisticResult(value, n, float(p), "weighted")
-
-
-def _piecewise_weighted_integral(d: pwl.DiffSegments, weight, p: float) -> float:
-    wx = np.asarray(weight.xs)
-    slopes = np.diff(weight.ys) / np.diff(wx)
-    total = 0.0
-    for x0, x1, v0, v1 in zip(d.x_lo, d.x_hi, d.v_lo, d.v_hi):
-        cuts = np.unique(np.concatenate(([x0, x1], wx[(wx > x0) & (wx < x1)])))
-        vals = v0 + (v1 - v0) * (cuts - x0) / (x1 - x0)
-        for c0, c1, g0, g1 in zip(cuts[:-1], cuts[1:], vals[:-1], vals[1:]):
-            seg = int(np.searchsorted(wx, c0, side="right")) - 1
-            dens = slopes[seg] if 0 <= seg < slopes.size else 0.0
-            if dens > 0.0:
-                total += dens * float(pwl.ramp_pow_integrals(g0, g1, c1 - c0, p))
-    return total
-
-
-def _power_weighted_integral(d: pwl.DiffSegments, gamma: float, p: float) -> float:
-    total = 0.0
-    for x0, x1, a, b, v0, v1 in zip(d.x_lo, d.x_hi, d.alpha, d.beta, d.v_lo, d.v_hi):
-        if v0 == 0.0 and v1 == 0.0:
-            continue
-        if x0 == 0.0:
-            # dF = gamma * u**(gamma-1) du is singular at 0; hand the
-            # algebraic factor to the quadrature rule.
-            val, _ = quad(
-                lambda u: gamma * (a + b * u) ** p,
-                x0,
-                x1,
-                weight="alg",
-                wvar=(gamma - 1.0, 0.0),
-                epsabs=_QUAD_EPSABS,
-                limit=200,
-            )
-        else:
-            val, _ = quad(
-                lambda u: gamma * (a + b * u) ** p * u ** (gamma - 1.0),
-                x0,
-                x1,
-                epsabs=_QUAD_EPSABS,
-                limit=200,
-            )
-        total += val
-    return total
-
-
-def empirical_stat(samples, p: float) -> StatisticResult:
-    """sqrt(n) times the L^p distance weighted by the empirical measure.
-
-    The empirical CDF is evaluated right-continuously at each observation,
-    so every jump contributes its post-jump value.  Finite p only.
-    """
-    if np.isinf(p):
-        raise ValueError("the empirical-weight statistic is defined for finite p only")
-    if p < 1.0:
-        raise ValueError("norm index p must be at least 1")
-    f = pwl.build_ecdf(samples)
-    m = pwl.lcm_of_step(f)
-    gaps = np.asarray(m.evaluate(f.xs)) - f.vs
-    worst = float(gaps.min())
-    if worst < -pwl.MAJORIZATION_TOL:
-        raise pwl.GeometryError(f"majorization violated by {-worst:.3e}")
-    gaps = np.maximum(gaps, 0.0)
+        total = float(np.sum(pwl.ramp_pow_integrals(v_lo, v_hi, np.diff(px), p)))
+        norm = total ** (1.0 / p)
     n = len(np.asarray(samples))
-    total = float(np.sum(f.jump_weights() * gaps**p))
-    value = float(np.sqrt(n) * total ** (1.0 / p))
-    return StatisticResult(value, n, float(p), "empirical")
+    return StatisticResult(float(np.sqrt(n) * norm), n, float(p), "lp")
 
 
 # -- Exact rational cross-check ------------------------------------------------

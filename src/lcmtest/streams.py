@@ -29,10 +29,14 @@ def seed_sequence(stream: Stream) -> np.random.SeedSequence:
 
 def substream(stream: Stream, *keys: int) -> np.random.SeedSequence:
     """Deterministic child stream, independent of spawning order."""
-    ss = seed_sequence(stream)
-    return np.random.SeedSequence(
-        entropy=ss.entropy, spawn_key=tuple(ss.spawn_key) + tuple(int(k) for k in keys)
-    )
+    if isinstance(stream, (int, np.integer)):
+        # The child of an int seed, built directly: a root SeedSequence(int)
+        # has that entropy and an empty spawn key.
+        entropy, key = int(stream), ()
+    else:
+        ss = seed_sequence(stream)
+        entropy, key = ss.entropy, tuple(ss.spawn_key)
+    return np.random.SeedSequence(entropy=entropy, spawn_key=key + tuple(int(k) for k in keys))
 
 
 def generator(stream: Stream) -> np.random.Generator:

@@ -5,7 +5,7 @@ over all bracketing chords, in exact integer arithmetic (every double is a
 dyadic rational, so the points scale to integers losslessly).  It shares no
 code and no rounding with the library's pool-adjacent-violators hull.  The
 qhull oracle takes the upper hull from scipy's Quickhull, which shares no
-code with it either.  The quadrature oracle integrates difference functions
+code with it either.  The quadrature oracles integrate difference functions
 numerically with scipy's adaptive rule.
 
 The sup-gap oracle gives the exact limit law of ``sup(LCM(B) - B)`` for a
@@ -89,13 +89,22 @@ def qhull_upper_hull(px, py) -> tuple[np.ndarray, np.ndarray]:
     return px[upper], py[upper]
 
 
-def step_hull_points(xs, vs):
-    """Point set whose upper hull is the LCM of a step CDF."""
-    xs = np.asarray(xs, dtype=float)
-    vs = np.asarray(vs, dtype=float)
-    if xs[0] > 0.0:
-        return np.concatenate(([0.0], xs)), np.concatenate(([0.0], vs))
-    return xs, vs
+def qhull_gap_pow_integral(grid, values, p: float) -> float:
+    """``integral (hull - path)**p`` for a path linear between grid points.
+
+    The hull comes from :func:`qhull_upper_hull`; its vertices are grid
+    points, so the gap is affine on each grid interval, and adaptive
+    quadrature integrates its p-th power interval by interval.
+    """
+    grid = np.asarray(grid, dtype=float)
+    values = np.asarray(values, dtype=float)
+    hx, hy = qhull_upper_hull(grid, values)
+    gap = np.maximum(np.interp(grid, hx, hy) - values, 0.0)
+    total = 0.0
+    for x0, x1, g0, g1 in zip(grid[:-1], grid[1:], gap[:-1], gap[1:]):
+        val, _ = quad(lambda t: (g0 + (g1 - g0) * t) ** p, 0.0, 1.0, epsabs=0.0, epsrel=1e-13)
+        total += (x1 - x0) * val
+    return total
 
 
 def quad_gap_norm(hull_x, hull_y, step_xs, step_vs, p: float) -> float:

@@ -21,7 +21,6 @@ from oracle_utils import (
     eval_pl_exact,
     exact_hull_values,
     quad_gap_norm,
-    step_hull_points,
     sup_gap_quantiles,
 )
 
@@ -203,12 +202,11 @@ def test_criterion_6_geometry_oracles(rng):
     hull_ok = True
     for case in range(cases):
         n = int(rng.integers(1, 51))
-        f = lt.build_ecdf(rng.random(n))
-        m = lt.lcm_of_step(f)
-        px, py = step_hull_points(f.xs, f.vs)
+        px, py = lt.ecdf_corners(rng.random(n))
+        idx = lt.hull_vertices(px, py)
         oracle = exact_hull_values(px, py)
         for x, want in zip(px, oracle):
-            if eval_pl_exact(m.xs, m.ys, x) != want:
+            if eval_pl_exact(px[idx], py[idx], x) != want:
                 hull_ok = False
                 break
         if not hull_ok:
@@ -217,12 +215,12 @@ def test_criterion_6_geometry_oracles(rng):
     worst_rel = 0.0
     for case in range(cases):
         n = int(rng.integers(2, 51))
-        f = lt.build_ecdf(rng.random(n))
-        m = lt.lcm_of_step(f)
-        d = lt.diff_segments(m, f, (0.0, float(f.xs[-1])))
+        samples = rng.random(n)
+        px, py = lt.ecdf_corners(samples)
+        idx = lt.hull_vertices(px, py)
         for p in (1.0, 2.0, 2.5, 3.0):
-            want = quad_gap_norm(m.xs, m.ys, f.xs, f.vs, p)
-            got = lt.lp_norm(d, p)
+            want = quad_gap_norm(px[idx], py[idx], px, py, p)
+            got = lt.lp_stat(samples, p).value / math.sqrt(n)
             if want > 0:
                 worst_rel = max(worst_rel, abs(got - want) / want)
     _report(
@@ -292,11 +290,9 @@ def test_criterion_9_counterexample_command(capsys):
     details = []
     for case in doc["cases"]:
         samples = case["sample"]
-        f = lt.build_ecdf(samples)
-        m = lt.lcm_of_step(f)
-        px, py = step_hull_points(f.xs, f.vs)
+        px, py = lt.ecdf_corners(samples)
         hull_y = [float(v) for v in exact_hull_values(px, py)]
-        oracle = math.sqrt(len(samples)) * quad_gap_norm(px, hull_y, f.xs, f.vs, 2.0)
+        oracle = math.sqrt(len(samples)) * quad_gap_norm(px, hull_y, px, py, 2.0)
         err = abs(case["value"] - oracle)
         details.append(f"sample={samples}: value={case['value']:.10f}, |err vs oracle|={err:.2e}")
         if err > 1e-10:

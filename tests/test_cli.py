@@ -1,10 +1,12 @@
 import json
 import math
+from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
 
-from lcmtest import cli
+from lcmtest import cli, limits
 
 
 def run_cli(capsys, *argv):
@@ -103,6 +105,46 @@ def test_cmd_test_rejects_garbage_line(capsys, tmp_path):
     code, _, err = run_cli(capsys, "test", str(path), "--simulate", "--reps", "10", "--grid", "16")
     assert code == 2
     assert "bad.txt:2" in err
+
+
+# Each file's outcome under the line-by-line reader: the array it returns, or
+# the error after "<path>".  The one-pass numpy reader must keep all of them.
+PARSE_CASES = {
+    "two-on-a-line": ("0.1 0.2\n", ":1: not a number: '0.1 0.2'"),
+    "comment-only": ("# nothing here\n", ": no data values found"),
+    "empty": ("", ": no data values found"),
+    "blank-lines": ("\n  \n\t\n", ": no data values found"),
+    "inline-comment": ("0.5 # note\n", ":1: not a number: '0.5 # note'"),
+    "nan": ("0.5\nnan\n", ":2: non-finite value nan"),
+    "overflow": ("1e400\n", ":1: non-finite value inf"),
+    "underflow": ("0.5\n1e-400\n", [0.5, 0.0]),
+    "underscore": ("1_0e-1\n", [1.0]),
+    "plus-dot": ("+.5\n", [0.5]),
+    "trailing-dot": ("5.\n", ":1: value 5.0 outside [0, 1]"),
+    "tab-pair": ("0.5\n0.1\t0.2\n", ":2: not a number: '0.1\\t0.2'"),
+}
+
+
+@pytest.mark.parametrize("case", PARSE_CASES, ids=list(PARSE_CASES))
+def test_read_samples_contract(capsys, tmp_path, case):
+    text, want = PARSE_CASES[case]
+    path = tmp_path / "data.txt"
+    path.write_text(text)
+    if isinstance(want, list):
+        assert np.array_equal(cli.read_samples(str(path)), want)
+        return
+    code = cli.main(["test", str(path), "--simulate", "--reps", "10", "--grid", "16"])
+    out = capsys.readouterr()
+    assert code == 2 and out.out == ""
+    assert out.err == f"error: {path}{want}\n"
+
+
+def test_read_samples_round_trips_doubles(tmp_path, rng):
+    # repr strings and 25-digit decimals, which need correct rounding.
+    lines = [repr(v) for v in rng.random(1000).tolist()] + [f"{v:.25f}" for v in rng.random(1000)]
+    path = tmp_path / "data.txt"
+    path.write_text("\n".join(lines) + "\n")
+    assert np.array_equal(cli.read_samples(str(path)), [float(tok) for tok in lines])
 
 
 def test_cmd_test_csv_column(capsys, tmp_path):
@@ -256,6 +298,46 @@ def test_cmd_verify_exit_code_on_violation(capsys, two_segment_file, monkeypatch
     )
     assert code == 1
     assert doc["violations"] == 3 and doc["pass"] is False
+
+
+class _CrashedPool:
+    """Stands in for ProcessPoolExecutor: every task fails as if its worker died."""
+
+    def __init__(self, workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_exception(BrokenProcessPool("a child process terminated abruptly"))
+        return future
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["critvals", "--reps", "20", "--grid", "16", "--workers", "2", "--out", "{out}"],
+        ["test", "{data}", "--simulate", "--reps", "20", "--grid", "16", "--workers", "2"],
+    ],
+    ids=["critvals", "test-simulate"],
+)
+def test_crashed_worker_exits_1(capsys, monkeypatch, tmp_path, argv):
+    monkeypatch.setattr(limits, "ProcessPoolExecutor", _CrashedPool)
+    monkeypatch.setattr(limits.os, "cpu_count", lambda: 4)
+    data = tmp_path / "data.txt"
+    data.write_text("0.1\n0.5\n0.9\n")
+    paths = {"data": data, "out": tmp_path / "table.json"}
+    code = cli.main([tok.format(**paths) for tok in argv])
+    out = capsys.readouterr()
+    assert code == 1
+    assert out.out == ""
+    assert out.err.splitlines()[-1].startswith("error: a simulation worker process died")
+    assert not (tmp_path / "table.json").exists()
 
 
 # -- input faults --------------------------------------------------------------------------

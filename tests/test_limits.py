@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import lcmtest
 from lcmtest import limits, models
 from lcmtest.streams import substream
 
@@ -268,7 +269,25 @@ def test_table_json_roundtrip(tmp_path):
     assert loaded.to_dict()["entries"] == table.to_dict()["entries"]
     doc = json.loads(path.read_text())
     assert {row["p"] for row in doc["entries"]} == {"1", "2.5", "inf"}
-    assert set(doc["provenance"]) >= {"grid_size", "replications", "master_seed", "built_at"}
+    prov = doc["provenance"]
+    assert set(prov) >= {
+        "grid_size", "replications", "master_seed", "built_at",
+        "lcmtest_version", "numpy_version", "scipy_version", "workers", "timing",
+    }
+    assert prov["lcmtest_version"] == lcmtest.__version__
+    assert prov["numpy_version"] == np.__version__ and prov["workers"] == 1
+    assert prov["timing"]["seconds"] > 0.0
+    assert prov["timing"]["reps_per_s"] == pytest.approx(400 / prov["timing"]["seconds"])
+
+
+def test_substream_of_int_matches_seed_sequence_child():
+    for seed in (0, 99, 2**70, np.int64(171717)):
+        root = np.random.SeedSequence(int(seed))
+        for key in ((), (5,), (3, 4)):
+            got = substream(seed, *key)
+            want = substream(root, *key)
+            assert (got.entropy, got.spawn_key) == (want.entropy, want.spawn_key)
+            assert np.array_equal(got.generate_state(4), want.generate_state(4))
 
 
 def test_table_lookup_missing_entry():

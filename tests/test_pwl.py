@@ -6,86 +6,97 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lcmtest import pwl
+from lcmtest import pwl, stats
 from oracle_utils import (
     eval_pl_exact,
     exact_hull_values,
+    qhull_gap_pow_integral,
     qhull_upper_hull,
     quad_gap_norm,
-    step_hull_points,
 )
 
 NORM_RTOL = 1e-8
+
+
+def _hull(samples):
+    px, py = pwl.ecdf_corners(samples)
+    idx = pwl.hull_vertices(px, py)
+    return px[idx], py[idx]
+
+
+def _gaps(samples):
+    px, py = pwl.ecdf_corners(samples)
+    return px, pwl.corner_gaps(px, py, pwl.hull_vertices(px, py))
 
 
 # -- construction ----------------------------------------------------------------
 
 
 def test_build_ecdf_basic():
-    f = pwl.build_ecdf([0.25, 1.0])
-    assert f.xs.tolist() == [0.25, 1.0]
-    assert f.vs.tolist() == [0.5, 1.0]
+    px, py = pwl.ecdf_corners([0.25, 1.0])
+    assert px.tolist() == [0.0, 0.25, 1.0]
+    assert py.tolist() == [0.0, 0.5, 1.0]
 
 
 def test_build_ecdf_single():
-    f = pwl.build_ecdf([0.5])
-    assert f.xs.tolist() == [0.5]
-    assert f.vs.tolist() == [1.0]
+    px, py = pwl.ecdf_corners([0.5])
+    assert px.tolist() == [0.0, 0.5]
+    assert py.tolist() == [0.0, 1.0]
 
 
 def test_build_ecdf_ties_merge():
-    f = pwl.build_ecdf([0.3, 0.3])
-    assert f.xs.tolist() == [0.3]
-    assert f.vs.tolist() == [1.0]
+    px, py = pwl.ecdf_corners([0.3, 0.3])
+    assert px.tolist() == [0.0, 0.3]
+    assert py.tolist() == [0.0, 1.0]
 
 
 def test_build_ecdf_rejects_bad_input():
     with pytest.raises(ValueError):
-        pwl.build_ecdf([])
+        pwl.ecdf_corners([])
     with pytest.raises(ValueError):
-        pwl.build_ecdf([0.5, 1.5])
+        pwl.ecdf_corners([0.5, 1.5])
     with pytest.raises(ValueError):
-        pwl.build_ecdf([-0.1])
+        pwl.ecdf_corners([-0.1])
     with pytest.raises(ValueError):
-        pwl.build_ecdf([0.2, np.nan])
+        pwl.ecdf_corners([0.2, np.nan])
+    with pytest.raises(ValueError, match="all observations are zero"):
+        pwl.ecdf_corners([0.0, 0.0])
 
 
 def test_step_evaluate():
-    f = pwl.build_ecdf([0.25, 1.0])
-    assert f.evaluate(0.1) == 0.0
-    assert f.evaluate(0.25) == 0.5
-    assert f.evaluate(0.9) == 0.5
-    assert f.evaluate(1.0) == 1.0
-    assert f.evaluate(2.0) == 1.0
+    # Corners carry the right-continuous value; mass at 0 replaces the origin.
+    px, py = pwl.ecdf_corners([1.0, 0.25, 0.0, 0.25])
+    assert px.tolist() == [0.0, 0.25, 1.0]
+    assert py.tolist() == [0.25, 0.75, 1.0]
 
 
 # -- hulls -------------------------------------------------------------------------
 
 
 def test_lcm_of_step_two_jumps():
-    m = pwl.lcm_of_step(pwl.build_ecdf([0.25, 1.0]))
-    assert m.xs.tolist() == [0.0, 0.25, 1.0]
-    assert m.ys.tolist() == [0.0, 0.5, 1.0]
+    hx, hy = _hull([0.25, 1.0])
+    assert hx.tolist() == [0.0, 0.25, 1.0]
+    assert hy.tolist() == [0.0, 0.5, 1.0]
 
 
 def test_lcm_of_step_collinear_removed():
-    m = pwl.lcm_of_step(pwl.build_ecdf([0.5, 1.0]))
-    assert m.xs.tolist() == [0.0, 1.0]
-    assert m.ys.tolist() == [0.0, 1.0]
+    hx, hy = _hull([0.5, 1.0])
+    assert hx.tolist() == [0.0, 1.0]
+    assert hy.tolist() == [0.0, 1.0]
 
 
 def test_lcm_of_step_single_jump():
-    m = pwl.lcm_of_step(pwl.build_ecdf([1.0]))
-    assert m.xs.tolist() == [0.0, 1.0]
-    assert m.ys.tolist() == [0.0, 1.0]
+    hx, hy = _hull([1.0])
+    assert hx.tolist() == [0.0, 1.0]
+    assert hy.tolist() == [0.0, 1.0]
 
 
 def test_lcm_of_step_jump_at_zero():
     # A jump at 0 lifts the hull anchor to the post-jump value.
-    f = pwl.StepCdf(np.array([0.0, 0.5]), np.array([0.5, 1.0]))
-    m = pwl.lcm_of_step(f)
-    assert m.evaluate(0.0) == 0.5
-    assert np.all(m.evaluate(f.xs) >= f.vs - pwl.MAJORIZATION_TOL)
+    px, py = pwl.ecdf_corners([0.0, 0.5])
+    hx, hy = _hull([0.0, 0.5])
+    assert hx[0] == 0.0 and hy[0] == 0.5
+    assert np.all(np.interp(px, hx, hy) >= py - pwl.MAJORIZATION_TOL)
 
 
 def test_lcm_of_path_affine():
@@ -107,67 +118,67 @@ def test_lcm_of_path_restriction():
 
 
 def test_diff_segments_chord():
-    f = pwl.build_ecdf([1.0])
-    m = pwl.lcm_of_step(f)
-    d = pwl.diff_segments(m, f, (0.0, 1.0))
-    assert d.x_lo.tolist() == [0.0]
-    assert d.x_hi.tolist() == [1.0]
-    assert d.alpha.tolist() == [0.0]
-    assert d.beta.tolist() == [1.0]
+    px, (v_lo, v_hi) = _gaps([1.0])
+    assert px.tolist() == [0.0, 1.0]
+    assert v_lo.tolist() == [0.0]
+    assert v_hi.tolist() == [1.0]
 
 
 def test_diff_segments_two_ramps():
-    f = pwl.build_ecdf([0.25, 1.0])
-    m = pwl.lcm_of_step(f)
-    d = pwl.diff_segments(m, f, (0.0, 1.0))
-    assert d.x_lo.tolist() == [0.0, 0.25]
-    np.testing.assert_allclose(d.beta, [2.0, 2.0 / 3.0], rtol=1e-15)
-    np.testing.assert_allclose(d.alpha, [0.0, -2.0 / 3.0 * 0.25], rtol=1e-15)
+    px, (v_lo, v_hi) = _gaps([0.25, 1.0])
+    beta = (v_hi - v_lo) / np.diff(px)
+    alpha = v_lo - beta * px[:-1]
+    assert px[:-1].tolist() == [0.0, 0.25]
+    np.testing.assert_allclose(beta, [2.0, 2.0 / 3.0], rtol=1e-15)
+    np.testing.assert_allclose(alpha, [0.0, -2.0 / 3.0 * 0.25], rtol=1e-15)
 
 
 def test_diff_segments_identity():
-    m = pwl.PiecewiseLinear([0.0, 0.4, 1.0], [0.0, 0.6, 1.0], concave=True)
-    d = pwl.diff_segments(m, m, (0.0, 1.0))
-    assert np.all(d.v_lo == 0.0) and np.all(d.v_hi == 0.0)
+    # Concave corners are all hull vertices: the gap vanishes at each of them.
+    px, py = pwl.ecdf_corners([0.1, 0.1, 0.1, 0.4, 1.0])
+    idx = pwl.hull_vertices(px, py)
+    v_lo, v_hi = pwl.corner_gaps(px, py, idx)
+    assert idx.tolist() == list(range(px.size))
+    assert np.all(v_lo == 0.0)
+    assert v_hi.tolist() == np.diff(py).tolist()
 
 
 def test_diff_segments_majorization_guard():
-    f = pwl.build_ecdf([0.25, 1.0])
-    low = pwl.PiecewiseLinear([0.0, 1.0], [0.0, 1.0])  # below the jump at 0.25
+    px, py = pwl.ecdf_corners([0.25, 1.0])
+    chord = np.array([0, px.size - 1])  # below the corner at 0.25
     with pytest.raises(pwl.GeometryError):
-        pwl.diff_segments(low, f, (0.0, 1.0))
+        pwl.corner_gaps(px, py, chord)
 
 
 # -- norms --------------------------------------------------------------------------
 
 
 def test_lp_norm_closed_form():
-    f = pwl.build_ecdf([0.25, 1.0])
-    d = pwl.diff_segments(pwl.lcm_of_step(f), f, (0.0, 1.0))
-    np.testing.assert_allclose(pwl.lp_norm(d, 2.0), math.sqrt(1.0 / 12.0), rtol=1e-14)
-    assert pwl.lp_norm(d, np.inf) == 0.5
+    px, (v_lo, v_hi) = _gaps([0.25, 1.0])
+    total = float(np.sum(pwl.ramp_pow_integrals(v_lo, v_hi, np.diff(px), 2.0)))
+    np.testing.assert_allclose(math.sqrt(total), math.sqrt(1.0 / 12.0), rtol=1e-14)
+    assert max(v_lo.max(), v_hi.max()) == 0.5
 
 
 def test_piecewise_linear_rejects_convex_knots():
-    with pytest.raises(ValueError):
-        pwl.PiecewiseLinear([0.0, 0.5, 1.0], [0.0, 0.25, 1.0], concave=True)
-    # Over subnormal spacings plain slopes overflow; the check must still bite.
-    with pytest.raises(ValueError):
-        pwl.PiecewiseLinear([0.0, 5e-324, 1e-323], [0.0, 0.25, 1.0], concave=True)
+    assert pwl.hull_vertices([0.0, 0.5, 1.0], [0.0, 0.25, 1.0]).tolist() == [0, 2]
+    # Over subnormal spacings plain slopes overflow to equal infinities and
+    # would pool; the scaled slopes still tell a concave bend from a convex one.
+    assert pwl.hull_vertices([0.0, 5e-324, 1e-323], [0.0, 0.25, 1.0]).tolist() == [0, 2]
+    assert pwl.hull_vertices([0.0, 5e-324, 1e-323], [0.0, 0.75, 1.0]).tolist() == [0, 1, 2]
 
 
 def test_lp_norm_zero_difference():
-    m = pwl.PiecewiseLinear([0.0, 1.0], [0.0, 1.0], concave=True)
-    d = pwl.diff_segments(m, m, (0.0, 1.0))
-    for p in (1.0, 2.0, 2.5, np.inf):
-        assert pwl.lp_norm(d, p) == 0.0
+    zeros = np.zeros(3)
+    for p in (1.0, 2.0, 2.5):
+        assert np.all(pwl.ramp_pow_integrals(zeros, zeros, np.full(3, 0.25), p) == 0.0)
 
 
 def test_lp_norm_rejects_small_p():
-    f = pwl.build_ecdf([1.0])
-    d = pwl.diff_segments(pwl.lcm_of_step(f), f, (0.0, 1.0))
     with pytest.raises(ValueError):
-        pwl.lp_norm(d, 0.5)
+        stats.lp_stat([1.0], 0.5)
+    with pytest.raises(ValueError):
+        pwl.ramp_pow_integrals([0.0], [1.0], [1.0], 0.5)
 
 
 def test_ramp_integral_near_constant_stability():
@@ -181,15 +192,16 @@ def test_ramp_integral_near_constant_stability():
 # -- oracle cross-checks ------------------------------------------------------------
 
 
+def _assert_hull_matches_oracle(samples, tol=Fraction(0)):
+    px, py = pwl.ecdf_corners(samples)
+    idx = pwl.hull_vertices(px, py)
+    for x, want in zip(px, exact_hull_values(px, py)):
+        assert abs(eval_pl_exact(px[idx], py[idx], x) - want) <= tol
+
+
 def test_hull_matches_exact_oracle(rng):
     for _ in range(200):
-        n = int(rng.integers(1, 51))
-        f = pwl.build_ecdf(rng.random(n))
-        px, py = step_hull_points(f.xs, f.vs)
-        m = pwl.lcm_of_step(f)
-        oracle = exact_hull_values(px, py)
-        for x, want in zip(px, oracle):
-            assert eval_pl_exact(m.xs, m.ys, x) == want
+        _assert_hull_matches_oracle(rng.random(int(rng.integers(1, 51))))
 
 
 def _tied_samples(rng):
@@ -210,22 +222,44 @@ def test_hull_matches_exact_oracle_on_ties(rng):
     # make the float hull pick a different but numerically equivalent vertex
     # set, so these inputs get a tolerance, not ``==``.
     for samples in _tied_samples(rng):
-        f = pwl.build_ecdf(samples)
-        px, py = step_hull_points(f.xs, f.vs)
-        m = pwl.lcm_of_step(f)
-        for x, want in zip(px, exact_hull_values(px, py)):
-            assert abs(eval_pl_exact(m.xs, m.ys, x) - want) <= Fraction(1, 2**52)
+        _assert_hull_matches_oracle(samples, Fraction(1, 2**52))
+
+
+@given(
+    st.lists(st.integers(1, 40), min_size=1, max_size=25),
+    st.sampled_from([5e-324, 1e-322, 2.5e-310, 1e-300, 3e-298]),
+    st.booleans(),
+)
+@settings(max_examples=150, deadline=None)
+def test_hull_matches_exact_oracle_at_tiny_spacings(steps, scale, with_one):
+    # Corners spaced by multiples of a subnormal or near-1e-300 step, with or
+    # without a far corner at 1 that makes the spacings differ by ~300 decades.
+    samples = np.asarray(steps, dtype=float) * scale
+    if with_one:
+        samples = np.append(samples, 1.0)
+    _assert_hull_matches_oracle(samples, Fraction(1, 2**52))
+
+
+def test_hull_on_a_million_duplicates():
+    values = np.array([0.1, 0.3, 0.35, 0.8, 1.0])
+    samples = np.random.default_rng(5).permutation(np.repeat(values, 200_000))
+    px, py = pwl.ecdf_corners(samples)
+    assert px.tolist() == [0.0, *values.tolist()]
+    assert py.tolist() == [0.0, 0.2, 0.4, 0.6, 0.8, 1.0]
+    _assert_hull_matches_oracle(samples)
+    exact = float(stats.exact_gap_pow_integral(values, 2))
+    assert (stats.lp_stat(samples, 2.0).value / 1000.0) ** 2 == pytest.approx(exact, rel=1e-12)
 
 
 def test_lp_norm_matches_quadrature(rng):
     for _ in range(40):
         n = int(rng.integers(2, 51))
-        f = pwl.build_ecdf(rng.random(n))
-        m = pwl.lcm_of_step(f)
-        d = pwl.diff_segments(m, f, (0.0, float(f.xs[-1])))
+        samples = rng.random(n)
+        px, py = pwl.ecdf_corners(samples)
+        idx = pwl.hull_vertices(px, py)
         for p in (1.0, 2.0, 2.5, 3.0):
-            want = quad_gap_norm(m.xs, m.ys, f.xs, f.vs, p)
-            got = pwl.lp_norm(d, p)
+            want = quad_gap_norm(px[idx], py[idx], px, py, p)
+            got = stats.lp_stat(samples, p).value / math.sqrt(n)
             assert got == pytest.approx(want, rel=NORM_RTOL)
 
 
@@ -256,11 +290,8 @@ def test_gap_on_grid_concave_input_is_exactly_zero():
 def test_gap_pow_integral_matches_lp_norm(rng):
     grid = np.linspace(0.0, 1.0, 129)
     values = np.cumsum(rng.standard_normal(129)) * 0.1
-    hull = pwl.PiecewiseLinear(*qhull_upper_hull(grid, values), concave=True)
-    interp = pwl.PiecewiseLinear(grid, values)
-    d = pwl.diff_segments(hull, interp, (0.0, 1.0))
     for p in (1.0, 2.0, 3.0, 2.5):
-        want = pwl.lp_norm(d, p) ** p
+        want = qhull_gap_pow_integral(grid, values, p)
         got = pwl.gap_pow_integral(grid, values, p)
         assert got == pytest.approx(want, rel=1e-10, abs=1e-15)
 
@@ -283,14 +314,11 @@ def ecdf_samples(draw):
 @given(ecdf_samples())
 @settings(max_examples=150, deadline=None)
 def test_hull_majorizes_and_touches(samples):
-    f = pwl.build_ecdf(samples)
-    m = pwl.lcm_of_step(f)
-    hull_at_jumps = np.asarray(m.evaluate(f.xs))
-    assert np.all(hull_at_jumps >= f.vs - pwl.MAJORIZATION_TOL)
-    # hull vertices are input points: the hull touches where it bends
-    for x, y in zip(m.xs[1:], m.ys[1:]):
-        i = np.searchsorted(f.xs, x)
-        assert i < f.xs.size and f.xs[i] == x and f.vs[i] == y
+    px, py = pwl.ecdf_corners(samples)
+    idx = pwl.hull_vertices(px, py)
+    assert np.all(np.interp(px, px[idx], py[idx]) >= py - pwl.MAJORIZATION_TOL)
+    # the hull runs through corners, from the first to the last
+    assert idx[0] == 0 and idx[-1] == px.size - 1 and np.all(np.diff(idx) > 0)
 
 
 @given(ecdf_samples(), st.integers(0, 10**6))
@@ -299,22 +327,21 @@ def test_hull_minimality(samples, salt):
     # Lowering any hull vertex breaks majorization (or drops the anchor
     # below zero, which breaks it at the origin).
     eps = 1e-9 + (salt % 100) * 1e-4
-    f = pwl.build_ecdf(samples)
-    m = pwl.lcm_of_step(f)
-    points_x, points_v = step_hull_points(f.xs, f.vs)
-    for k in range(m.xs.size):
-        lowered = m.ys.copy()
+    px, py = pwl.ecdf_corners(samples)
+    hx, hy = _hull(samples)
+    for k in range(hx.size):
+        lowered = hy.copy()
         lowered[k] -= eps
-        low_vals = np.interp(points_x, m.xs, lowered)
-        assert np.any(low_vals < points_v - pwl.MAJORIZATION_TOL)
+        low_vals = np.interp(px, hx, lowered)
+        assert np.any(low_vals < py - pwl.MAJORIZATION_TOL)
 
 
 @given(ecdf_samples())
 @settings(max_examples=100, deadline=None)
 def test_hull_idempotent(samples):
-    m = pwl.lcm_of_step(pwl.build_ecdf(samples))
-    assert np.all(pwl.lcm_gap_on_grid(m.xs, m.ys) == 0.0)
-    assert np.all(np.diff(m.slopes()) < 0.0)
+    hx, hy = _hull(samples)
+    assert np.all(pwl.lcm_gap_on_grid(hx, hy) == 0.0)
+    assert np.all(np.diff(np.diff(hy) / np.diff(hx)) < 0.0)
 
 
 @given(st.integers(0, 2**32 - 1))
