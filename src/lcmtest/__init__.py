@@ -14,6 +14,7 @@ from .limits import (
     DEFAULT_GRID,
     DEFAULT_REPLICATIONS,
     DEFAULT_SEED,
+    ENGINE,
     CouplingIdentity,
     CriticalValueTable,
     DominanceCheck,

@@ -50,18 +50,34 @@ def _check_value(v: float, where: str) -> float:
     return v
 
 
+def _comments_are_whole_lines(text: str) -> bool:
+    # True when every '#' sits in a line that starts with '#' after leading
+    # whitespace and holds no line break of str.splitlines other than its
+    # '\n': numpy then drops exactly the lines the line loop skips.
+    pos = text.find("#")
+    while pos != -1:
+        start = text.rfind("\n", 0, pos) + 1
+        end = text.find("\n", pos)
+        end = len(text) if end == -1 else end
+        if text[start:pos].strip() or len(text[start:end].splitlines()) > 1:
+            return False
+        pos = text.find("#", end)
+    return True
+
+
 def _parse_plain(text: str) -> np.ndarray | None:
-    # One numpy pass over a file of bare numbers, one per line.  None unless
-    # the result is a single column of finite values in [0, 1]; every other
-    # file goes to the line loop, which owns the error messages.
+    # One numpy pass over a file of bare numbers, one per line, dropping
+    # '#' comments.  None unless the result is a nonempty single column of
+    # finite values in [0, 1]; every other file goes to the line loop, which
+    # owns the error messages.
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         try:
-            arr = np.loadtxt(io.StringIO(text), ndmin=2)
+            arr = np.loadtxt(io.StringIO(text), ndmin=2, comments="#")
         except ValueError:
             return None
     # NaN fails both comparisons, so the range check also rejects non-finite values.
-    if arr.shape[1] != 1 or not np.all((arr >= 0.0) & (arr <= 1.0)):
+    if arr.shape[1] != 1 or arr.size == 0 or not np.all((arr >= 0.0) & (arr <= 1.0)):
         return None
     return arr[:, 0]
 
@@ -70,9 +86,10 @@ def read_samples(path: str, column: str | None = None) -> np.ndarray:
     """Read observations from a text file (one number per line, '#' comments)
     or from a CSV column given by name or 0-based index.
 
-    A text file with no '#' is parsed by numpy in one pass; the Python line
-    loop takes over whenever that pass fails or finds a value the loop
-    would reject, so both routes accept the same files with the same values.
+    A text file whose '#' all start whole-line comments is parsed by numpy
+    in one pass, comments dropped; the Python line loop takes over
+    whenever that pass fails or finds a value the loop would reject, so both
+    routes accept the same files with the same values and messages.
     """
     p = Path(path)
     if not p.is_file():
@@ -80,7 +97,7 @@ def read_samples(path: str, column: str | None = None) -> np.ndarray:
     text = p.read_text(encoding="utf-8")
     values: list[float] = []
     if column is None:
-        if "#" not in text and text.strip():
+        if text.strip() and _comments_are_whole_lines(text):
             arr = _parse_plain(text)
             if arr is not None:
                 return arr
@@ -184,6 +201,7 @@ def _critical_values_for_test(args, p: float, alphas):
         quants = _limit_quantiles(args, iv, p, alphas, args.workers)
         provenance = {
             "mode": "cdf-limit",
+            "engine": limits.ENGINE,
             "cdf": models.spec_to_dict(spec),
             "grid_size": args.grid,
             "replications": args.reps,
@@ -194,6 +212,12 @@ def _critical_values_for_test(args, p: float, alphas):
     table = None
     if args.table is not None and Path(args.table).is_file():
         table = limits.CriticalValueTable.load(args.table)
+        engine = table.provenance.get("engine")
+        if engine != limits.ENGINE:
+            raise InputError(
+                f"{args.table}: stale table from engine {engine!r}, not {limits.ENGINE!r}; "
+                "rebuild it with lcmtest critvals"
+            )
         _log(f"loaded critical values from {args.table}")
     elif args.simulate:
         config = limits.SimConfig(args.grid, args.reps, args.seed)
@@ -291,6 +315,7 @@ def cmd_simulate_limit(args) -> int:
         {
             "cdf": models.spec_to_dict(spec),
             "p": limits.p_key(p),
+            "engine": limits.ENGINE,
             "grid_size": args.grid,
             "replications": args.reps,
             "master_seed": args.seed,
@@ -415,6 +440,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
     seed_help = f"master seed (default {limits.DEFAULT_SEED}; fixed so default runs reproduce)"
+    budget_help = (
+        f"point budget of the limit simulation: a majorant face of length l is "
+        f"sampled on max(4, round(grid * l)) points (default {limits.DEFAULT_GRID})"
+    )
 
     t = sub.add_parser("test", help="run the concavity test on a data file")
     t.add_argument("data", help="text file with one value per line, or CSV with --column")
@@ -424,7 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--table", default=None, help="critical-value cache (JSON); created with --simulate")
     t.add_argument("--simulate", action="store_true", help="simulate critical values when no table exists")
     t.add_argument("--cdf", default=None, help="concave CDF spec file: test against its own simulated limit")
-    t.add_argument("--grid", type=int, default=limits.DEFAULT_GRID, help="grid resolution for simulation")
+    t.add_argument("--grid", type=int, default=limits.DEFAULT_GRID, help=budget_help)
     t.add_argument("--reps", type=int, default=limits.DEFAULT_REPLICATIONS, help="simulation replications")
     t.add_argument("--seed", type=int, default=limits.DEFAULT_SEED, help=seed_help)
     t.add_argument("--workers", type=int, default=1, help="parallel workers for simulation")
@@ -433,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("critvals", help="simulate and cache critical values")
     c.add_argument("--p", nargs="+", default=["1", "2", "inf"], help="norm indices")
     c.add_argument("--alpha", nargs="+", type=float, default=[0.01, 0.05, 0.10], help="levels")
-    c.add_argument("--grid", type=int, default=limits.DEFAULT_GRID)
+    c.add_argument("--grid", type=int, default=limits.DEFAULT_GRID, help=budget_help)
     c.add_argument("--reps", type=int, default=limits.DEFAULT_REPLICATIONS)
     c.add_argument("--seed", type=int, default=limits.DEFAULT_SEED, help=seed_help)
     c.add_argument("--workers", type=int, default=1)
@@ -446,7 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--reps", type=int, default=20000)
     s.add_argument("--seed", type=int, default=limits.DEFAULT_SEED, help=seed_help)
     s.add_argument("--alphas", nargs="+", type=float, default=[0.01, 0.05, 0.10, 0.50])
-    s.add_argument("--grid", type=int, default=4096)
+    s.add_argument("--grid", type=int, default=limits.DEFAULT_GRID, help=budget_help)
     s.set_defaults(func=cmd_simulate_limit)
 
     v = sub.add_parser("verify", help="run the pathwise coupling verifications")
@@ -461,7 +490,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="identity: rescaled representation equals the derivative route; "
         "dominance: rescaled aggregate never exceeds the full-path norm",
     )
-    v.add_argument("--grid", type=int, default=256)
+    v.add_argument("--grid", type=int, default=256, help="subintervals of the Wiener path's base grid")
     v.set_defaults(func=cmd_verify)
 
     x = sub.add_parser(

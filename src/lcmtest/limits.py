@@ -1,11 +1,24 @@
 """Monte Carlo engine for the limiting laws of the concavity statistics.
 
 Under a concave CDF the scaled majorant distance converges to the L^p norm
-of a majorant gap built from Brownian motion.  This module samples Wiener
-and bridge paths on coupling-aligned grids, evaluates the gap norm exactly
-for the piecewise-linear interpolant, verifies the pathwise rescaling
-identity and the pathwise dominance inequality, and estimates the quantiles
-used as critical values.
+of a majorant gap built from Brownian motion.  This module draws that limit
+with no grid hull (the limit engine), estimates the quantiles used as
+critical values, and, on sampled Wiener paths, verifies the pathwise
+rescaling identity and the pathwise dominance inequality.
+
+The limit engine (``ENGINE``) uses two facts about the least concave
+majorant of a Wiener path W on [0, 1] (Groeneboom 1983; Balabdaoui & Pitman
+2011, Bernoulli 17(1)): its faces have uniform stick-breaking lengths l_i,
+and on each face the gap is an independent Brownian excursion.  A draw
+breaks sticks until less than 1e-12 is left (~28 faces) and samples face
+i's excursion as the norm of a 3-d Brownian bridge on max(4, round(budget *
+l_i)) points, with the point budget ``SimConfig.grid_size``; the finite-p
+norms integrate those points exactly and share them, so ||gap||_1 <=
+||gap||_2 path by path.  The p = inf column is max_i sqrt(l_i) K_i with K_i
+from Kennedy's law of the excursion maximum: exact in law, but not the max
+of the sampled excursions, so it is not tied path by path to the finite-p
+columns.  Sampled paths on grids remain where one shared path is the point:
+the two coupling verifiers and ``gap_norm``/``concavity_gap``.
 
 Determinism contract: every replication derives its randomness from
 ``(master seed, replication index)`` through spawn keys, so results are
@@ -17,6 +30,7 @@ from __future__ import annotations
 
 import contextlib
 import datetime as _dt
+import functools
 import json
 import math
 import os
@@ -32,7 +46,10 @@ from . import __version__, models, pwl
 from .streams import Stream, generator, substream
 
 DEFAULT_SEED = 171717
-DEFAULT_GRID = 16384
+#: Identifies the limit engine in table provenance and reports; a table made
+#: by another engine is stale.
+ENGINE = "stick-breaking-excursion/1"
+DEFAULT_GRID = 1024
 DEFAULT_REPLICATIONS = 200_000
 
 #: Pathwise coupling identities hold up to float accumulation only; a gap
@@ -76,7 +93,9 @@ class SampledPath:
 class SimConfig:
     """Scale knobs for the simulator.
 
-    ``grid_size`` is the number of subintervals of the uniform base grid.
+    ``grid_size`` is the limit engine's point budget: a face of length l is
+    sampled on max(4, round(grid_size * l)) points, about grid_size + 90 in
+    all per draw.
     """
 
     grid_size: int = DEFAULT_GRID
@@ -159,43 +178,133 @@ def _norm_indices(ps) -> tuple:
     return ps
 
 
-def _law_draws(d, h, ps, streams, grid: np.ndarray) -> np.ndarray:
-    # The one simulation engine: row i, column j is the draw for streams[i]
-    # at norm index ps[j] of the law with affine widths d and rises h,
-    # (sum_k d_k h_k^{p/2} ||gap(W_k)||_p^p)^{1/p}, or max_k h_k^{1/2}
-    # sup gap(W_k) at p = inf, with W_k drawn from substream(streams[i], k).
-    # The uniform law is d = h = [1], for which the arithmetic is exact.
-    # Both loops stay in here so that the last path arrays live until the
-    # next draw allocates its own: freed on every return, these just-over
-    # 128 KiB arrays made glibc trim the heap and fault it back in per draw.
-    sqdt = np.sqrt(np.diff(grid))
-    out = np.zeros((len(streams), len(ps)))
-    for row, stream in enumerate(streams):
+# The limit engine: with face lengths l_i and standard excursions e_i,
+# ||gap||_p^p = sum_i l_i^{1+p/2} int e_i^p and sup gap = max_i sqrt(l_i) max e_i.
+
+#: Sticks are broken off until the length left is below this; ~28 faces.
+_STICK_TAIL = 1e-12
+#: Uniforms drawn per round of stick-breaking; one round nearly always suffices.
+_STICKS = 64
+#: Fewest points an excursion is sampled on.
+_MIN_FACE_POINTS = 4
+
+
+def _stick_lengths(rng: np.random.Generator) -> np.ndarray:
+    # Uniform stick-breaking of [0, 1] until the stick left is < _STICK_TAIL.
+    u = rng.random(_STICKS)
+    rest = np.cumprod(1.0 - u)
+    while rest[-1] >= _STICK_TAIL:
+        u = np.concatenate([u, rng.random(_STICKS)])
+        rest = np.cumprod(1.0 - u)
+    n = int(np.argmax(rest < _STICK_TAIL)) + 1
+    lengths = u[:n].copy()
+    lengths[1:] *= rest[: n - 1]
+    return lengths
+
+
+def _kennedy_cdf(y) -> np.ndarray:
+    """P(max of a standard Brownian excursion <= y), Kennedy's law, for y > 0.
+
+    The theta series ``1 + 2 sum_k (1 - 4k^2y^2) exp(-2k^2y^2)`` for
+    y >= 0.6, and its Jacobi dual ``sqrt(2 pi) pi^2 / y^3 sum_k k^2
+    exp(-pi^2 k^2 / (2 y^2))`` below, where the theta series cancels badly.
+    """
+    y = np.atleast_1d(np.asarray(y, dtype=np.float64))
+    k = np.arange(1.0, 21.0)[:, None]
+    out = np.empty_like(y)
+    big = y >= 0.6
+    t = (k * y[big]) ** 2
+    out[big] = 1.0 + 2.0 * np.sum((1.0 - 4.0 * t) * np.exp(-2.0 * t), axis=0)
+    small = y[~big]
+    series = np.sum(k**2 * np.exp(-(math.pi**2) * k**2 / (2.0 * small**2)), axis=0)
+    out[~big] = math.sqrt(2.0 * math.pi) * math.pi**2 / small**3 * series
+    return out
+
+
+@functools.cache
+def _kennedy_table() -> tuple[np.ndarray, np.ndarray]:
+    # Built on first use, not at import.  Below 0.2 and above 5 the law has
+    # mass under 1e-19.  Read-only, since every caller shares the arrays.
+    ys = np.linspace(0.2, 5.0, 20001)
+    cdf = _kennedy_cdf(ys)
+    cdf.flags.writeable = ys.flags.writeable = False
+    return cdf, ys
+
+
+def excursion_max_quantile(u) -> np.ndarray:
+    """Kennedy's quantile function at ``u`` in [0, 1): maps uniform draws
+    to draws of the max of a standard Brownian excursion, by inverting the
+    tabulated CDF."""
+    cdf, ys = _kennedy_table()
+    return np.interp(u, cdf, ys)
+
+
+def _excursion_pow_integrals(rng, lengths: np.ndarray, budget: int, ps) -> list:
+    # sum_i l_i^{1+p/2} int e_i^p for each p, one excursion per face.  Face i
+    # is |3-d Brownian bridge| on m_i = max(4, round(budget l_i)) steps, all
+    # faces in one array: increments centred per face make each face's
+    # cumsum a bridge, and its last point is 0.  The walk has unit steps, so
+    # int e_i^p = m_i^{-(1+p/2)} sum of the ramp integrals of |bridge|.
+    m = np.maximum(_MIN_FACE_POINTS, np.rint(budget * lengths)).astype(np.intp)
+    starts = np.zeros(m.size, dtype=np.intp)
+    np.cumsum(m[:-1], out=starts[1:])
+    total = int(starts[-1] + m[-1])
+    z = rng.standard_normal((3, total))
+    mean = np.add.reduceat(z, starts, axis=1)
+    mean /= m
+    z -= np.repeat(mean, m, axis=1)
+    np.cumsum(z, axis=1, out=z)
+    r = np.zeros(total + 1)  # r[0] and every face's last point stay 0
+    np.sqrt(np.einsum("ij,ij->j", z, z), out=r[1:])
+    r[starts[1:]] = 0.0
+    r[total] = 0.0
+    steps = lengths / m
+    out = []
+    for p in ps:
+        per_face = np.add.reduceat(pwl.ramp_pow_integrals(r[:-1], r[1:], 1.0, p), starts)
+        out.append(float(np.dot(steps ** (1.0 + p / 2.0), per_face)))
+    return out
+
+
+def _law_draws(d, h, ps, root: Stream, keys, budget: int) -> np.ndarray:
+    # The one simulation engine: row i, column j is the draw at norm index
+    # ps[j] of the law with affine widths d and rises h,
+    # (sum_k d_k h_k^{p/2} X_p(k)^p)^{1/p}, or max_k h_k^{1/2} X_inf(k) at
+    # p = inf, with interval k's uniform-limit draw X(k) taken from
+    # substream(root, *keys[i], k).  The uniform law is d = h = [1], for
+    # which the arithmetic is exact.  Each stream breaks its sticks, then
+    # draws one Kennedy uniform per face, then the excursions' normals, so a
+    # column does not depend on which other norm indices are asked for.
+    # Both loops stay in here, so a block of replications is one call.
+    finite = [(j, p) for j, p in enumerate(ps) if not math.isinf(p)]
+    sup = [j for j, p in enumerate(ps) if math.isinf(p)]
+    out = np.zeros((len(keys), len(ps)))
+    for row, key in enumerate(keys):
         for k in range(len(d)):
-            rng = generator(substream(stream, k))
-            values = np.empty(grid.size)
-            values[0] = 0.0
-            np.cumsum(rng.standard_normal(grid.size - 1) * sqdt, out=values[1:])
-            g = pwl.lcm_gap_on_grid(grid, values)
-            for j, p in enumerate(ps):
-                if math.isinf(p):
-                    out[row, j] = max(out[row, j], h[k] ** 0.5 * g.max())
-                else:
-                    out[row, j] += d[k] * h[k] ** (p / 2.0) * pwl.pow_integral_from_gaps(grid, g, p)
-        for j, p in enumerate(ps):
-            if not math.isinf(p):
-                # A scalar power per entry: numpy's array ** 0.5 is sqrt,
-                # which need not round like pow.
-                out[row, j] = out[row, j] ** (1.0 / p)
+            rng = generator(substream(root, *key, k))
+            lengths = _stick_lengths(rng)
+            u = rng.random(lengths.size)
+            if sup:
+                top = float(np.max(np.sqrt(lengths) * excursion_max_quantile(u)))
+                out[row, sup] = np.maximum(out[row, sup], h[k] ** 0.5 * top)
+            if finite:
+                powers = _excursion_pow_integrals(rng, lengths, budget, [p for _, p in finite])
+                for (j, p), x in zip(finite, powers):
+                    out[row, j] += d[k] * h[k] ** (p / 2.0) * x
+        for j, p in finite:
+            # A scalar power per entry: numpy's array ** 0.5 is sqrt,
+            # which need not round like pow.
+            out[row, j] = out[row, j] ** (1.0 / p)
     return out
 
 
 def limit_draw_uniform(p: float, stream: Stream, grid_size: int = DEFAULT_GRID) -> float:
-    """One draw of the uniform-CDF limit: the gap norm of a Wiener path.
+    """One draw of the uniform-CDF limit ``||LCM(W) - W||_p`` from the limit
+    engine, with ``grid_size`` as its point budget.
 
     Supports every p in [1, inf].
     """
-    draws = _law_draws(_UNIT.d, _UNIT.h, _norm_indices((p,)), [stream], uniform_grid(grid_size))
+    draws = _law_draws(_UNIT.d, _UNIT.h, _norm_indices((p,)), stream, [()], grid_size)
     return float(draws[0, 0])
 
 
@@ -204,14 +313,15 @@ def limit_draw_general(
 ) -> float:
     """One draw of the limit law for a concave CDF with the given affine
     intervals: ``(sum_k d_k h_k^{p/2} ||gap(W_k)||_p^p)^{1/p}`` over
-    independent Wiener paths, one per interval.
+    independent Wiener paths, one per interval, each gap norm drawn by the
+    limit engine with ``grid_size`` as its point budget.
 
     An empty collection (strictly concave CDF) gives exactly 0.  Finite p
     only; the sup-norm limit is simulated under the uniform law.
     """
     if np.isinf(p):
         raise ValueError("the interval representation covers finite p only")
-    draws = _law_draws(iv.d, iv.h, _norm_indices((p,)), [stream], uniform_grid(grid_size))
+    draws = _law_draws(iv.d, iv.h, _norm_indices((p,)), stream, [()], grid_size)
     return float(draws[0, 0])
 
 
@@ -462,10 +572,10 @@ class CriticalValueTable:
 def _draw_block(
     master_seed: int, grid_size: int, d, h, ps: tuple, start: int, stop: int
 ) -> np.ndarray:
-    # Draws for replications [start, stop); replication i uses substream
-    # (master_seed, i), matching the single-draw functions.
-    streams = [substream(master_seed, i) for i in range(start, stop)]
-    return _law_draws(d, h, ps, streams, uniform_grid(grid_size))
+    # Draws for replications [start, stop); interval k of replication i
+    # uses substream(master_seed, i, k), the same stream as
+    # substream(substream(master_seed, i), k) in the single-draw functions.
+    return _law_draws(d, h, ps, master_seed, [(i,) for i in range(start, stop)], grid_size)
 
 
 def simulate_draws(
@@ -476,8 +586,9 @@ def simulate_draws(
 
     Row i is drawn from ``substream(config.master_seed, i)``, as in
     ``limit_draw_general``, so the result is bit-identical for any
-    ``workers`` (capped at ``os.cpu_count()``).  All norm indices share the
-    same paths.  ``progress`` is an optional callback ``(done, total)``.
+    ``workers`` (capped at ``os.cpu_count()``).  The finite norm indices
+    share the same excursions; p = inf shares their faces.  ``progress`` is
+    an optional callback ``(done, total)``.
     """
     ps = _norm_indices(ps)
     n = config.replications
@@ -512,12 +623,12 @@ def build_critical_table(
 ) -> CriticalValueTable:
     """Simulate the uniform-CDF limit and tabulate its upper quantiles.
 
-    All norm indices share the same paths (the gap is computed once per
-    path), so a table costs one simulation regardless of how many norms it
-    covers.  Deterministic for a given master seed, whatever ``workers`` is;
-    ``progress`` is an optional callback ``(done, total)``.  The provenance
-    records the software versions, the worker count and the wall time of
-    the simulation.
+    All norm indices share the same draws of the faces (and the finite ones
+    the same excursions), so a table costs one simulation regardless of how
+    many norms it covers.  Deterministic for a given master seed, whatever
+    ``workers`` is; ``progress`` is an optional callback ``(done, total)``.
+    The provenance records the engine id, the software versions, the worker
+    count and the wall time of the simulation.
     """
     start = time.perf_counter()
     draws = simulate_draws(_UNIT, ps, config, workers, progress)
@@ -527,7 +638,9 @@ def build_critical_table(
         for alpha, est in estimate_quantiles(draws[:, j], alphas).items():
             entries[(p_key(p), alpha)] = est
     provenance = {
+        "engine": ENGINE,
         "grid_size": config.grid_size,
+        "grid_size_is": "point budget: a face of length l is sampled on max(4, round(grid_size * l)) points",
         "replications": config.replications,
         "master_seed": config.master_seed,
         "ps": [p_key(p) for p in ps],

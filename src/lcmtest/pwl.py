@@ -117,14 +117,17 @@ def ramp_pow_integrals(v_lo, v_hi, lengths, p: float) -> np.ndarray:
         raise ValueError("norm index p must be at least 1")
     k = int(round(p))
     if p == k:
-        lo_pows = [np.ones_like(v_lo)]
-        hi_pows = [np.ones_like(v_hi)]
-        for _ in range(k):
+        # lo_pows[i] = v_lo**(i+1), likewise hi_pows; acc = hi^k + lo hi^(k-1)
+        # + ... + lo^k, summed in that order.
+        lo_pows = [v_lo]
+        hi_pows = [v_hi]
+        for _ in range(k - 1):
             lo_pows.append(lo_pows[-1] * v_lo)
             hi_pows.append(hi_pows[-1] * v_hi)
-        acc = np.zeros_like(v_lo)
-        for i in range(k + 1):
-            acc += lo_pows[i] * hi_pows[k - i]
+        acc = hi_pows[-1].copy()
+        for i in range(1, k):
+            acc += lo_pows[i - 1] * hi_pows[k - i - 1]
+        acc += lo_pows[-1]
         return lengths * acc / (k + 1)
     gap = v_hi - v_lo
     near = np.abs(gap) <= 1e-9 * np.maximum(v_lo, v_hi)

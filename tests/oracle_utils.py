@@ -12,8 +12,16 @@ The sup-gap oracle gives the exact limit law of ``sup(LCM(B) - B)`` for a
 Brownian bridge ``B`` on [0, 1], with no grid.  It uses the representation of
 Balabdaoui & Pitman (2011, Bernoulli 17(1)): the sup equals in law
 ``max_i sqrt(l_i) * E_i``, with ``l`` uniform stick-breaking and ``E_i``
-i.i.d. maxima of a standard Brownian excursion (Kennedy's law).  Nothing
-here imports ``lcmtest``.
+i.i.d. maxima of a standard Brownian excursion (Kennedy's law).
+
+The exact moments of ``X_p = ||LCM(W) - W||_p`` for a Wiener path W on
+[0, 1] rest on the same picture: the faces of the majorant have uniform
+stick-breaking lengths ``l_i``, for which ``E sum f(l_i) = int_0^1 f(x)/x
+dx`` and the pair density is ``1/(xy)`` on ``x + y < 1``, and on face i the
+gap is an independent excursion of length ``l_i``, whose area ``A`` has
+``E A = sqrt(pi/8)`` and ``E A^2 = 5/12``, and ``E int e^2 = 1/2``
+(Groeneboom 1983; Balabdaoui & Pitman 2011; Janson 2007, Probab. Surveys 4).
+Nothing here imports ``lcmtest``.
 """
 
 import math
@@ -23,6 +31,17 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import brentq
 from scipy.spatial import ConvexHull, QhullError
+
+
+#: E X_1 = E A int_0^1 x^{3/2} / x dx.
+MEAN_X1 = (2.0 / 3.0) * math.sqrt(math.pi / 8.0)
+#: E X_1^2 = E A^2 int_0^1 x^2 dx + (E A)^2 int int_{x+y<1} sqrt(xy) dx dy.
+SECOND_MOMENT_X1 = 5.0 / 36.0 + math.pi**2 / 192.0
+#: E X_2^2 = (1/2) int_0^1 x dx.
+SECOND_MOMENT_X2 = 0.25
+#: Mean and second moment of Kennedy's law, the max of a standard excursion.
+KENNEDY_MEAN = math.sqrt(math.pi / 2.0)
+KENNEDY_SECOND_MOMENT = math.pi**2 / 6.0
 
 
 def _to_scaled_ints(values) -> tuple[list[int], int]:

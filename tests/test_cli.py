@@ -85,6 +85,25 @@ def test_cmd_test_simulate_and_cache(capsys, data_file, tmp_path):
     assert doc2["critical_values"] == doc["critical_values"]
 
 
+@pytest.mark.parametrize("engine", [None, "grid-pava/0"], ids=["missing", "other"])
+def test_cmd_test_rejects_stale_table(capsys, data_file, tmp_path, engine):
+    cache = tmp_path / "cache.json"
+    code = cli.main(["critvals", "--p", "2", "--alpha", "0.05", "--reps", "50", "--grid", "64",
+                     "--out", str(cache)])
+    capsys.readouterr()
+    assert code == 0
+    doc = json.loads(cache.read_text())
+    assert doc["provenance"]["engine"] == limits.ENGINE
+    if engine is None:
+        del doc["provenance"]["engine"]
+    else:
+        doc["provenance"]["engine"] = engine
+    cache.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "test", str(data_file), "--p", "2", "--table", str(cache))
+    assert code == 2 and out is None
+    assert err.startswith(f"error: {cache}: stale table from engine {engine!r}")
+
+
 def test_cmd_test_without_table_errors(capsys, data_file):
     code, doc, err = run_cli(capsys, "test", str(data_file), "--p", "2")
     assert code == 2
@@ -122,6 +141,14 @@ PARSE_CASES = {
     "plus-dot": ("+.5\n", [0.5]),
     "trailing-dot": ("5.\n", ":1: value 5.0 outside [0, 1]"),
     "tab-pair": ("0.5\n0.1\t0.2\n", ":2: not a number: '0.1\\t0.2'"),
+    "header-comment": ("# header\n0.25\n0.5\n", [0.25, 0.5]),
+    "indented-comments": ("  # a\n0.1\n\t# b # c\n\n0.2\n#\n", [0.1, 0.2]),
+    "crlf-comments": ("# h\r\n0.5\r\n# t\r\n", [0.5]),
+    "comment-then-range": ("# h\n0.5\n1.5\n", ":3: value 1.5 outside [0, 1]"),
+    "comment-then-garbage": ("# h\n\nabc\n", ":3: not a number: 'abc'"),
+    "comment-then-inline": ("# h\n0.5 # note\n", ":2: not a number: '0.5 # note'"),
+    "comment-then-nan": ("# x\nnan\n", ":2: non-finite value nan"),
+    "comment-then-pair": ("# x\n0.5\n0.1 0.2\n", ":3: not a number: '0.1 0.2'"),
 }
 
 
@@ -137,6 +164,16 @@ def test_read_samples_contract(capsys, tmp_path, case):
     out = capsys.readouterr()
     assert code == 2 and out.out == ""
     assert out.err == f"error: {path}{want}\n"
+
+
+def test_read_samples_drops_whole_line_comments_in_one_pass(tmp_path, monkeypatch):
+    calls = []
+    parse = cli._parse_plain
+    monkeypatch.setattr(cli, "_parse_plain", lambda text: calls.append(text) or parse(text))
+    path = tmp_path / "data.txt"
+    path.write_text("# header\n0.25\n  # note\n0.75\n")
+    assert np.array_equal(cli.read_samples(str(path)), [0.25, 0.75])
+    assert len(calls) == 1
 
 
 def test_read_samples_round_trips_doubles(tmp_path, rng):
@@ -189,6 +226,7 @@ def test_cmd_test_against_cdf_limit(capsys, data_file, two_segment_file):
     )
     assert code == 0
     assert doc["table"]["mode"] == "cdf-limit"
+    assert doc["table"]["engine"] == limits.ENGINE
 
 
 # -- critvals ---------------------------------------------------------------------------
@@ -229,6 +267,7 @@ def test_cmd_simulate_limit_uniform(capsys, tmp_path):
     )
     assert code == 0
     assert doc["quantiles"]["0.05"]["q"] == pytest.approx(0.74, abs=0.05)
+    assert doc["engine"] == limits.ENGINE
 
 
 def test_cmd_simulate_limit_power_degenerate(capsys, power_file):
@@ -237,6 +276,7 @@ def test_cmd_simulate_limit_power_degenerate(capsys, power_file):
     )
     assert code == 0
     assert all(entry["q"] == 0.0 for entry in doc["quantiles"].values())
+    assert doc["grid_size"] == limits.DEFAULT_GRID == 1024
 
 
 def test_cmd_simulate_limit_invalid_spec(capsys, tmp_path):

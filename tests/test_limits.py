@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +12,7 @@ import lcmtest
 from lcmtest import limits, models
 from lcmtest.streams import substream
 
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 TWO_SEGMENT = models.PiecewiseAffineCdf.from_knots([(0, 0), (0.5, 0.75), (1, 1)])
 SHORT_SUPPORT = models.PiecewiseAffineCdf.from_knots([(0, 0), (0.4, 0.6), (0.8, 1)])
 
@@ -119,8 +124,11 @@ def test_limit_draw_general_rejects_inf():
 
 
 def test_derivative_route_uniform_matches_uniform_draw():
+    # The identity verifier's Wiener path is drawn from substream(stream, 0)
+    # on the uniform grid; under the uniform law its lhs is that path's gap norm.
+    grid = limits.uniform_grid(128)
     for i in range(20):
-        a = limits.limit_draw_uniform(2.0, substream(11, i), 128)
+        a = limits.gap_norm(limits.sample_wiener(grid, substream(11, i, 0)), 2.0)
         b = limits.verify_rescaling_identity(models.UniformCdf(), 2.0, substream(11, i), 128).lhs
         assert a == b
 
@@ -145,6 +153,35 @@ def test_simulate_draws_match_single_draws_any_workers():
     for i, row in enumerate(serial):
         want = [limits.limit_draw_general(iv, p, substream(31, i), 64) for p in ps]
         assert row.tolist() == want
+
+
+def test_engine_columns_ordered_and_independent_of_the_others():
+    # p = 1 and p = 2 integrate the same excursions, so ||.||_1 <= ||.||_2
+    # draw by draw; no column depends on which other indices are asked for.
+    iv = models.extract_intervals(TWO_SEGMENT)
+    cfg = limits.SimConfig(grid_size=256, replications=200, master_seed=41)
+    both = limits.simulate_draws(iv, (1.0, 2.0, math.inf), cfg)
+    assert np.all(both[:, 0] <= both[:, 1] * (1 + 1e-12))
+    for j, p in enumerate((1.0, 2.0, math.inf)):
+        assert np.array_equal(limits.simulate_draws(iv, (p,), cfg)[:, 0], both[:, j])
+
+
+def test_stick_lengths_extend_past_one_round(monkeypatch):
+    # Uniforms drawn 4 at a time are the same numbers as 64 at once, so the
+    # faces do not change when stick-breaking takes several rounds.
+    want = limits._stick_lengths(limits.generator(substream(43, 0)))
+    assert want.size > 4
+    assert 0.0 < 1.0 - want.sum() < limits._STICK_TAIL * (1 + 1e-3) + 1e-15
+    monkeypatch.setattr(limits, "_STICKS", 4)
+    assert np.array_equal(limits._stick_lengths(limits.generator(substream(43, 0))), want)
+
+
+def test_kennedy_table_not_built_at_import():
+    code = (
+        "import lcmtest, lcmtest.cli; from lcmtest import limits; "
+        "assert limits._kennedy_table.cache_info().currsize == 0"
+    )
+    subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": SRC})
 
 
 def test_simulate_draws_caps_workers_at_cpu_count(monkeypatch):
@@ -271,13 +308,25 @@ def test_table_json_roundtrip(tmp_path):
     assert {row["p"] for row in doc["entries"]} == {"1", "2.5", "inf"}
     prov = doc["provenance"]
     assert set(prov) >= {
-        "grid_size", "replications", "master_seed", "built_at",
+        "engine", "grid_size", "replications", "master_seed", "built_at",
         "lcmtest_version", "numpy_version", "scipy_version", "workers", "timing",
     }
-    assert prov["lcmtest_version"] == lcmtest.__version__
+    assert prov["lcmtest_version"] == lcmtest.__version__ and prov["engine"] == limits.ENGINE
     assert prov["numpy_version"] == np.__version__ and prov["workers"] == 1
     assert prov["timing"]["seconds"] > 0.0
     assert prov["timing"]["reps_per_s"] == pytest.approx(400 / prov["timing"]["seconds"])
+
+
+def test_flat_substream_key_matches_nested_substreams():
+    # The table blocks draw interval k of replication i from
+    # substream(seed, i, k); the single-draw functions from
+    # substream(substream(seed, i), k).
+    for seed in (0, 171717, 2**70):
+        for i, k in ((0, 0), (5, 3), (199_999, 1)):
+            flat = substream(seed, i, k)
+            nested = substream(substream(seed, i), k)
+            assert (flat.entropy, flat.spawn_key) == (nested.entropy, nested.spawn_key)
+            assert np.array_equal(flat.generate_state(4), nested.generate_state(4))
 
 
 def test_substream_of_int_matches_seed_sequence_child():
