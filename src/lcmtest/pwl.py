@@ -79,9 +79,34 @@ def hull_vertices(px, py) -> np.ndarray:
     so collinear points drop out.  Scaling the spacings by 2**600 is exact
     and keeps slopes over subnormal spacings finite; as infinities they
     would compare equal and pool.
+
+    Pooled means are rounded, so two blocks on one line can miss pooling;
+    the slopes between the chosen vertices themselves are checked, and a
+    vertex where they fail to fall strictly is dropped.
     """
+    px = np.asarray(px, dtype=np.float64)
+    py = np.asarray(py, dtype=np.float64)
     dx = np.ldexp(np.diff(px), 600)
-    return isotonic_regression(np.diff(py) / dx, weights=dx, increasing=False).blocks
+    idx = isotonic_regression(np.diff(py) / dx, weights=dx, increasing=False).blocks
+    slopes = np.diff(py[idx]) / np.ldexp(np.diff(px[idx]), 600)
+    if np.all(np.diff(slopes) < 0.0):
+        return idx
+    return _strictly_concave(px, py, idx)
+
+
+def _strictly_concave(px, py, idx) -> np.ndarray:
+    """Drop vertices of ``idx`` until the slopes between them fall strictly."""
+
+    def slope(a, b):
+        return (py[b] - py[a]) / np.ldexp(px[b] - px[a], 600)
+
+    kept = [int(idx[0])]
+    for v in idx[1:]:
+        v = int(v)
+        while len(kept) > 1 and slope(kept[-2], kept[-1]) <= slope(kept[-1], v):
+            kept.pop()
+        kept.append(v)
+    return np.asarray(kept, dtype=idx.dtype)
 
 
 def corner_gaps(px, py, idx) -> tuple[np.ndarray, np.ndarray]:

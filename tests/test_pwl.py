@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lcmtest import pwl, stats
@@ -338,6 +338,9 @@ def test_hull_minimality(samples, salt):
 
 @given(ecdf_samples())
 @settings(max_examples=100, deadline=None)
+# (0, 0), (0.1, 0.1) and (1, 1) are collinear, but the two pooled slope
+# means round apart and PAVA alone keeps the middle corner.
+@example(samples=[1.0] * 19 + [0.5] * 8 + [0.0625, 0.09375, 0.1])
 def test_hull_idempotent(samples):
     hx, hy = _hull(samples)
     assert np.all(pwl.lcm_gap_on_grid(hx, hy) == 0.0)
