@@ -17,8 +17,11 @@ norms integrate those points exactly and share them, so ||gap||_1 <=
 ||gap||_2 path by path.  The p = inf column is max_i sqrt(l_i) K_i with K_i
 from Kennedy's law of the excursion maximum: exact in law, but not the max
 of the sampled excursions, so it is not tied path by path to the finite-p
-columns.  Sampled paths on grids remain where one shared path is the point:
-the two coupling verifiers and ``gap_norm``/``concavity_gap``.
+columns.  Streams are drawn in passes of about 2^16 face points: each
+makes its own random draws, then one run of array operations serves every
+face of the pass, and no value depends on which streams share a pass.
+Sampled paths on grids remain where one shared path is the point: the two
+coupling verifiers and ``gap_norm``/``concavity_gap``.
 
 Determinism contract: every replication derives its randomness from
 ``(master seed, replication index)`` through spawn keys, so results are
@@ -187,11 +190,18 @@ _STICK_TAIL = 1e-12
 _STICKS = 64
 #: Fewest points an excursion is sampled on.
 _MIN_FACE_POINTS = 4
+#: Face points the engine draws in one pass, about 64 streams at the default
+#: budget.  Past the per-stream random draws, each pass is a fixed number of
+#: numpy calls over all its faces, so wider passes cost less per stream,
+#: until their arrays outgrow the cache (4 streams at budget 16384 already
+#: take ~8 % longer than 2; 2 MB of normals a pass).
+_POINTS_PER_PASS = 2**16
 
 
-def _stick_lengths(rng: np.random.Generator) -> np.ndarray:
-    # Uniform stick-breaking of [0, 1] until the stick left is < _STICK_TAIL.
-    u = rng.random(_STICKS)
+def _stick_lengths(rng: np.random.Generator, u=None) -> np.ndarray:
+    # Uniform stick-breaking of [0, 1] until the stick left is < _STICK_TAIL,
+    # going on from ``u`` when the first round was already drawn from rng.
+    u = rng.random(_STICKS) if u is None else u
     rest = np.cumprod(1.0 - u)
     while rest[-1] >= _STICK_TAIL:
         u = np.concatenate([u, rng.random(_STICKS)])
@@ -239,30 +249,58 @@ def excursion_max_quantile(u) -> np.ndarray:
     return np.interp(u, cdf, ys)
 
 
-def _excursion_pow_integrals(rng, lengths: np.ndarray, budget: int, ps) -> list:
-    # sum_i l_i^{1+p/2} int e_i^p for each p, one excursion per face.  Face i
-    # is |3-d Brownian bridge| on m_i = max(4, round(budget l_i)) steps, all
-    # faces in one array: increments centred per face make each face's
-    # cumsum a bridge, and its last point is 0.  The walk has unit steps, so
-    # int e_i^p = m_i^{-(1+p/2)} sum of the ramp integrals of |bridge|.
+def _face_lengths(rngs) -> tuple[np.ndarray, np.ndarray]:
+    # Every stream's stick lengths, stream after stream, and how many each
+    # has.  One round of _STICKS uniforms per stream; the rare stream that
+    # needs more goes on through _stick_lengths.
+    u = np.empty((len(rngs), _STICKS))
+    for rng, row in zip(rngs, u):
+        rng.random(out=row)
+    rest = np.cumprod(1.0 - u, axis=1)
+    longer = {
+        int(s): _stick_lengths(rngs[s], u[s]) for s in np.flatnonzero(rest[:, -1] >= _STICK_TAIL)
+    }
+    counts = np.argmax(rest < _STICK_TAIL, axis=1) + 1
+    u[:, 1:] *= rest[:, :-1]
+    if not longer:
+        return u[np.arange(_STICKS) < counts[:, None]], counts
+    rows = [longer.get(s, u[s, :n]) for s, n in enumerate(counts)]
+    return np.concatenate(rows), np.array([row.size for row in rows])
+
+
+def _excursion_pow_integrals(rngs, lengths, counts, first, budget: int, ps) -> np.ndarray:
+    # Row j, column s: sum_i l_i^{1+p/2} int e_i^p at ps[j] over stream s's
+    # faces, one excursion per face.  Face i is |3-d Brownian bridge| on
+    # m_i = max(4, round(budget l_i)) steps.  Stream s draws its normals as
+    # one (3, sum of its m_i) array, which fills columns of z; increments
+    # centred per face make each face's cumsum a bridge, whose last point is
+    # 0.  The walk has unit steps, so int e_i^p = m_i^{-(1+p/2)} times the
+    # sum of the ramp integrals of |bridge|.
     m = np.maximum(_MIN_FACE_POINTS, np.rint(budget * lengths)).astype(np.intp)
     starts = np.zeros(m.size, dtype=np.intp)
     np.cumsum(m[:-1], out=starts[1:])
     total = int(starts[-1] + m[-1])
-    z = rng.standard_normal((3, total))
+    spans = list(zip(starts[first].tolist(), np.add.reduceat(m, first).tolist()))
+    z = np.empty((3, total))
+    for rng, (c, w) in zip(rngs, spans):
+        z[:, c : c + w] = rng.standard_normal((3, w))
     mean = np.add.reduceat(z, starts, axis=1)
     mean /= m
     z -= np.repeat(mean, m, axis=1)
-    np.cumsum(z, axis=1, out=z)
-    r = np.zeros(total + 1)  # r[0] and every face's last point stay 0
+    for c, w in spans:
+        walk = z[:, c : c + w]
+        np.cumsum(walk, axis=1, out=walk)
+    r = np.zeros(total + 1)  # every face starts and ends at 0
     np.sqrt(np.einsum("ij,ij->j", z, z), out=r[1:])
-    r[starts[1:]] = 0.0
+    r[starts] = 0.0
     r[total] = 0.0
     steps = lengths / m
-    out = []
-    for p in ps:
+    faces = list(zip(first.tolist(), counts.tolist()))
+    out = np.empty((len(ps), len(rngs)))
+    for j, p in enumerate(ps):
         per_face = np.add.reduceat(pwl.ramp_pow_integrals(r[:-1], r[1:], 1.0, p), starts)
-        out.append(float(np.dot(steps ** (1.0 + p / 2.0), per_face)))
+        w = steps ** (1.0 + p / 2.0)
+        out[j] = [np.dot(w[a : a + n], per_face[a : a + n]) for a, n in faces]
     return out
 
 
@@ -275,22 +313,39 @@ def _law_draws(d, h, ps, root: Stream, keys, budget: int) -> np.ndarray:
     # which the arithmetic is exact.  Each stream breaks its sticks, then
     # draws one Kennedy uniform per face, then the excursions' normals, so a
     # column does not depend on which other norm indices are asked for.
-    # Both loops stay in here, so a block of replications is one call.
+    # The streams of up to _POINTS_PER_PASS // (budget len(d)) rows are
+    # drawn in one pass; no value depends on which rows share a pass.
     finite = [(j, p) for j, p in enumerate(ps) if not math.isinf(p)]
     sup = [j for j, p in enumerate(ps) if math.isinf(p)]
+    nk = len(d)
     out = np.zeros((len(keys), len(ps)))
-    for row, key in enumerate(keys):
-        for k in range(len(d)):
-            rng = generator(substream(root, *key, k))
-            lengths = _stick_lengths(rng)
-            u = rng.random(lengths.size)
-            if sup:
-                top = float(np.max(np.sqrt(lengths) * excursion_max_quantile(u)))
-                out[row, sup] = np.maximum(out[row, sup], h[k] ** 0.5 * top)
-            if finite:
-                powers = _excursion_pow_integrals(rng, lengths, budget, [p for _, p in finite])
-                for (j, p), x in zip(finite, powers):
-                    out[row, j] += d[k] * h[k] ** (p / 2.0) * x
+    if nk == 0:  # no affine interval: every draw is 0
+        return out
+    rows = max(1, _POINTS_PER_PASS // (budget * nk))
+    for lo in range(0, len(keys), rows):
+        part = out[lo : lo + rows]
+        rngs = [
+            generator(substream(root, *key, k)) for key in keys[lo : lo + rows] for k in range(nk)
+        ]
+        lengths, counts = _face_lengths(rngs)
+        first = np.zeros(counts.size, dtype=np.intp)
+        np.cumsum(counts[:-1], out=first[1:])
+        u = np.empty(lengths.size)
+        for rng, a, n in zip(rngs, first.tolist(), counts.tolist()):
+            rng.random(out=u[a : a + n])
+        if sup:
+            top = np.maximum.reduceat(np.sqrt(lengths) * excursion_max_quantile(u), first)
+            top = top.reshape(-1, nk)
+            for k in range(nk):
+                part[:, sup] = np.maximum(part[:, sup], h[k] ** 0.5 * top[:, k : k + 1])
+        if finite:
+            powers = _excursion_pow_integrals(
+                rngs, lengths, counts, first, budget, [p for _, p in finite]
+            )
+            for (j, p), x in zip(finite, powers.reshape(len(finite), -1, nk)):
+                for k in range(nk):
+                    part[:, j] += d[k] * h[k] ** (p / 2.0) * x[:, k]
+    for row in range(len(keys)):
         for j, p in finite:
             # A scalar power per entry: numpy's array ** 0.5 is sqrt,
             # which need not round like pow.
@@ -569,6 +624,15 @@ class CriticalValueTable:
         return cls.from_dict(json.loads(Path(path).read_text()))
 
 
+#: A stream of the limit engine costs about as much as this many face points
+#: on top of its point budget (stick-breaking, seeding, per-stream calls).
+_STREAM_COST_POINTS = 1024
+#: Work, in face points, that pays for one worker process: about 0.12 s of
+#: one core on a 2-core Xeon, where starting a pool of two takes 40-60 ms.
+#: At the default budget that is ~500 replications of the uniform law.
+_WORK_PER_WORKER = 2**20
+
+
 def _draw_block(
     master_seed: int, grid_size: int, d, h, ps: tuple, start: int, stop: int
 ) -> np.ndarray:
@@ -586,16 +650,19 @@ def simulate_draws(
 
     Row i is drawn from ``substream(config.master_seed, i)``, as in
     ``limit_draw_general``, so the result is bit-identical for any
-    ``workers`` (capped at ``os.cpu_count()``).  The finite norm indices
-    share the same excursions; p = inf shares their faces.  ``progress`` is
-    an optional callback ``(done, total)``.
+    ``workers``.  ``workers`` is capped at ``os.cpu_count()`` and at one
+    worker per ``_WORK_PER_WORKER`` of work, so a small simulation runs in
+    this process instead of waiting for a pool to start.  The finite norm
+    indices share the same excursions; p = inf shares their faces.
+    ``progress`` is an optional callback ``(done, total)``.
     """
     ps = _norm_indices(ps)
     n = config.replications
     draws = np.zeros((n, len(ps)))
     if iv.is_empty:
         return draws
-    workers = min(workers, os.cpu_count() or 1)
+    work = n * len(iv.d) * (config.grid_size + _STREAM_COST_POINTS)
+    workers = min(workers, os.cpu_count() or 1, max(1, work // _WORK_PER_WORKER))
     step = max(1, min(n, 2000 if workers <= 1 else math.ceil(n / (workers * 8))))
     blocks = [(start, min(start + step, n)) for start in range(0, n, step)]
     task = (config.master_seed, config.grid_size, iv.d, iv.h, ps)

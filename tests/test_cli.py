@@ -369,6 +369,7 @@ class _CrashedPool:
 def test_crashed_worker_exits_1(capsys, monkeypatch, tmp_path, argv):
     monkeypatch.setattr(limits, "ProcessPoolExecutor", _CrashedPool)
     monkeypatch.setattr(limits.os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(limits, "_WORK_PER_WORKER", 1)  # a pool even for this small job
     data = tmp_path / "data.txt"
     data.write_text("0.1\n0.5\n0.9\n")
     paths = {"data": data, "out": tmp_path / "table.json"}

@@ -144,7 +144,8 @@ def test_derivative_route_matches_rescaled_representation():
         assert check.gap < 1e-9
 
 
-def test_simulate_draws_match_single_draws_any_workers():
+def test_simulate_draws_match_single_draws_any_workers(monkeypatch):
+    monkeypatch.setattr(limits, "_WORK_PER_WORKER", 1)  # a pool even for this small job
     iv = models.extract_intervals(TWO_SEGMENT)
     cfg = limits.SimConfig(grid_size=64, replications=30, master_seed=31)
     ps = (1.0, 2.5)
@@ -195,6 +196,36 @@ def test_simulate_draws_caps_workers_at_cpu_count(monkeypatch):
     monkeypatch.setattr(limits.os, "cpu_count", lambda: 1)
     monkeypatch.setattr(limits, "ProcessPoolExecutor", NoPool)
     assert np.array_equal(limits.simulate_draws(iv, (2.0,), cfg, workers=8), want)
+
+
+def test_small_simulation_runs_without_a_pool(monkeypatch):
+    # Fewer replications than pay for starting worker processes run here.
+    class NoPool:
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("a small simulation must not start a process pool")
+
+    cfg = limits.SimConfig(grid_size=1024, replications=150, master_seed=5)
+    want = limits.simulate_draws(limits._UNIT, (1.0, math.inf), cfg, workers=1)
+    monkeypatch.setattr(limits.os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(limits, "ProcessPoolExecutor", NoPool)
+    got = limits.simulate_draws(limits._UNIT, (1.0, math.inf), cfg, workers=4)
+    assert np.array_equal(got, want)
+
+
+def test_engine_draws_do_not_depend_on_the_pass(monkeypatch):
+    # Rows are drawn _POINTS_PER_PASS // (budget * intervals) at a time; a
+    # row's draws are the same whichever rows share its pass, and with
+    # stick-breaking that takes several rounds for every stream.
+    iv = models.extract_intervals(TWO_SEGMENT)
+    keys = [(i,) for i in range(45)]
+    ps = (1.0, 2.0, math.inf)
+    for sticks in (limits._STICKS, 4):
+        monkeypatch.setattr(limits, "_STICKS", sticks)
+        monkeypatch.setattr(limits, "_POINTS_PER_PASS", 2**16)  # all 45 rows in one pass
+        want = limits._law_draws(iv.d, iv.h, ps, 17, keys, 64)
+        for rows in (1, 7, 30):
+            monkeypatch.setattr(limits, "_POINTS_PER_PASS", rows * 64 * 2)
+            assert np.array_equal(limits._law_draws(iv.d, iv.h, ps, 17, keys, 64), want)
 
 
 # -- couplings ------------------------------------------------------------------------
@@ -277,7 +308,8 @@ def _tiny_config():
     return limits.SimConfig(grid_size=64, replications=400, master_seed=4242)
 
 
-def test_table_deterministic_across_workers():
+def test_table_deterministic_across_workers(monkeypatch):
+    monkeypatch.setattr(limits, "_WORK_PER_WORKER", 1)
     cfg = _tiny_config()
     t1 = limits.build_critical_table(cfg, alphas=(0.05, 0.10), ps=(1.0, math.inf), workers=1)
     t2 = limits.build_critical_table(cfg, alphas=(0.05, 0.10), ps=(1.0, math.inf), workers=2)
