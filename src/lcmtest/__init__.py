@@ -19,19 +19,15 @@ from .limits import (
     CriticalValueTable,
     DominanceCheck,
     QuantileEstimate,
-    SampledPath,
     SimConfig,
     build_critical_table,
-    concavity_gap,
     estimate_quantiles,
-    gap_norm,
     limit_draw_general,
     limit_draw_uniform,
     p_key,
     parse_p,
     sample_wiener,
     simulate_draws,
-    to_bridge,
     uniform_grid,
     verify_dominance_coupling,
     verify_rescaling_identity,

@@ -211,7 +211,12 @@ def _critical_values_for_test(args, p: float, alphas):
 
     table = None
     if args.table is not None and Path(args.table).is_file():
-        table = limits.CriticalValueTable.load(args.table)
+        try:
+            table = limits.CriticalValueTable.load(args.table)
+        except (ValueError, KeyError, TypeError) as exc:
+            raise InputError(
+                f"{args.table}: not a critical-value table ({type(exc).__name__}: {exc})"
+            ) from None
         engine = table.provenance.get("engine")
         if engine != limits.ENGINE:
             raise InputError(
@@ -336,66 +341,38 @@ def cmd_verify(args) -> int:
         raise InputError(str(exc)) from None
     if math.isinf(p):
         raise InputError("coupling verification covers finite p only")
-
-    if args.mode == "identity":
-        if isinstance(spec, models.PowerCdf) and spec.gamma < 1.0:
-            raise InputError(
-                "identity verification needs a piecewise-affine or uniform CDF; "
-                "a strictly concave CDF has a degenerate limit"
-            )
-        max_gap = 0.0
-        for i in range(args.paths):
-            check = limits.verify_rescaling_identity(
-                spec, p, substream(args.seed, i), args.grid
-            )
-            max_gap = max(max_gap, check.gap)
-        passed = max_gap < limits.COUPLING_TOL
-        _emit(
-            {
-                "mode": "identity",
-                "cdf": models.spec_to_dict(spec),
-                "p": limits.p_key(p),
-                "paths": args.paths,
-                "grid_size": args.grid,
-                "master_seed": args.seed,
-                "max_gap": max_gap,
-                "tolerance": limits.COUPLING_TOL,
-                "pass": bool(passed),
-            }
-        )
-        return 0 if passed else 1
-
     iv = models.extract_intervals(spec)
     if iv.is_empty:
         raise InputError(
-            "nothing to verify: a strictly concave CDF has no affine intervals "
+            "identity verification needs a piecewise-affine or uniform CDF; "
+            "a strictly concave CDF has a degenerate limit"
+            if args.mode == "identity"
+            else "nothing to verify: a strictly concave CDF has no affine intervals "
             "and its dominance is immediate"
         )
-    violations = 0
-    worst_norm = -math.inf
-    worst_hull = -math.inf
-    for i in range(args.paths):
-        check = limits.verify_dominance_coupling(iv, p, substream(args.seed, i), args.grid)
-        worst_norm = max(worst_norm, check.lhs - check.rhs)
-        worst_hull = max(worst_hull, check.hull_excess)
-        if check.violation:
-            violations += 1
-    passed = violations == 0
-    _emit(
-        {
-            "mode": "dominance",
-            "cdf": models.spec_to_dict(spec),
-            "p": limits.p_key(p),
-            "paths": args.paths,
-            "grid_size": args.grid,
-            "master_seed": args.seed,
-            "violations": violations,
-            "max_norm_excess": worst_norm,
-            "max_hull_excess": worst_hull,
-            "tolerance": limits.COUPLING_TOL,
-            "pass": bool(passed),
-        }
-    )
+
+    report = {
+        "mode": args.mode,
+        "cdf": models.spec_to_dict(spec),
+        "p": limits.p_key(p),
+        "paths": args.paths,
+        "grid_size": args.grid,
+        "master_seed": args.seed,
+    }
+    streams = [substream(args.seed, i) for i in range(args.paths)]
+    if args.mode == "identity":
+        gaps = [limits.verify_rescaling_identity(spec, p, s, args.grid).gap for s in streams]
+        report["max_gap"] = max(gaps)
+        passed = report["max_gap"] < limits.COUPLING_TOL
+    else:
+        checks = [limits.verify_dominance_coupling(iv, p, s, args.grid) for s in streams]
+        report["violations"] = sum(check.violation for check in checks)
+        report["max_norm_excess"] = max(check.lhs - check.rhs for check in checks)
+        report["max_hull_excess"] = max(check.hull_excess for check in checks)
+        passed = report["violations"] == 0
+    report["tolerance"] = limits.COUPLING_TOL
+    report["pass"] = bool(passed)
+    _emit(report)
     return 0 if passed else 1
 
 
@@ -509,6 +486,9 @@ def _check_scale(args) -> None:
         value = getattr(args, flag, None)
         if value is not None and value < 1:
             raise InputError(f"--{flag} must be at least 1, got {value}")
+    seed = getattr(args, "seed", None)
+    if seed is not None and seed < 0:
+        raise InputError(f"--seed must be non-negative, got {seed}")
     grid = getattr(args, "grid", None)
     if grid is not None and grid < 2:
         raise InputError(f"--grid must be at least 2, got {grid}")

@@ -21,7 +21,7 @@ columns.  Streams are drawn in passes of about 2^16 face points: each
 makes its own random draws, then one run of array operations serves every
 face of the pass, and no value depends on which streams share a pass.
 Sampled paths on grids remain where one shared path is the point: the two
-coupling verifiers and ``gap_norm``/``concavity_gap``.
+coupling verifiers.
 
 Determinism contract: every replication derives its randomness from
 ``(master seed, replication index)`` through spawn keys, so results are
@@ -65,33 +65,6 @@ _GRID_MERGE_TOL = 1e-12
 _UNIT = models.extract_intervals(models.UniformCdf())
 
 
-@dataclass(frozen=True, eq=False)
-class SampledPath:
-    """A stochastic-process path on a finite sorted grid spanning [0, 1].
-
-    Construction freezes both arrays; paths are safe to share across tasks.
-    """
-
-    grid: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        grid = np.ascontiguousarray(self.grid, dtype=np.float64)
-        values = np.ascontiguousarray(self.values, dtype=np.float64)
-        if grid.ndim != 1 or grid.size < 2 or values.shape != grid.shape:
-            raise ValueError("grid and values must be 1-d arrays of equal length >= 2")
-        if not np.all(np.diff(grid) > 0):
-            raise ValueError("grid must be strictly increasing")
-        if grid[0] != 0.0 or grid[-1] != 1.0:
-            raise ValueError("grid must span [0, 1] with 0 and 1 as grid points")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("path values must be finite")
-        grid.flags.writeable = False
-        values.flags.writeable = False
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "values", values)
-
-
 @dataclass(frozen=True)
 class SimConfig:
     """Scale knobs for the simulator.
@@ -133,42 +106,19 @@ def merge_grids(required, extra, tol: float = _GRID_MERGE_TOL) -> np.ndarray:
     return np.unique(np.concatenate([required, extra[~near]]))
 
 
-def sample_wiener(grid, stream: Stream) -> SampledPath:
-    """Wiener path on the grid: W(0) = 0, independent Gaussian increments
-    with variance equal to the time step.  Deterministic given the stream."""
-    grid = np.ascontiguousarray(grid, dtype=np.float64)
+def sample_wiener(grid, stream: Stream) -> np.ndarray:
+    """Wiener path at the grid points: W(0) = 0, independent Gaussian
+    increments with variance equal to the time step.  Deterministic given
+    the stream.  The grid must be strictly increasing from 0 to 1."""
+    grid = pwl.as_sorted_array(grid, "grid")
+    if grid.size < 2 or grid[0] != 0.0 or grid[-1] != 1.0:
+        raise ValueError("grid must span [0, 1] with 0 and 1 as grid points")
     rng = generator(stream)
     z = rng.standard_normal(grid.size - 1)
     values = np.empty(grid.size)
     values[0] = 0.0
     np.cumsum(z * np.sqrt(np.diff(grid)), out=values[1:])
-    return SampledPath(grid, values)
-
-
-def to_bridge(w: SampledPath) -> SampledPath:
-    """Brownian bridge from a Wiener path: B(u) = W(u) - u W(1)."""
-    return SampledPath(w.grid, w.values - w.grid * w.values[-1])
-
-
-def concavity_gap(path: SampledPath) -> np.ndarray:
-    """Majorant gap ``LCM(path) - path`` at every grid point.
-
-    Invariant under adding any affine function to the path.
-    """
-    return pwl.lcm_gap_on_grid(path.grid, path.values)
-
-
-def gap_norm(path: SampledPath, p: float) -> float:
-    """L^p norm (p = inf for the sup) of the majorant gap over [0, 1].
-
-    Exact for the piecewise-linear interpolant of the grid values.
-    """
-    g = pwl.lcm_gap_on_grid(path.grid, path.values)
-    if np.isinf(p):
-        return float(g.max())
-    if p < 1.0:
-        raise ValueError("norm index p must be at least 1")
-    return pwl.pow_integral_from_gaps(path.grid, g, p) ** (1.0 / p)
+    return values
 
 
 # -- Limit draws ----------------------------------------------------------------
@@ -437,16 +387,16 @@ def verify_rescaling_identity(
     ku = models.evaluate(spec, kx)  # np.interp returns the knot ordinates exactly
     master, spans = _block_grid(ku, iv.h, grid_size)
     w = sample_wiener(master, substream(stream, 0))
-    b = to_bridge(w)
+    b = w - master * w[-1]  # the Brownian bridge B(u) = W(u) - u W(1)
     lhs_pow = 0.0
     rhs_pow = 0.0
     for k, (i0, i1) in enumerate(spans):
         u_pre = _unit_preimage(master[i0 : i1 + 1], ku[k], iv.h[k])
         x_blk = kx[k] + iv.d[k] * u_pre
         x_blk[-1] = kx[k + 1]
-        lhs_pow += pwl.gap_pow_integral(x_blk, b.values[i0 : i1 + 1], p)
+        lhs_pow += pwl.gap_pow_integral(x_blk, b[i0 : i1 + 1], p)
 
-        w_k = (w.values[i0 : i1 + 1] - w.values[i0]) * iv.h[k] ** -0.5
+        w_k = (w[i0 : i1 + 1] - w[i0]) * iv.h[k] ** -0.5
         rhs_pow += iv.d[k] * iv.h[k] ** (p / 2.0) * pwl.gap_pow_integral(u_pre, w_k, p)
     return CouplingIdentity(lhs_pow ** (1.0 / p), rhs_pow ** (1.0 / p))
 
@@ -489,7 +439,7 @@ def verify_dominance_coupling(
     master, spans = _block_grid(knots, lengths, grid_size)
     w = sample_wiener(master, substream(stream, 0))
 
-    full_gap = pwl.lcm_gap_on_grid(master, w.values)
+    full_gap = pwl.lcm_gap_on_grid(master, w)
     rhs = pwl.pow_integral_from_gaps(master, full_gap, p) ** (1.0 / p)
 
     lhs_pow = 0.0
@@ -497,7 +447,7 @@ def verify_dominance_coupling(
     for (i0, i1), a, l in zip(spans, knots, lengths):
         u_pre = _unit_preimage(master[i0 : i1 + 1], a, l)
         root = math.sqrt(l)
-        w_k = (w.values[i0 : i1 + 1] - w.values[i0]) / root
+        w_k = (w[i0 : i1 + 1] - w[i0]) / root
         sub_gap = pwl.lcm_gap_on_grid(u_pre, w_k)
         lhs_pow += l ** ((p + 2.0) / 2.0) * pwl.pow_integral_from_gaps(u_pre, sub_gap, p)
         excess = sub_gap * root - full_gap[i0 : i1 + 1]
@@ -642,6 +592,12 @@ def _draw_block(
     return _law_draws(d, h, ps, master_seed, [(i,) for i in range(start, stop)], grid_size)
 
 
+def _workers_used(iv: models.IntervalStructure, config: SimConfig, workers: int) -> int:
+    # ``workers`` capped at the CPU count and at one per _WORK_PER_WORKER of work.
+    work = config.replications * len(iv.d) * (config.grid_size + _STREAM_COST_POINTS)
+    return min(workers, os.cpu_count() or 1, max(1, work // _WORK_PER_WORKER))
+
+
 def simulate_draws(
     iv: models.IntervalStructure, ps, config: SimConfig, workers: int = 1, progress=None
 ) -> np.ndarray:
@@ -661,8 +617,7 @@ def simulate_draws(
     draws = np.zeros((n, len(ps)))
     if iv.is_empty:
         return draws
-    work = n * len(iv.d) * (config.grid_size + _STREAM_COST_POINTS)
-    workers = min(workers, os.cpu_count() or 1, max(1, work // _WORK_PER_WORKER))
+    workers = _workers_used(iv, config, workers)
     step = max(1, min(n, 2000 if workers <= 1 else math.ceil(n / (workers * 8))))
     blocks = [(start, min(start + step, n)) for start in range(0, n, step)]
     task = (config.master_seed, config.grid_size, iv.d, iv.h, ps)
@@ -694,8 +649,8 @@ def build_critical_table(
     the same excursions), so a table costs one simulation regardless of how
     many norms it covers.  Deterministic for a given master seed, whatever
     ``workers`` is; ``progress`` is an optional callback ``(done, total)``.
-    The provenance records the engine id, the software versions, the worker
-    count and the wall time of the simulation.
+    The provenance records the engine id, the software versions, the number
+    of workers the simulation used and its wall time.
     """
     start = time.perf_counter()
     draws = simulate_draws(_UNIT, ps, config, workers, progress)
@@ -716,7 +671,7 @@ def build_critical_table(
         "lcmtest_version": __version__,
         "numpy_version": np.__version__,
         "scipy_version": scipy.__version__,
-        "workers": workers,
+        "workers": _workers_used(_UNIT, config, workers),
         "timing": {"seconds": seconds, "reps_per_s": config.replications / seconds},
     }
     return CriticalValueTable(entries, provenance)

@@ -8,7 +8,7 @@ segment slopes (pool-adjacent-violators).
   :func:`hull_vertices` only picks corners, and :func:`corner_gaps` gives
   the gap ``LCM - ECDF`` at both ends of each interval between corners.
 * A sampled path gets its hull value at every grid point from the fitted
-  slopes, in :func:`lcm_gap_on_grid`, for the Monte Carlo engine.
+  slopes, in :func:`lcm_gap_on_grid`, for the pathwise coupling verifiers.
 
 All L^p norms are evaluated exactly: on each segment the integrand is a
 power of an affine ramp, for which the antiderivative is closed-form.
@@ -31,7 +31,7 @@ class GeometryError(ValueError):
     """An internal geometric invariant failed; indicates an upstream bug."""
 
 
-def _as_sorted_array(values, name: str) -> np.ndarray:
+def as_sorted_array(values, name: str) -> np.ndarray:
     arr = np.ascontiguousarray(values, dtype=np.float64)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError(f"{name} must be a nonempty 1-d array")
@@ -173,7 +173,7 @@ def ramp_pow_integrals(v_lo, v_hi, lengths, p: float) -> np.ndarray:
 
 def lcm_gap_on_grid(grid, values) -> np.ndarray:
     """Gap ``LCM(path) - path`` at every grid point of a sampled path."""
-    grid = _as_sorted_array(grid, "grid")
+    grid = as_sorted_array(grid, "grid")
     values = np.ascontiguousarray(values, dtype=np.float64)
     if values.shape != grid.shape:
         raise ValueError("grid and values differ in length")

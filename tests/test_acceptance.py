@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import lcmtest as lt
-from lcmtest import cli
+from lcmtest import cli, pwl
 from lcmtest.streams import substream
 from oracle_utils import (
     eval_pl_exact,
@@ -258,21 +258,22 @@ def test_criterion_8_affine_and_bridge_identities(rng):
     exact = True
     for i in range(10_000):
         w = lt.sample_wiener(grid, substream(808, i))
-        b = lt.to_bridge(w)
-        for p in (1.0, 2.0, math.inf):
-            if lt.gap_norm(w, p) != lt.gap_norm(b, p):
-                exact = False
-                break
+        gap_w, gap_b = (lt.lcm_gap_on_grid(grid, path) for path in (w, w - grid * w[-1]))
+        norms = [
+            (pwl.pow_integral_from_gaps(grid, g, 1.0), pwl.pow_integral_from_gaps(grid, g, 2.0), g.max())
+            for g in (gap_w, gap_b)
+        ]
+        exact = np.array_equal(gap_w, gap_b) and norms[0] == norms[1]
         if not exact:
             break
 
     worst = 0.0
     for i in range(1000):
-        theta = lt.sample_wiener(grid, substream(909, i)).values
+        theta = lt.sample_wiener(grid, substream(909, i))
         a0, a1 = rng.normal(size=2)
         shifted = theta + a0 + a1 * grid
-        base_gap = lt.concavity_gap(lt.SampledPath(grid, theta))
-        shift_gap = lt.concavity_gap(lt.SampledPath(grid, shifted))
+        base_gap = lt.lcm_gap_on_grid(grid, theta)
+        shift_gap = lt.lcm_gap_on_grid(grid, shifted)
         worst = max(worst, float(np.max(np.abs(shift_gap - base_gap))))
     _report(
         8,

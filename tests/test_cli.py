@@ -104,6 +104,25 @@ def test_cmd_test_rejects_stale_table(capsys, data_file, tmp_path, engine):
     assert err.startswith(f"error: {cache}: stale table from engine {engine!r}")
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "{not json",
+        json.dumps({"provenance": {"engine": limits.ENGINE}}),
+        json.dumps({"entries": [{"p": "2", "alpha": 0.05, "se": 0.0}]}),
+        json.dumps([{"p": "2", "alpha": 0.05, "q": 0.7}]),
+        json.dumps({"entries": [{"p": "2", "alpha": a, "q": q} for a, q in ((0.01, 0.5), (0.05, 0.9))]}),
+    ],
+    ids=["not-json", "no-entries", "no-q", "list", "rising-in-alpha"],
+)
+def test_cmd_test_rejects_malformed_table(capsys, data_file, tmp_path, text):
+    table = tmp_path / "table.json"
+    table.write_text(text)
+    code, out, err = run_cli(capsys, "test", str(data_file), "--p", "2", "--table", str(table))
+    assert code == 2 and out is None
+    assert err.startswith(f"error: {table}: ")
+
+
 def test_cmd_test_without_table_errors(capsys, data_file):
     code, doc, err = run_cli(capsys, "test", str(data_file), "--p", "2")
     assert code == 2
@@ -246,6 +265,19 @@ def test_cmd_critvals_writes_and_reproduces(capsys, tmp_path):
     assert doc1["entries"] == e1
 
 
+@pytest.mark.parametrize("pooled", [False, True], ids=["in-process", "pool"])
+def test_cmd_critvals_records_workers_used(capsys, monkeypatch, tmp_path, pooled):
+    # 150 replications are too little work for a second worker, unless the
+    # threshold is lowered.
+    if pooled:
+        monkeypatch.setattr(limits.os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(limits, "_WORK_PER_WORKER", 1)
+    out = tmp_path / "t.json"
+    code, doc, _ = run_cli(capsys, "critvals", "--reps", "150", "--workers", "2", "--out", str(out))
+    assert code == 0
+    assert doc["provenance"]["workers"] == (2 if pooled else 1)
+
+
 def test_cmd_critvals_unwritable_path(capsys, tmp_path):
     code, _, err = run_cli(
         capsys, "critvals", "--reps", "10", "--grid", "16",
@@ -308,6 +340,23 @@ def test_cmd_verify_dominance(capsys, two_segment_file):
     assert code == 0
     assert doc["violations"] == 0
     assert doc["max_hull_excess"] <= 1e-9
+
+
+@pytest.mark.parametrize(
+    "mode, keys",
+    [
+        ("identity", ["max_gap"]),
+        ("dominance", ["violations", "max_norm_excess", "max_hull_excess"]),
+    ],
+)
+def test_cmd_verify_report_keys(capsys, two_segment_file, mode, keys):
+    code, doc, _ = run_cli(
+        capsys, "verify", "--cdf", str(two_segment_file), "--mode", mode, "--paths", "3",
+        "--grid", "32",
+    )
+    assert code == 0
+    head = ["mode", "cdf", "p", "paths", "grid_size", "master_seed"]
+    assert list(doc) == head + keys + ["tolerance", "pass"]
 
 
 def test_cmd_verify_dominance_rejects_strictly_concave(capsys, power_file):
@@ -396,10 +445,15 @@ def test_crashed_worker_exits_1(capsys, monkeypatch, tmp_path, argv):
         ["simulate-limit", "--cdf", "{spec}", "--alphas", "0", "--reps", "3", "--grid", "4"],
         ["test", "{data}", "--cdf", "{spec}", "--alpha", "2", "--reps", "3", "--grid", "4"],
         ["critvals", "--workers", "0", "--reps", "3", "--grid", "4", "--out", "{out}"],
+        ["critvals", "--seed", "-1", "--reps", "3", "--grid", "4", "--out", "{out}"],
+        ["simulate-limit", "--cdf", "{spec}", "--seed", "-1", "--reps", "3", "--grid", "4"],
+        ["verify", "--cdf", "{spec}", "--mode", "identity", "--seed", "-1", "--paths", "2"],
+        ["test", "{data}", "--simulate", "--seed", "-1", "--reps", "3", "--grid", "4"],
     ],
     ids=[
         "all-zero-data", "zero-reps", "grid-1", "zero-draws", "zero-paths",
         "critvals-alpha", "simulate-limit-alpha", "test-cdf-alpha", "zero-workers",
+        "critvals-seed", "simulate-limit-seed", "verify-seed", "test-simulate-seed",
     ],
 )
 def test_cmd_input_faults_exit_2(capsys, tmp_path, two_segment_file, argv):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import lcmtest
-from lcmtest import limits, models
+from lcmtest import limits, models, pwl
 from lcmtest.streams import substream
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -22,7 +22,7 @@ SHORT_SUPPORT = models.PiecewiseAffineCdf.from_knots([(0, 0), (0.4, 0.6), (0.8, 
 
 def test_wiener_starts_at_zero():
     w = limits.sample_wiener(limits.uniform_grid(64), 5)
-    assert w.values[0] == 0.0
+    assert w[0] == 0.0
 
 
 def test_wiener_moments():
@@ -30,7 +30,7 @@ def test_wiener_moments():
     n = 100_000
     vals = np.empty((n, 4))
     for i in range(n):
-        vals[i] = limits.sample_wiener(grid, substream(77, i)).values
+        vals[i] = limits.sample_wiener(grid, substream(77, i))
     assert np.var(vals[:, 3]) == pytest.approx(1.0, abs=0.02)
     cov = np.mean(vals[:, 1] * vals[:, 2])
     assert cov == pytest.approx(0.3, abs=0.02)
@@ -42,62 +42,57 @@ def test_bridge_endpoints_and_moments():
     vals = np.empty((n, 4))
     for i in range(n):
         w = limits.sample_wiener(grid, substream(78, i))
-        b = limits.to_bridge(w)
-        assert b.values[-1] == 0.0
-        vals[i] = b.values
+        b = w - grid * w[-1]
+        assert b[-1] == 0.0
+        vals[i] = b
     cov = np.mean(vals[:, 1] * vals[:, 2])
     assert cov == pytest.approx(0.3 - 0.21, abs=0.02)
 
 
-def test_bridge_of_zero_path():
-    grid = limits.uniform_grid(8)
-    w = limits.SampledPath(grid, np.zeros(9))
-    assert np.all(limits.to_bridge(w).values == 0.0)
-
-
-def test_sampled_path_validation():
-    with pytest.raises(ValueError):
-        limits.SampledPath(np.array([0.0, 0.5]), np.array([0.0]))
-    with pytest.raises(ValueError):
-        limits.SampledPath(np.array([0.1, 1.0]), np.array([0.0, 0.0]))
-    with pytest.raises(ValueError):
-        limits.SampledPath(np.array([0.0, 0.9]), np.array([0.0, 0.0]))
+def test_sample_wiener_validates_grid():
+    bad = [[0.1, 1.0], [0.0, 0.9], [0.0], [0.0, 0.5, 0.5, 1.0], [0.0, math.nan, 1.0], [[0.0, 1.0]]]
+    for grid in bad:
+        with pytest.raises(ValueError):
+            limits.sample_wiener(grid, 1)
 
 
 # -- gap norms ------------------------------------------------------------------------
 
 
+def _gap_norm(grid, values, p: float) -> float:
+    # L^p norm of the majorant gap of a sampled path, p = inf for the sup.
+    if math.isinf(p):
+        return float(pwl.lcm_gap_on_grid(grid, values).max())
+    return pwl.gap_pow_integral(grid, values, p) ** (1 / p)
+
+
 def test_gap_norm_affine_path_is_zero():
     grid = limits.uniform_grid(16)
-    path = limits.SampledPath(grid, 0.3 + 0.2 * grid)
     for p in (1.0, 2.0, math.inf):
-        assert limits.gap_norm(path, p) == 0.0
+        assert _gap_norm(grid, 0.3 + 0.2 * grid, p) == 0.0
 
 
 def test_gap_norm_vee_sup():
-    path = limits.SampledPath(np.array([0.0, 0.5, 1.0]), np.array([0.5, 0.0, 0.5]))
-    assert limits.gap_norm(path, math.inf) == 0.5
+    assert _gap_norm(np.array([0.0, 0.5, 1.0]), np.array([0.5, 0.0, 0.5]), math.inf) == 0.5
 
 
 def test_gap_norm_bridge_identity_exact(rng):
     grid = limits.uniform_grid(128)
     for i in range(500):
         w = limits.sample_wiener(grid, substream(31, i))
-        b = limits.to_bridge(w)
+        b = w - grid * w[-1]
         for p in (1.0, 2.0, math.inf):
-            assert limits.gap_norm(w, p) == limits.gap_norm(b, p)
+            assert _gap_norm(grid, w, p) == _gap_norm(grid, b, p)
 
 
 def test_refined_grid_hull_dominates_coarse(rng):
     # The hull over more points can only rise at shared abscissas.
-    from lcmtest import pwl
-
     coarse = limits.uniform_grid(32)
     fine = limits.uniform_grid(64)
     for i in range(50):
         w = limits.sample_wiener(fine, substream(13, i))
-        fine_hull = w.values + pwl.lcm_gap_on_grid(fine, w.values)
-        coarse_hull = w.values[::2] + pwl.lcm_gap_on_grid(coarse, w.values[::2])
+        fine_hull = w + pwl.lcm_gap_on_grid(fine, w)
+        coarse_hull = w[::2] + pwl.lcm_gap_on_grid(coarse, w[::2])
         assert np.all(coarse_hull <= fine_hull[::2] + 1e-12)
 
 
@@ -128,7 +123,8 @@ def test_derivative_route_uniform_matches_uniform_draw():
     # on the uniform grid; under the uniform law its lhs is that path's gap norm.
     grid = limits.uniform_grid(128)
     for i in range(20):
-        a = limits.gap_norm(limits.sample_wiener(grid, substream(11, i, 0)), 2.0)
+        w = limits.sample_wiener(grid, substream(11, i, 0))
+        a = pwl.gap_pow_integral(grid, w, 2.0) ** (1 / 2.0)
         b = limits.verify_rescaling_identity(models.UniformCdf(), 2.0, substream(11, i), 128).lhs
         assert a == b
 
