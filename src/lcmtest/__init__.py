@@ -23,7 +23,6 @@ from .limits import (
     build_critical_table,
     estimate_quantiles,
     limit_draw_general,
-    limit_draw_uniform,
     p_key,
     parse_p,
     sample_wiener,

@@ -82,6 +82,17 @@ def _parse_plain(text: str) -> np.ndarray | None:
     return arr[:, 0]
 
 
+def _read_text(path: str, what: str) -> str:
+    # A UTF-8 input file's text; a file that is missing, unreadable or not
+    # UTF-8 is an input error.
+    if not Path(path).is_file():
+        raise InputError(f"{what} file not found: {path}")
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"{path}: cannot read {what} file: {exc}") from None
+
+
 def read_samples(path: str, column: str | None = None) -> np.ndarray:
     """Read observations from a text file (one number per line, '#' comments)
     or from a CSV column given by name or 0-based index.
@@ -91,10 +102,7 @@ def read_samples(path: str, column: str | None = None) -> np.ndarray:
     whenever that pass fails or finds a value the loop would reject, so both
     routes accept the same files with the same values and messages.
     """
-    p = Path(path)
-    if not p.is_file():
-        raise InputError(f"data file not found: {path}")
-    text = p.read_text(encoding="utf-8")
+    text = _read_text(path, "data")
     values: list[float] = []
     if column is None:
         if text.strip() and _comments_are_whole_lines(text):
@@ -118,6 +126,8 @@ def read_samples(path: str, column: str | None = None) -> np.ndarray:
         except ValueError:
             idx = None
             name = column
+        if idx is not None and idx < 0:
+            raise InputError(f"--column index must be non-negative, got {idx}")
         start = 0
         if name is not None:
             if not rows:
@@ -148,11 +158,8 @@ def read_samples(path: str, column: str | None = None) -> np.ndarray:
 
 
 def load_spec(path: str) -> models.ConcaveCdf:
-    p = Path(path)
-    if not p.is_file():
-        raise InputError(f"spec file not found: {path}")
     try:
-        data = json.loads(p.read_text(encoding="utf-8"))
+        data = json.loads(_read_text(path, "spec"))
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: invalid JSON: {exc}") from None
     try:
@@ -167,6 +174,14 @@ def _table_hash(table: limits.CriticalValueTable) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
+def _save_table(table: limits.CriticalValueTable, path: str) -> None:
+    try:
+        table.save(path)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from None
+    _log(f"wrote {path}")
+
+
 def _progress_logger(label: str):
     seen: set[int] = set()
 
@@ -179,26 +194,26 @@ def _progress_logger(label: str):
     return cb
 
 
-def _limit_quantiles(args, iv: models.IntervalStructure, p: float, alphas, workers: int = 1):
+def _limit_quantiles(args, iv: models.IntervalStructure, alphas, workers: int = 1):
     # Upper quantiles of the limit law with affine intervals iv, at the
-    # command's grid, replications and seed.
+    # command's norm index, grid, replications and seed.
     config = limits.SimConfig(args.grid, args.reps, args.seed)
     draws = limits.simulate_draws(
-        iv, (p,), config, workers=workers, progress=_progress_logger("limit draws")
+        iv, (args.p,), config, workers=workers, progress=_progress_logger("limit draws")
     )
     return limits.estimate_quantiles(draws[:, 0], alphas)
 
 
-def _critical_values_for_test(args, p: float, alphas):
+def _critical_values_for_test(args, alphas):
     """Resolve critical values: a cached table, a fresh simulation, or the
     simulated limit of a user-supplied concave CDF."""
     if args.cdf is not None:
-        if math.isinf(p):
+        if math.isinf(args.p):
             raise InputError("--cdf critical values support finite p only")
         spec = load_spec(args.cdf)
         iv = models.extract_intervals(spec)
         _log(f"simulating limit for spec {models.spec_to_dict(spec)} ({args.reps} draws)")
-        quants = _limit_quantiles(args, iv, p, alphas, args.workers)
+        quants = _limit_quantiles(args, iv, alphas, args.workers)
         provenance = {
             "mode": "cdf-limit",
             "engine": limits.ENGINE,
@@ -231,16 +246,15 @@ def _critical_values_for_test(args, p: float, alphas):
             f"seed={args.seed})"
         )
         table = limits.build_critical_table(
-            config, alphas=alphas, ps=(p,), workers=args.workers,
+            config, alphas=alphas, ps=(args.p,), workers=args.workers,
             progress=_progress_logger("critical values"),
         )
         if args.table is not None:
-            table.save(args.table)
-            _log(f"saved critical values to {args.table}")
+            _save_table(table, args.table)
     if table is None:
         raise InputError("no critical values: pass --table FILE (existing) or --simulate")
     try:
-        quants = {float(a): table.lookup(p, a) for a in alphas}
+        quants = {float(a): table.lookup(args.p, a) for a in alphas}
     except KeyError as exc:
         raise InputError(str(exc)) from None
     provenance = dict(table.provenance)
@@ -251,21 +265,17 @@ def _critical_values_for_test(args, p: float, alphas):
 
 def cmd_test(args) -> int:
     samples = read_samples(args.data, args.column)
-    try:
-        p = limits.parse_p(args.p)
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
     alphas = [float(a) for a in args.alpha]
     try:
-        result = stats.lp_stat(samples, p)
+        result = stats.lp_stat(samples, args.p)
     except pwl.GeometryError:
         raise
     except ValueError as exc:  # a sample the ECDF cannot be built from
         raise InputError(f"{args.data}: {exc}") from None
-    quants, provenance = _critical_values_for_test(args, p, alphas)
+    quants, provenance = _critical_values_for_test(args, alphas)
     report = {
         "kind": result.kind,
-        "p": limits.p_key(p),
+        "p": limits.p_key(args.p),
         "n": result.n,
         "value": result.value,
         "alphas": alphas,
@@ -279,47 +289,34 @@ def cmd_test(args) -> int:
 
 
 def cmd_critvals(args) -> int:
-    try:
-        ps = [limits.parse_p(tok) for tok in args.p]
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
     alphas = [float(a) for a in args.alpha]
     config = limits.SimConfig(args.grid, args.reps, args.seed)
     _log(
-        f"building critical-value table: p={[limits.p_key(p) for p in ps]}, "
+        f"building critical-value table: p={[limits.p_key(p) for p in args.p]}, "
         f"alpha={alphas}, grid={args.grid}, reps={args.reps}, seed={args.seed}, "
         f"workers={args.workers}"
     )
     table = limits.build_critical_table(
-        config, alphas=alphas, ps=ps, workers=args.workers,
+        config, alphas=alphas, ps=args.p, workers=args.workers,
         progress=_progress_logger("table"),
     )
-    out = Path(args.out)
-    try:
-        table.save(out)
-    except OSError as exc:
-        raise InputError(f"cannot write {out}: {exc}") from None
-    _log(f"wrote {out}")
+    _save_table(table, args.out)
     _emit(table.to_dict())
     return 0
 
 
 def cmd_simulate_limit(args) -> int:
     spec = load_spec(args.cdf)
-    try:
-        p = limits.parse_p(args.p)
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
-    if math.isinf(p):
+    if math.isinf(args.p):
         raise InputError("the interval representation simulates finite p only")
     iv = models.extract_intervals(spec)
     if iv.is_empty:
         _log("strictly concave CDF: the limit is degenerate at zero")
-    quants = _limit_quantiles(args, iv, p, args.alphas)
+    quants = _limit_quantiles(args, iv, args.alphas)
     _emit(
         {
             "cdf": models.spec_to_dict(spec),
-            "p": limits.p_key(p),
+            "p": limits.p_key(args.p),
             "engine": limits.ENGINE,
             "grid_size": args.grid,
             "replications": args.reps,
@@ -335,11 +332,7 @@ def cmd_simulate_limit(args) -> int:
 
 def cmd_verify(args) -> int:
     spec = load_spec(args.cdf)
-    try:
-        p = limits.parse_p(args.p)
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
-    if math.isinf(p):
+    if math.isinf(args.p):
         raise InputError("coupling verification covers finite p only")
     iv = models.extract_intervals(spec)
     if iv.is_empty:
@@ -354,18 +347,18 @@ def cmd_verify(args) -> int:
     report = {
         "mode": args.mode,
         "cdf": models.spec_to_dict(spec),
-        "p": limits.p_key(p),
+        "p": limits.p_key(args.p),
         "paths": args.paths,
         "grid_size": args.grid,
         "master_seed": args.seed,
     }
     streams = [substream(args.seed, i) for i in range(args.paths)]
     if args.mode == "identity":
-        gaps = [limits.verify_rescaling_identity(spec, p, s, args.grid).gap for s in streams]
+        gaps = [limits.verify_rescaling_identity(spec, args.p, s, args.grid).gap for s in streams]
         report["max_gap"] = max(gaps)
         passed = report["max_gap"] < limits.COUPLING_TOL
     else:
-        checks = [limits.verify_dominance_coupling(iv, p, s, args.grid) for s in streams]
+        checks = [limits.verify_dominance_coupling(iv, args.p, s, args.grid) for s in streams]
         report["violations"] = sum(check.violation for check in checks)
         report["max_norm_excess"] = max(check.lhs - check.rhs for check in checks)
         report["max_hull_excess"] = max(check.hull_excess for check in checks)
@@ -480,12 +473,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_scale(args) -> None:
-    # Counts and levels shared by the commands that take them, checked
-    # before any simulation runs.
+    # Norm indices, counts and levels shared by the commands that take them,
+    # checked before any file is read or any simulation runs.
     for flag in ("reps", "paths", "workers"):
         value = getattr(args, flag, None)
         if value is not None and value < 1:
             raise InputError(f"--{flag} must be at least 1, got {value}")
+    p = getattr(args, "p", None)
+    try:
+        if isinstance(p, list):
+            args.p = [limits.parse_p(tok) for tok in p]
+        elif p is not None:
+            args.p = limits.parse_p(p)
+    except ValueError as exc:
+        raise InputError(str(exc)) from None
     seed = getattr(args, "seed", None)
     if seed is not None and seed < 0:
         raise InputError(f"--seed must be non-negative, got {seed}")

@@ -137,6 +137,7 @@ def _norm_indices(ps) -> tuple:
 #: Sticks are broken off until the length left is below this; ~28 faces.
 _STICK_TAIL = 1e-12
 #: Uniforms drawn per round of stick-breaking; one round nearly always suffices.
+#: A stream's later draws start after its last round, so this sets every draw.
 _STICKS = 64
 #: Fewest points an excursion is sampled on.
 _MIN_FACE_POINTS = 4
@@ -146,20 +147,6 @@ _MIN_FACE_POINTS = 4
 #: until their arrays outgrow the cache (4 streams at budget 16384 already
 #: take ~8 % longer than 2; 2 MB of normals a pass).
 _POINTS_PER_PASS = 2**16
-
-
-def _stick_lengths(rng: np.random.Generator, u=None) -> np.ndarray:
-    # Uniform stick-breaking of [0, 1] until the stick left is < _STICK_TAIL,
-    # going on from ``u`` when the first round was already drawn from rng.
-    u = rng.random(_STICKS) if u is None else u
-    rest = np.cumprod(1.0 - u)
-    while rest[-1] >= _STICK_TAIL:
-        u = np.concatenate([u, rng.random(_STICKS)])
-        rest = np.cumprod(1.0 - u)
-    n = int(np.argmax(rest < _STICK_TAIL)) + 1
-    lengths = u[:n].copy()
-    lengths[1:] *= rest[: n - 1]
-    return lengths
 
 
 def _kennedy_cdf(y) -> np.ndarray:
@@ -201,21 +188,22 @@ def excursion_max_quantile(u) -> np.ndarray:
 
 def _face_lengths(rngs) -> tuple[np.ndarray, np.ndarray]:
     # Every stream's stick lengths, stream after stream, and how many each
-    # has.  One round of _STICKS uniforms per stream; the rare stream that
-    # needs more goes on through _stick_lengths.
-    u = np.empty((len(rngs), _STICKS))
-    for rng, row in zip(rngs, u):
-        rng.random(out=row)
-    rest = np.cumprod(1.0 - u, axis=1)
-    longer = {
-        int(s): _stick_lengths(rngs[s], u[s]) for s in np.flatnonzero(rest[:, -1] >= _STICK_TAIL)
-    }
+    # has: uniform stick-breaking of [0, 1] until the stick left is below
+    # _STICK_TAIL.  Each round draws _STICKS uniforms for the streams still
+    # above it; finished rows get zero columns, which leave their cumprod
+    # unchanged.
+    u = np.zeros((len(rngs), 0))
+    unfinished = range(len(rngs))
+    while len(unfinished):
+        more = np.zeros((len(rngs), _STICKS))
+        for s in unfinished:
+            rngs[s].random(out=more[s])
+        u = np.hstack([u, more])
+        rest = np.cumprod(1.0 - u, axis=1)
+        unfinished = np.flatnonzero(rest[:, -1] >= _STICK_TAIL)
     counts = np.argmax(rest < _STICK_TAIL, axis=1) + 1
     u[:, 1:] *= rest[:, :-1]
-    if not longer:
-        return u[np.arange(_STICKS) < counts[:, None]], counts
-    rows = [longer.get(s, u[s, :n]) for s, n in enumerate(counts)]
-    return np.concatenate(rows), np.array([row.size for row in rows])
+    return u[np.arange(u.shape[1]) < counts[:, None]], counts
 
 
 def _excursion_pow_integrals(rngs, lengths, counts, first, budget: int, ps) -> np.ndarray:
@@ -301,16 +289,6 @@ def _law_draws(d, h, ps, root: Stream, keys, budget: int) -> np.ndarray:
             # which need not round like pow.
             out[row, j] = out[row, j] ** (1.0 / p)
     return out
-
-
-def limit_draw_uniform(p: float, stream: Stream, grid_size: int = DEFAULT_GRID) -> float:
-    """One draw of the uniform-CDF limit ``||LCM(W) - W||_p`` from the limit
-    engine, with ``grid_size`` as its point budget.
-
-    Supports every p in [1, inf].
-    """
-    draws = _law_draws(_UNIT.d, _UNIT.h, _norm_indices((p,)), stream, [()], grid_size)
-    return float(draws[0, 0])
 
 
 def limit_draw_general(
@@ -583,15 +561,6 @@ _STREAM_COST_POINTS = 1024
 _WORK_PER_WORKER = 2**20
 
 
-def _draw_block(
-    master_seed: int, grid_size: int, d, h, ps: tuple, start: int, stop: int
-) -> np.ndarray:
-    # Draws for replications [start, stop); interval k of replication i
-    # uses substream(master_seed, i, k), the same stream as
-    # substream(substream(master_seed, i), k) in the single-draw functions.
-    return _law_draws(d, h, ps, master_seed, [(i,) for i in range(start, stop)], grid_size)
-
-
 def _workers_used(iv: models.IntervalStructure, config: SimConfig, workers: int) -> int:
     # ``workers`` capped at the CPU count and at one per _WORK_PER_WORKER of work.
     work = config.replications * len(iv.d) * (config.grid_size + _STREAM_COST_POINTS)
@@ -619,13 +588,14 @@ def simulate_draws(
         return draws
     workers = _workers_used(iv, config, workers)
     step = max(1, min(n, 2000 if workers <= 1 else math.ceil(n / (workers * 8))))
+    keys = np.arange(n)[:, None]  # interval k of replication i: substream(master_seed, i, k)
     blocks = [(start, min(start + step, n)) for start in range(0, n, step)]
-    task = (config.master_seed, config.grid_size, iv.d, iv.h, ps)
+    tasks = [(iv.d, iv.h, ps, config.master_seed, keys[a:b], config.grid_size) for a, b in blocks]
     with ProcessPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool:
         if pool is None:
-            finished = ((block, _draw_block(*task, *block)) for block in blocks)
+            finished = zip(blocks, (_law_draws(*task) for task in tasks))
         else:
-            futures = {pool.submit(_draw_block, *task, *block): block for block in blocks}
+            futures = {pool.submit(_law_draws, *task): block for block, task in zip(blocks, tasks)}
             finished = ((futures[f], f.result()) for f in as_completed(futures))
         done = 0
         for (start, stop), rows in finished:

@@ -60,6 +60,8 @@ class PiecewiseAffineCdf:
         ys = [float(v) for v in self.ys]
         if len(xs) != len(ys) or len(xs) < 2:
             raise ValueError("need at least two knots")
+        if not all(map(math.isfinite, xs + ys)):
+            raise ValueError("knots must be finite")
         if xs[0] != 0.0 or ys[0] != 0.0:
             raise ValueError("knots must start at (0, 0)")
         if ys[-1] != 1.0:

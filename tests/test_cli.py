@@ -203,6 +203,37 @@ def test_read_samples_round_trips_doubles(tmp_path, rng):
     assert np.array_equal(cli.read_samples(str(path)), [float(tok) for tok in lines])
 
 
+# Each CSV file's outcome for a --column: the array read_samples returns, or
+# the error line after "error: ", with {path} standing for the file.
+CSV_CASES = {
+    "named": ("id,pval\n1,0.25\n2,1.0\n", "pval", [0.25, 1.0]),
+    "index": ("a,0.25\nb,1.0\n", "1", [0.25, 1.0]),
+    "unnamed-header": ("pval,id\n0.25,1\n0.5,2\n", "0", [0.25, 0.5]),
+    # A blank line, a blank cell, a '#' row and a quoted blank are skipped;
+    # a quoted number is read.
+    "skipped-cells": ('x\n0.25\n\n,1\n# note,1\n" "\n"0.5"\n', "x", [0.25, 0.5]),
+    "missing-name": ("id,pval\n1,0.25\n", "nope", "{path}: no column named 'nope' (have ['id', 'pval'])"),
+    "short-row": ("a,0.25\nb\n", "1", "{path}:2: row has no column 1"),
+    "not-a-number": ("x\n0.25\nabc\n", "x", "{path}:3: not a number: 'abc'"),
+    "out-of-range": ("0.25\n1.5\n", "0", "{path}:2: value 1.5 outside [0, 1]"),
+    "negative-index": ("0.25,0.5\n0.75\n", "-1", "--column index must be non-negative, got -1"),
+}
+
+
+@pytest.mark.parametrize("case", CSV_CASES, ids=list(CSV_CASES))
+def test_read_samples_csv_contract(capsys, tmp_path, case):
+    text, column, want = CSV_CASES[case]
+    path = tmp_path / "data.csv"
+    path.write_text(text)
+    if isinstance(want, list):
+        assert np.array_equal(cli.read_samples(str(path), column), want)
+        return
+    code = cli.main(["test", str(path), "--column", column, "--simulate", "--reps", "10", "--grid", "16"])
+    out = capsys.readouterr()
+    assert code == 2 and out.out == ""
+    assert out.err == f"error: {want.format(path=path)}\n"
+
+
 def test_cmd_test_csv_column(capsys, tmp_path):
     path = tmp_path / "data.csv"
     path.write_text("id,pval\n1,0.25\n2,1.0\n")
@@ -449,11 +480,19 @@ def test_crashed_worker_exits_1(capsys, monkeypatch, tmp_path, argv):
         ["simulate-limit", "--cdf", "{spec}", "--seed", "-1", "--reps", "3", "--grid", "4"],
         ["verify", "--cdf", "{spec}", "--mode", "identity", "--seed", "-1", "--paths", "2"],
         ["test", "{data}", "--simulate", "--seed", "-1", "--reps", "3", "--grid", "4"],
+        ["simulate-limit", "--cdf", "{nan_spec}", "--reps", "3", "--grid", "4"],
+        ["test", "{data}", "--cdf", "{nan_spec}", "--reps", "3", "--grid", "4"],
+        ["verify", "--cdf", "{nan_spec}", "--mode", "identity", "--paths", "2", "--grid", "8"],
+        ["test", "{latin1}", "--simulate", "--reps", "3", "--grid", "4"],
+        ["simulate-limit", "--cdf", "{latin1_spec}", "--reps", "3", "--grid", "4"],
+        ["test", "{data}", "--simulate", "--reps", "3", "--grid", "4", "--table", "{no_dir}"],
     ],
     ids=[
         "all-zero-data", "zero-reps", "grid-1", "zero-draws", "zero-paths",
         "critvals-alpha", "simulate-limit-alpha", "test-cdf-alpha", "zero-workers",
         "critvals-seed", "simulate-limit-seed", "verify-seed", "test-simulate-seed",
+        "simulate-limit-nan-knot", "test-cdf-nan-knot", "verify-nan-knot",
+        "data-not-utf8", "spec-not-utf8", "test-simulate-unwritable-table",
     ],
 )
 def test_cmd_input_faults_exit_2(capsys, tmp_path, two_segment_file, argv):
@@ -461,7 +500,17 @@ def test_cmd_input_faults_exit_2(capsys, tmp_path, two_segment_file, argv):
     zeros.write_text("0\n0\n0\n")
     data = tmp_path / "data.txt"
     data.write_text("0.1\n0.5\n0.9\n")
-    paths = {"zeros": zeros, "data": data, "out": tmp_path / "table.json", "spec": two_segment_file}
+    nan_spec = tmp_path / "nan.json"
+    nan_spec.write_text(json.dumps({"type": "piecewise", "knots": [[0, 0], [math.nan, 0.5], [1, 1]]}))
+    latin1 = tmp_path / "latin1.txt"
+    latin1.write_bytes(b"# caf\xe9\n0.5\n")
+    latin1_spec = tmp_path / "latin1.json"
+    latin1_spec.write_bytes(b'{"type": "uniform", "note": "caf\xe9"}')
+    paths = {
+        "zeros": zeros, "data": data, "out": tmp_path / "table.json", "spec": two_segment_file,
+        "nan_spec": nan_spec, "latin1": latin1, "latin1_spec": latin1_spec,
+        "no_dir": tmp_path / "nope" / "t.json",
+    }
     code = cli.main([tok.format(**paths) for tok in argv])
     out = capsys.readouterr()
     assert code == 2

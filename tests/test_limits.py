@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tomllib
 from pathlib import Path
 
 import numpy as np
@@ -104,14 +105,6 @@ def test_limit_draw_general_empty_is_zero():
     assert limits.limit_draw_general(iv, 2.0, 1, grid_size=64) == 0.0
 
 
-def test_limit_draw_unit_interval_matches_uniform():
-    iv = models.extract_intervals(models.UniformCdf())
-    for i in range(20):
-        assert limits.limit_draw_uniform(2.0, substream(3, i), 128) == limits.limit_draw_general(
-            iv, 2.0, substream(3, i), grid_size=128
-        )
-
-
 def test_limit_draw_general_rejects_inf():
     iv = models.extract_intervals(models.UniformCdf())
     with pytest.raises(ValueError):
@@ -163,14 +156,24 @@ def test_engine_columns_ordered_and_independent_of_the_others():
         assert np.array_equal(limits.simulate_draws(iv, (p,), cfg)[:, 0], both[:, j])
 
 
-def test_stick_lengths_extend_past_one_round(monkeypatch):
-    # Uniforms drawn 4 at a time are the same numbers as 64 at once, so the
-    # faces do not change when stick-breaking takes several rounds.
-    want = limits._stick_lengths(limits.generator(substream(43, 0)))
-    assert want.size > 4
-    assert 0.0 < 1.0 - want.sum() < limits._STICK_TAIL * (1 + 1e-3) + 1e-15
-    monkeypatch.setattr(limits, "_STICKS", 4)
-    assert np.array_equal(limits._stick_lengths(limits.generator(substream(43, 0))), want)
+def test_stick_breaking_rounds_do_not_change_faces(monkeypatch):
+    # Uniforms drawn 4 or 28 at a time are the same numbers as 64 at once, so
+    # no stream's faces change when stick-breaking takes several rounds and
+    # the streams of a pass finish in different rounds.  (Later draws do
+    # change: the round size sets where a stream's Kennedy uniforms start.)
+    for spec in (models.UniformCdf(), TWO_SEGMENT):
+        nk = len(models.extract_intervals(spec).d)
+        streams = [substream(43, i, k) for i in range(40) for k in range(nk)]
+        monkeypatch.setattr(limits, "_STICKS", 64)
+        lengths, counts = limits._face_lengths([limits.generator(s) for s in streams])
+        assert counts.min() > 4 and counts.max() > counts.min()
+        first = np.concatenate([[0], np.cumsum(counts[:-1])])
+        left = 1.0 - np.add.reduceat(lengths, first)
+        assert np.all((0.0 < left) & (left < limits._STICK_TAIL * (1 + 1e-3) + 1e-15))
+        for sticks in (4, 28):
+            monkeypatch.setattr(limits, "_STICKS", sticks)
+            got = limits._face_lengths([limits.generator(s) for s in streams])
+            assert np.array_equal(got[0], lengths) and np.array_equal(got[1], counts)
 
 
 def test_kennedy_table_not_built_at_import():
@@ -315,7 +318,7 @@ def test_table_deterministic_across_workers(monkeypatch):
 def test_table_matches_single_draws():
     cfg = limits.SimConfig(grid_size=64, replications=50, master_seed=99)
     table = limits.build_critical_table(cfg, alphas=(0.5,), ps=(2.0,), workers=1)
-    draws = np.array([limits.limit_draw_uniform(2.0, substream(99, i), 64) for i in range(50)])
+    draws = [limits.limit_draw_general(limits._UNIT, 2.0, substream(99, i), 64) for i in range(50)]
     want = limits.estimate_quantiles(draws, [0.5])[0.5].quantile
     assert table.lookup(2.0, 0.5).quantile == want
 
@@ -345,9 +348,15 @@ def test_table_json_roundtrip(tmp_path):
     assert prov["timing"]["reps_per_s"] == pytest.approx(400 / prov["timing"]["seconds"])
 
 
+def test_package_version_matches_pyproject():
+    # Tables record lcmtest.__version__; the packaging metadata must agree.
+    with open(Path(SRC).parent / "pyproject.toml", "rb") as fh:
+        assert tomllib.load(fh)["project"]["version"] == lcmtest.__version__
+
+
 def test_flat_substream_key_matches_nested_substreams():
-    # The table blocks draw interval k of replication i from
-    # substream(seed, i, k); the single-draw functions from
+    # simulate_draws draws interval k of replication i from
+    # substream(seed, i, k); limit_draw_general from
     # substream(substream(seed, i), k).
     for seed in (0, 171717, 2**70):
         for i, k in ((0, 0), (5, 3), (199_999, 1)):

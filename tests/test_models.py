@@ -55,6 +55,22 @@ def test_piecewise_rejects_bad_endpoints():
         models.PiecewiseAffineCdf.from_knots([(0, 0), (1.2, 1)])
 
 
+@pytest.mark.parametrize(
+    "knots",
+    [
+        [(0, 0), (math.nan, 0.5), (1, 1)],
+        [(0, 0), (0.5, math.nan), (1, 1)],
+        [(0, 0), (0.5, 0.75), (math.nan, 1)],
+        [(0, 0), (math.inf, 0.5), (1, 1)],
+    ],
+    ids=["nan-x", "nan-y", "nan-end", "inf-x"],
+)
+def test_piecewise_rejects_non_finite_knots(knots):
+    # NaN fails every comparison, so no order or slope check would trip on it.
+    with pytest.raises(ValueError, match="knots must be finite"):
+        models.PiecewiseAffineCdf.from_knots(knots)
+
+
 def test_power_gamma_range():
     with pytest.raises(ValueError):
         models.PowerCdf(0.0)
