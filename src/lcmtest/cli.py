@@ -83,12 +83,13 @@ def _parse_plain(text: str) -> np.ndarray | None:
 
 
 def _read_text(path: str, what: str) -> str:
-    # A UTF-8 input file's text; a file that is missing, unreadable or not
-    # UTF-8 is an input error.
+    # A UTF-8 input file's text, without the byte-order mark some editors
+    # and spreadsheets write first; a file that is missing, unreadable or
+    # not UTF-8 is an input error.
     if not Path(path).is_file():
         raise InputError(f"{what} file not found: {path}")
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"{path}: cannot read {what} file: {exc}") from None
 
@@ -354,17 +355,26 @@ def cmd_verify(args) -> int:
     }
     streams = [substream(args.seed, i) for i in range(args.paths)]
     if args.mode == "identity":
-        gaps = [limits.verify_rescaling_identity(spec, args.p, s, args.grid).gap for s in streams]
-        report["max_gap"] = max(gaps)
+        gaps = limits.verify_rescaling_identity(spec, args.p, streams, args.grid).gap
+        report["max_gap"] = float(gaps.max())
         passed = report["max_gap"] < limits.COUPLING_TOL
+        spread = {"gap_quantiles": gaps}
     else:
-        checks = [limits.verify_dominance_coupling(iv, args.p, s, args.grid) for s in streams]
-        report["violations"] = sum(check.violation for check in checks)
-        report["max_norm_excess"] = max(check.lhs - check.rhs for check in checks)
-        report["max_hull_excess"] = max(check.hull_excess for check in checks)
+        check = limits.verify_dominance_coupling(iv, args.p, streams, args.grid)
+        excess = check.lhs - check.rhs
+        report["violations"] = int(np.count_nonzero(check.violation))
+        report["max_norm_excess"] = float(excess.max())
+        report["max_hull_excess"] = float(check.hull_excess.max())
         passed = report["violations"] == 0
+        spread = {"norm_excess_quantiles": excess, "hull_excess_quantiles": check.hull_excess}
     report["tolerance"] = limits.COUPLING_TOL
     report["pass"] = bool(passed)
+    levels = (0.5, 0.9, 0.99)
+    for key, values in spread.items():
+        # The spread over paths: at each level one path's value, the
+        # ceil(level * paths)-th smallest.
+        qs = np.quantile(values, levels, method="inverted_cdf")
+        report[key] = {f"{level:g}": float(q) for level, q in zip(levels, qs)}
     _emit(report)
     return 0 if passed else 1
 

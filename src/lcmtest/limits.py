@@ -21,7 +21,10 @@ columns.  Streams are drawn in passes of about 2^16 face points: each
 makes its own random draws, then one run of array operations serves every
 face of the pass, and no value depends on which streams share a pass.
 Sampled paths on grids remain where one shared path is the point: the two
-coupling verifiers.
+coupling verifiers.  Each checks every path of a sequence of streams in one
+call: the CDF's intervals and the grids are built once, and the paths run
+in passes of at most ``_POINTS_PER_PASS`` grid points, each pass one
+matrix with a path per row.
 
 Determinism contract: every replication derives its randomness from
 ``(master seed, replication index)`` through spawn keys, so results are
@@ -106,18 +109,20 @@ def merge_grids(required, extra, tol: float = _GRID_MERGE_TOL) -> np.ndarray:
     return np.unique(np.concatenate([required, extra[~near]]))
 
 
-def sample_wiener(grid, stream: Stream) -> np.ndarray:
-    """Wiener path at the grid points: W(0) = 0, independent Gaussian
-    increments with variance equal to the time step.  Deterministic given
-    the stream.  The grid must be strictly increasing from 0 to 1."""
+def sample_wiener(grid, streams) -> np.ndarray:
+    """Wiener paths at the grid points, one row per stream of ``streams``:
+    W(0) = 0, independent Gaussian increments with variance equal to the
+    time step.  Row i is deterministic given ``streams[i]`` and does not
+    depend on the other streams.  The grid must be strictly increasing from
+    0 to 1."""
     grid = pwl.as_sorted_array(grid, "grid")
     if grid.size < 2 or grid[0] != 0.0 or grid[-1] != 1.0:
         raise ValueError("grid must span [0, 1] with 0 and 1 as grid points")
-    rng = generator(stream)
-    z = rng.standard_normal(grid.size - 1)
-    values = np.empty(grid.size)
-    values[0] = 0.0
-    np.cumsum(z * np.sqrt(np.diff(grid)), out=values[1:])
+    values = np.zeros((len(streams), grid.size))
+    for stream, row in zip(streams, values):
+        generator(stream).standard_normal(out=row[1:])
+    values[:, 1:] *= np.sqrt(np.diff(grid))
+    np.cumsum(values[:, 1:], axis=1, out=values[:, 1:])
     return values
 
 
@@ -145,7 +150,8 @@ _MIN_FACE_POINTS = 4
 #: budget.  Past the per-stream random draws, each pass is a fixed number of
 #: numpy calls over all its faces, so wider passes cost less per stream,
 #: until their arrays outgrow the cache (4 streams at budget 16384 already
-#: take ~8 % longer than 2; 2 MB of normals a pass).
+#: take ~8 % longer than 2; 2 MB of normals a pass).  The coupling verifiers
+#: bound their passes by the same number of grid points.
 _POINTS_PER_PASS = 2**16
 
 
@@ -332,29 +338,48 @@ def _unit_preimage(u: np.ndarray, start: float, width: float) -> np.ndarray:
     return out
 
 
+def _wiener_passes(master: np.ndarray, streams):
+    # (rows, W) for the verifiers, in passes of at most _POINTS_PER_PASS
+    # grid points: W holds the Wiener paths on ``master`` drawn from
+    # substream(streams[i], 0) for i in ``rows``.
+    step = max(1, _POINTS_PER_PASS // master.size)
+    for lo in range(0, len(streams), step):
+        part = streams[lo : lo + step]
+        yield slice(lo, lo + len(part)), sample_wiener(master, [substream(s, 0) for s in part])
+
+
+def _roots(powers: np.ndarray, p: float) -> np.ndarray:
+    # p-th roots one path at a time, as Python floats: numpy's array ** need
+    # not round like scalar pow.
+    return np.array([x ** (1.0 / p) for x in powers.tolist()])
+
+
 @dataclass(frozen=True)
 class CouplingIdentity:
-    """Both routes to the same pathwise limit draw, and their gap."""
+    """Both routes to the same pathwise limit draw, one entry per path, and
+    their gaps."""
 
-    lhs: float
-    rhs: float
+    lhs: np.ndarray
+    rhs: np.ndarray
 
     @property
-    def gap(self) -> float:
-        return abs(self.lhs - self.rhs)
+    def gap(self) -> np.ndarray:
+        return np.abs(self.lhs - self.rhs)
 
 
 def verify_rescaling_identity(
-    spec: models.ConcaveCdf, p: float, stream: Stream, grid_size: int = DEFAULT_GRID
+    spec: models.ConcaveCdf, p: float, streams, grid_size: int = DEFAULT_GRID
 ) -> CouplingIdentity:
     """Check, pathwise, that the interval-rescaled Wiener representation
-    reproduces the derivative-route draw.
+    reproduces the derivative-route draw, on one Wiener path per stream of
+    ``streams`` (path i drawn from ``substream(streams[i], 0)``).
 
     ``lhs`` applies interval-local majorants to the composed bridge;
     ``rhs`` rescales the same underlying Wiener path into one standard
     Wiener path per interval and aggregates their gap norms.  The two are
     equal for every path up to float accumulation (``COUPLING_TOL``), not
-    merely in distribution.
+    merely in distribution.  The grids are built once per call, and each
+    path's entries do not depend on the other streams.
     """
     if np.isinf(p):
         raise ValueError("the rescaling identity covers finite p only")
@@ -364,24 +389,26 @@ def verify_rescaling_identity(
     kx = np.append(iv.a, iv.b[-1])
     ku = models.evaluate(spec, kx)  # np.interp returns the knot ordinates exactly
     master, spans = _block_grid(ku, iv.h, grid_size)
-    w = sample_wiener(master, substream(stream, 0))
-    b = w - master * w[-1]  # the Brownian bridge B(u) = W(u) - u W(1)
-    lhs_pow = 0.0
-    rhs_pow = 0.0
+    blocks = []
     for k, (i0, i1) in enumerate(spans):
         u_pre = _unit_preimage(master[i0 : i1 + 1], ku[k], iv.h[k])
         x_blk = kx[k] + iv.d[k] * u_pre
         x_blk[-1] = kx[k + 1]
-        lhs_pow += pwl.gap_pow_integral(x_blk, b[i0 : i1 + 1], p)
-
-        w_k = (w[i0 : i1 + 1] - w[i0]) * iv.h[k] ** -0.5
-        rhs_pow += iv.d[k] * iv.h[k] ** (p / 2.0) * pwl.gap_pow_integral(u_pre, w_k, p)
-    return CouplingIdentity(lhs_pow ** (1.0 / p), rhs_pow ** (1.0 / p))
+        blocks.append((i0, i1 + 1, u_pre, x_blk, iv.h[k] ** -0.5, iv.d[k] * iv.h[k] ** (p / 2.0)))
+    lhs_pow = np.zeros(len(streams))
+    rhs_pow = np.zeros(len(streams))
+    for rows, w in _wiener_passes(master, streams):
+        b = w - master * w[:, -1:]  # the Brownian bridge B(u) = W(u) - u W(1)
+        for i0, i1, u_pre, x_blk, scale, weight in blocks:
+            lhs_pow[rows] += pwl.gap_pow_integral(x_blk, b[:, i0:i1], p)
+            w_k = (w[:, i0:i1] - w[:, i0 : i0 + 1]) * scale
+            rhs_pow[rows] += weight * pwl.gap_pow_integral(u_pre, w_k, p)
+    return CouplingIdentity(_roots(lhs_pow, p), _roots(rhs_pow, p))
 
 
 @dataclass(frozen=True)
 class DominanceCheck:
-    """One pathwise check of the dominance coupling.
+    """Pathwise checks of the dominance coupling, one entry per path.
 
     ``lhs`` is the rescaled-interval aggregate, ``rhs`` the full-path gap
     norm; ``hull_excess`` is the worst violation of the interval-hull
@@ -389,19 +416,21 @@ class DominanceCheck:
     any grid point.
     """
 
-    lhs: float
-    rhs: float
-    hull_excess: float
+    lhs: np.ndarray
+    rhs: np.ndarray
+    hull_excess: np.ndarray
 
     @property
-    def violation(self) -> bool:
-        return self.lhs > self.rhs + COUPLING_TOL or self.hull_excess > COUPLING_TOL
+    def violation(self) -> np.ndarray:
+        return (self.lhs > self.rhs + COUPLING_TOL) | (self.hull_excess > COUPLING_TOL)
 
 
 def verify_dominance_coupling(
-    iv: models.IntervalStructure, p: float, stream: Stream, grid_size: int = DEFAULT_GRID
+    iv: models.IntervalStructure, p: float, streams, grid_size: int = DEFAULT_GRID
 ) -> DominanceCheck:
-    """Check, pathwise, the coupling that makes the uniform law dominant.
+    """Check, pathwise, the coupling that makes the uniform law dominant,
+    on one Wiener path per stream of ``streams`` (path i drawn from
+    ``substream(streams[i], 0)``).
 
     Sub-intervals of the coupling lengths are packed into [0, 1]; one
     standard Wiener path per sub-interval is carved out of a single Wiener
@@ -415,22 +444,24 @@ def verify_dominance_coupling(
     packed = models.pack_intervals(lengths)
     knots = [a for a, _ in packed] + [packed[-1][1]]
     master, spans = _block_grid(knots, lengths, grid_size)
-    w = sample_wiener(master, substream(stream, 0))
-
-    full_gap = pwl.lcm_gap_on_grid(master, w)
-    rhs = pwl.pow_integral_from_gaps(master, full_gap, p) ** (1.0 / p)
-
-    lhs_pow = 0.0
-    hull_excess = 0.0
-    for (i0, i1), a, l in zip(spans, knots, lengths):
-        u_pre = _unit_preimage(master[i0 : i1 + 1], a, l)
-        root = math.sqrt(l)
-        w_k = (w[i0 : i1 + 1] - w[i0]) / root
-        sub_gap = pwl.lcm_gap_on_grid(u_pre, w_k)
-        lhs_pow += l ** ((p + 2.0) / 2.0) * pwl.pow_integral_from_gaps(u_pre, sub_gap, p)
-        excess = sub_gap * root - full_gap[i0 : i1 + 1]
-        hull_excess = max(hull_excess, float(excess.max()))
-    return DominanceCheck(lhs_pow ** (1.0 / p), rhs, hull_excess)
+    blocks = [
+        (i0, i1 + 1, _unit_preimage(master[i0 : i1 + 1], a, l), math.sqrt(l), l ** ((p + 2.0) / 2.0))
+        for (i0, i1), a, l in zip(spans, knots, lengths)
+    ]
+    lhs_pow = np.zeros(len(streams))
+    rhs_pow = np.zeros(len(streams))
+    hull_excess = np.zeros(len(streams))
+    for rows, w in _wiener_passes(master, streams):
+        full_gap = pwl.lcm_gap_on_grid(master, w)
+        rhs_pow[rows] = pwl.pow_integral_from_gaps(master, full_gap, p)
+        for i0, i1, u_pre, root, weight in blocks:
+            w_k = (w[:, i0:i1] - w[:, i0 : i0 + 1]) / root
+            sub_gap = pwl.lcm_gap_on_grid(u_pre, w_k)
+            lhs_pow[rows] += weight * pwl.pow_integral_from_gaps(u_pre, sub_gap, p)
+            excess = (sub_gap * root - full_gap[:, i0:i1]).max(axis=1)
+            # Python's max(kept, new): the new value only where it is larger.
+            hull_excess[rows] = np.where(excess > hull_excess[rows], excess, hull_excess[rows])
+    return DominanceCheck(_roots(lhs_pow, p), _roots(rhs_pow, p), hull_excess)
 
 
 # -- Quantiles and critical-value tables ----------------------------------------

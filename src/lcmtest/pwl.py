@@ -172,42 +172,58 @@ def ramp_pow_integrals(v_lo, v_hi, lengths, p: float) -> np.ndarray:
 
 
 def lcm_gap_on_grid(grid, values) -> np.ndarray:
-    """Gap ``LCM(path) - path`` at every grid point of a sampled path."""
+    """Gap ``LCM(path) - path`` at every grid point of a sampled path.
+
+    ``values`` is one path, or a 2-d array with one path per row, all on
+    ``grid``; the gap has its shape.  Each row's gap is bit-for-bit what the
+    row alone would give.
+    """
     grid = as_sorted_array(grid, "grid")
     values = np.ascontiguousarray(values, dtype=np.float64)
-    if values.shape != grid.shape:
+    if values.ndim not in (1, 2) or values.shape[-1] != grid.size:
         raise ValueError("grid and values differ in length")
     if grid.size < 2:
         raise ValueError("need at least two grid points")
 
-    chord_slope = (values[-1] - values[0]) / (grid[-1] - grid[0])
-    yc = (values - values[0]) - (grid - grid[0]) * chord_slope
+    rows = values.reshape(-1, grid.size)
+    chord_slope = (rows[:, -1] - rows[:, 0]) / (grid[-1] - grid[0])
+    yc = (rows - rows[:, :1]) - (grid - grid[0]) * chord_slope[:, None]
     dx = np.diff(grid)
-    s = np.diff(yc) / dx
+    s = np.diff(yc, axis=1) / dx
     # Concave up to slope dust: the path is its own majorant.  The tolerance
     # scales with the original slopes (canonical + chord), so an affine path
     # whose rounded values wiggle at the last bit still maps to a zero gap.
-    slope_dust = _SLOPE_TOL * (1.0 + abs(chord_slope) + float(np.max(np.abs(s))))
-    if np.all(np.diff(s) <= slope_dust):
-        return np.zeros_like(yc)
-    fitted = isotonic_regression(s, weights=dx, increasing=False).x
-    hull = np.empty_like(yc)
-    hull[0] = yc[0]
-    np.cumsum(fitted * dx, out=hull[1:])
-    gap = hull - yc
-    worst = float(gap.min())
-    if worst < -1e-9 * max(1.0, float(np.max(np.abs(yc)))):
-        raise GeometryError(f"hull fell below the path by {-worst:.3e}")
-    np.maximum(gap, 0.0, out=gap)
-    return gap
+    slope_dust = _SLOPE_TOL * (1.0 + np.abs(chord_slope) + np.max(np.abs(s), axis=1))
+    bent = np.flatnonzero(~np.all(np.diff(s, axis=1) <= slope_dust[:, None], axis=1))
+    gap = np.zeros_like(yc)
+    if bent.size:
+        yb = yc[bent]
+        hull = np.empty_like(yb)
+        hull[:, 0] = yb[:, 0]
+        fitted = np.empty((bent.size, dx.size))
+        for j, r in enumerate(bent.tolist()):
+            fitted[j] = isotonic_regression(s[r], weights=dx, increasing=False).x
+        np.cumsum(fitted * dx, axis=1, out=hull[:, 1:])
+        hull -= yb
+        worst = hull.min(axis=1)
+        low = worst < -1e-9 * np.maximum(1.0, np.max(np.abs(yb), axis=1))
+        if low.any():
+            raise GeometryError(f"hull fell below the path by {-float(worst[low].min()):.3e}")
+        np.maximum(hull, 0.0, out=hull)
+        gap[bent] = hull
+    return gap.reshape(values.shape)
 
 
-def pow_integral_from_gaps(grid, gaps, p: float) -> float:
-    """Exact ``integral gap(t)**p dt`` for a gap sampled on ``grid``."""
+def pow_integral_from_gaps(grid, gaps, p: float):
+    """Exact ``integral gap(t)**p dt`` for a gap sampled on ``grid``: a
+    float for one gap, an array with one integral per row for a 2-d ``gaps``."""
     lengths = np.diff(np.asarray(grid, dtype=np.float64))
-    return float(np.sum(ramp_pow_integrals(gaps[:-1], gaps[1:], lengths, p)))
+    gaps = np.asarray(gaps, dtype=np.float64)
+    out = np.sum(ramp_pow_integrals(gaps[..., :-1], gaps[..., 1:], lengths, p), axis=-1)
+    return float(out) if out.ndim == 0 else out
 
 
-def gap_pow_integral(grid, values, p: float) -> float:
-    """Exact ``integral (LCM(path) - path)**p`` over the grid span."""
+def gap_pow_integral(grid, values, p: float):
+    """Exact ``integral (LCM(path) - path)**p`` over the grid span, per row
+    for a 2-d ``values``."""
     return pow_integral_from_gaps(grid, lcm_gap_on_grid(grid, values), p)

@@ -6,7 +6,8 @@ from concurrent.futures.process import BrokenProcessPool
 import numpy as np
 import pytest
 
-from lcmtest import cli, limits
+from lcmtest import cli, limits, models
+from lcmtest.streams import substream
 
 
 def run_cli(capsys, *argv):
@@ -168,6 +169,8 @@ PARSE_CASES = {
     "comment-then-inline": ("# h\n0.5 # note\n", ":2: not a number: '0.5 # note'"),
     "comment-then-nan": ("# x\nnan\n", ":2: non-finite value nan"),
     "comment-then-pair": ("# x\n0.5\n0.1 0.2\n", ":3: not a number: '0.1 0.2'"),
+    "byte-order-mark": ("\ufeff0.25\n0.5\n", [0.25, 0.5]),
+    "byte-order-mark-comment": ("\ufeff# h\n0.5\n", [0.5]),
 }
 
 
@@ -175,7 +178,7 @@ PARSE_CASES = {
 def test_read_samples_contract(capsys, tmp_path, case):
     text, want = PARSE_CASES[case]
     path = tmp_path / "data.txt"
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
     if isinstance(want, list):
         assert np.array_equal(cli.read_samples(str(path)), want)
         return
@@ -217,6 +220,7 @@ CSV_CASES = {
     "not-a-number": ("x\n0.25\nabc\n", "x", "{path}:3: not a number: 'abc'"),
     "out-of-range": ("0.25\n1.5\n", "0", "{path}:2: value 1.5 outside [0, 1]"),
     "negative-index": ("0.25,0.5\n0.75\n", "-1", "--column index must be non-negative, got -1"),
+    "byte-order-mark": ("\ufeffpval,id\n0.25,1\n0.5,2\n", "pval", [0.25, 0.5]),
 }
 
 
@@ -224,7 +228,7 @@ CSV_CASES = {
 def test_read_samples_csv_contract(capsys, tmp_path, case):
     text, column, want = CSV_CASES[case]
     path = tmp_path / "data.csv"
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
     if isinstance(want, list):
         assert np.array_equal(cli.read_samples(str(path), column), want)
         return
@@ -387,7 +391,40 @@ def test_cmd_verify_report_keys(capsys, two_segment_file, mode, keys):
     )
     assert code == 0
     head = ["mode", "cdf", "p", "paths", "grid_size", "master_seed"]
-    assert list(doc) == head + keys + ["tolerance", "pass"]
+    spread = [key for key in doc if key.endswith("_quantiles")]
+    assert list(doc) == head + keys + ["tolerance", "pass"] + spread
+    assert spread == (
+        ["gap_quantiles"] if mode == "identity" else ["norm_excess_quantiles", "hull_excess_quantiles"]
+    )
+    assert all(list(doc[key]) == ["0.5", "0.9", "0.99"] for key in spread)
+
+
+def test_cmd_verify_quantiles_are_path_values(capsys, two_segment_file):
+    # Each reported level is one path's value: the ceil(level * paths)-th smallest.
+    code, doc, _ = run_cli(
+        capsys, "verify", "--cdf", str(two_segment_file), "--mode", "dominance", "--paths", "10",
+        "--grid", "32", "--seed", "5",
+    )
+    assert code == 0
+    iv = models.extract_intervals(models.spec_from_dict(doc["cdf"]))
+    streams = [substream(5, i) for i in range(10)]
+    check = limits.verify_dominance_coupling(iv, 2.0, streams, 32)
+    spread = {"norm_excess_quantiles": check.lhs - check.rhs, "hull_excess_quantiles": check.hull_excess}
+    for key, values in spread.items():
+        ranked = sorted(values.tolist())
+        assert doc[key] == {"0.5": ranked[4], "0.9": ranked[8], "0.99": ranked[9]}
+    assert doc["max_norm_excess"] == doc["norm_excess_quantiles"]["0.99"]
+
+
+def test_cmd_verify_reads_spec_with_byte_order_mark(capsys, tmp_path):
+    path = tmp_path / "two.json"
+    spec = {"type": "piecewise", "knots": [[0, 0], [0.5, 0.75], [1, 1]]}
+    path.write_bytes(b"\xef\xbb\xbf" + json.dumps(spec).encode())
+    code, doc, _ = run_cli(
+        capsys, "verify", "--cdf", str(path), "--mode", "identity", "--paths", "3", "--grid", "32"
+    )
+    assert code == 0 and doc["pass"] is True
+    assert doc["cdf"]["knots"] == [[0.0, 0.0], [0.5, 0.75], [1.0, 1.0]]
 
 
 def test_cmd_verify_dominance_rejects_strictly_concave(capsys, power_file):
@@ -411,7 +448,9 @@ def test_cmd_verify_exit_code_on_violation(capsys, two_segment_file, monkeypatch
     monkeypatch.setattr(
         limits,
         "verify_dominance_coupling",
-        lambda *a, **k: limits.DominanceCheck(lhs=1.0, rhs=0.5, hull_excess=0.0),
+        lambda iv, p, streams, grid: limits.DominanceCheck(
+            lhs=np.ones(len(streams)), rhs=np.full(len(streams), 0.5), hull_excess=np.zeros(len(streams))
+        ),
     )
     code, doc, _ = run_cli(
         capsys, "verify", "--cdf", str(two_segment_file), "--mode", "dominance", "--paths", "3",

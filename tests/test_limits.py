@@ -22,16 +22,15 @@ SHORT_SUPPORT = models.PiecewiseAffineCdf.from_knots([(0, 0), (0.4, 0.6), (0.8, 
 
 
 def test_wiener_starts_at_zero():
-    w = limits.sample_wiener(limits.uniform_grid(64), 5)
-    assert w[0] == 0.0
+    w = limits.sample_wiener(limits.uniform_grid(64), [5, 6])
+    assert w.shape == (2, 65)
+    assert np.all(w[:, 0] == 0.0)
 
 
 def test_wiener_moments():
     grid = np.array([0.0, 0.3, 0.7, 1.0])
     n = 100_000
-    vals = np.empty((n, 4))
-    for i in range(n):
-        vals[i] = limits.sample_wiener(grid, substream(77, i))
+    vals = limits.sample_wiener(grid, [substream(77, i) for i in range(n)])
     assert np.var(vals[:, 3]) == pytest.approx(1.0, abs=0.02)
     cov = np.mean(vals[:, 1] * vals[:, 2])
     assert cov == pytest.approx(0.3, abs=0.02)
@@ -40,12 +39,9 @@ def test_wiener_moments():
 def test_bridge_endpoints_and_moments():
     grid = np.array([0.0, 0.3, 0.7, 1.0])
     n = 100_000
-    vals = np.empty((n, 4))
-    for i in range(n):
-        w = limits.sample_wiener(grid, substream(78, i))
-        b = w - grid * w[-1]
-        assert b[-1] == 0.0
-        vals[i] = b
+    w = limits.sample_wiener(grid, [substream(78, i) for i in range(n)])
+    vals = w - grid * w[:, -1:]
+    assert np.all(vals[:, -1] == 0.0)
     cov = np.mean(vals[:, 1] * vals[:, 2])
     assert cov == pytest.approx(0.3 - 0.21, abs=0.02)
 
@@ -54,7 +50,7 @@ def test_sample_wiener_validates_grid():
     bad = [[0.1, 1.0], [0.0, 0.9], [0.0], [0.0, 0.5, 0.5, 1.0], [0.0, math.nan, 1.0], [[0.0, 1.0]]]
     for grid in bad:
         with pytest.raises(ValueError):
-            limits.sample_wiener(grid, 1)
+            limits.sample_wiener(grid, [1])
 
 
 # -- gap norms ------------------------------------------------------------------------
@@ -79,8 +75,7 @@ def test_gap_norm_vee_sup():
 
 def test_gap_norm_bridge_identity_exact(rng):
     grid = limits.uniform_grid(128)
-    for i in range(500):
-        w = limits.sample_wiener(grid, substream(31, i))
+    for w in limits.sample_wiener(grid, [substream(31, i) for i in range(500)]):
         b = w - grid * w[-1]
         for p in (1.0, 2.0, math.inf):
             assert _gap_norm(grid, w, p) == _gap_norm(grid, b, p)
@@ -90,11 +85,10 @@ def test_refined_grid_hull_dominates_coarse(rng):
     # The hull over more points can only rise at shared abscissas.
     coarse = limits.uniform_grid(32)
     fine = limits.uniform_grid(64)
-    for i in range(50):
-        w = limits.sample_wiener(fine, substream(13, i))
-        fine_hull = w + pwl.lcm_gap_on_grid(fine, w)
-        coarse_hull = w[::2] + pwl.lcm_gap_on_grid(coarse, w[::2])
-        assert np.all(coarse_hull <= fine_hull[::2] + 1e-12)
+    w = limits.sample_wiener(fine, [substream(13, i) for i in range(50)])
+    fine_hull = w + pwl.lcm_gap_on_grid(fine, w)
+    coarse_hull = w[:, ::2] + pwl.lcm_gap_on_grid(coarse, w[:, ::2])
+    assert np.all(coarse_hull <= fine_hull[:, ::2] + 1e-12)
 
 
 # -- limit draws ----------------------------------------------------------------------
@@ -115,22 +109,21 @@ def test_derivative_route_uniform_matches_uniform_draw():
     # The identity verifier's Wiener path is drawn from substream(stream, 0)
     # on the uniform grid; under the uniform law its lhs is that path's gap norm.
     grid = limits.uniform_grid(128)
-    for i in range(20):
-        w = limits.sample_wiener(grid, substream(11, i, 0))
-        a = pwl.gap_pow_integral(grid, w, 2.0) ** (1 / 2.0)
-        b = limits.verify_rescaling_identity(models.UniformCdf(), 2.0, substream(11, i), 128).lhs
-        assert a == b
+    w = limits.sample_wiener(grid, [substream(11, i, 0) for i in range(20)])
+    streams = [substream(11, i) for i in range(20)]
+    lhs = limits.verify_rescaling_identity(models.UniformCdf(), 2.0, streams, 128).lhs
+    for row, b in zip(w, lhs.tolist()):
+        assert pwl.gap_pow_integral(grid, row, 2.0) ** (1 / 2.0) == b
 
 
 def test_derivative_route_rejects_strictly_concave():
     with pytest.raises(ValueError):
-        limits.verify_rescaling_identity(models.PowerCdf(0.5), 2.0, 1, 64)
+        limits.verify_rescaling_identity(models.PowerCdf(0.5), 2.0, [1], 64)
 
 
 def test_derivative_route_matches_rescaled_representation():
-    for i in range(50):
-        check = limits.verify_rescaling_identity(TWO_SEGMENT, 2.0, substream(21, i), 128)
-        assert check.gap < 1e-9
+    check = limits.verify_rescaling_identity(TWO_SEGMENT, 2.0, [substream(21, i) for i in range(50)], 128)
+    assert check.gap.size == 50 and check.gap.max() < 1e-9
 
 
 def test_simulate_draws_match_single_draws_any_workers(monkeypatch):
@@ -231,50 +224,108 @@ def test_engine_draws_do_not_depend_on_the_pass(monkeypatch):
 
 
 def test_rescaling_identity_uniform_gap_is_exactly_zero():
-    for i in range(50):
-        check = limits.verify_rescaling_identity(models.UniformCdf(), 3.0, substream(5, i), 128)
-        assert check.gap == 0.0
+    streams = [substream(5, i) for i in range(50)]
+    check = limits.verify_rescaling_identity(models.UniformCdf(), 3.0, streams, 128)
+    assert np.all(check.gap == 0.0)
 
 
 @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
 def test_rescaling_identity_two_segment(p):
-    worst = 0.0
-    for i in range(100):
-        worst = max(worst, limits.verify_rescaling_identity(TWO_SEGMENT, p, substream(6, i), 128).gap)
-    assert worst < 1e-9
+    check = limits.verify_rescaling_identity(TWO_SEGMENT, p, [substream(6, i) for i in range(100)], 128)
+    assert check.gap.max() < 1e-9
 
 
 def test_rescaling_identity_short_support():
     # Support ending before 1: the composed bridge vanishes beyond it, and
     # the identity still holds pathwise.
-    worst = 0.0
-    for i in range(100):
-        worst = max(worst, limits.verify_rescaling_identity(SHORT_SUPPORT, 2.0, substream(8, i), 128).gap)
-    assert worst < 1e-9
+    streams = [substream(8, i) for i in range(100)]
+    check = limits.verify_rescaling_identity(SHORT_SUPPORT, 2.0, streams, 128)
+    assert check.gap.max() < 1e-9
 
 
 def test_dominance_unit_interval_is_equality():
     iv = models.extract_intervals(models.UniformCdf())
-    for i in range(20):
-        check = limits.verify_dominance_coupling(iv, 2.0, substream(9, i), 128)
-        assert check.lhs == check.rhs
-        assert check.hull_excess == 0.0
-        assert not check.violation
+    check = limits.verify_dominance_coupling(iv, 2.0, [substream(9, i) for i in range(20)], 128)
+    assert np.array_equal(check.lhs, check.rhs)
+    assert np.all(check.hull_excess == 0.0)
+    assert not check.violation.any()
 
 
 @pytest.mark.parametrize("p", [1.0, 2.0])
 def test_dominance_two_segment(p):
     iv = models.extract_intervals(TWO_SEGMENT)
-    for i in range(300):
-        check = limits.verify_dominance_coupling(iv, p, substream(10, i), 128)
-        assert not check.violation
-        assert check.lhs >= 0.0 and check.rhs >= 0.0
+    check = limits.verify_dominance_coupling(iv, p, [substream(10, i) for i in range(300)], 128)
+    assert not check.violation.any()
+    assert np.all(check.lhs >= 0.0) and np.all(check.rhs >= 0.0)
+
+
+FOUR_INTERVALS = models.PiecewiseAffineCdf.from_knots(
+    [(0.0, 0.0), (0.1, 0.3), (0.3, 0.6), (0.6, 0.85), (1.0, 1.0)]
+)
+
+
+def _identity_one_path(spec, p, stream, grid_size):
+    # The rescaling identity on a single path: 1-d gaps, scalar roots.
+    iv = models.extract_intervals(spec)
+    kx = np.append(iv.a, iv.b[-1])
+    ku = models.evaluate(spec, kx)
+    master, spans = limits._block_grid(ku, iv.h, grid_size)
+    w = limits.sample_wiener(master, [substream(stream, 0)])[0]
+    b = w - master * w[-1]
+    lhs = rhs = 0.0
+    for k, (i0, i1) in enumerate(spans):
+        u = limits._unit_preimage(master[i0 : i1 + 1], ku[k], iv.h[k])
+        x = kx[k] + iv.d[k] * u
+        x[-1] = kx[k + 1]
+        lhs += pwl.pow_integral_from_gaps(x, pwl.lcm_gap_on_grid(x, b[i0 : i1 + 1]), p)
+        w_k = (w[i0 : i1 + 1] - w[i0]) * iv.h[k] ** -0.5
+        gap = pwl.lcm_gap_on_grid(u, w_k)
+        rhs += iv.d[k] * iv.h[k] ** (p / 2.0) * pwl.pow_integral_from_gaps(u, gap, p)
+    return float(lhs) ** (1.0 / p), float(rhs) ** (1.0 / p)
+
+
+def _dominance_one_path(iv, p, stream, grid_size):
+    # The dominance coupling on a single path: 1-d gaps, scalar roots.
+    lengths = models.coupling_lengths(iv, p)
+    packed = models.pack_intervals(lengths)
+    knots = [a for a, _ in packed] + [packed[-1][1]]
+    master, spans = limits._block_grid(knots, lengths, grid_size)
+    w = limits.sample_wiener(master, [substream(stream, 0)])[0]
+    full_gap = pwl.lcm_gap_on_grid(master, w)
+    rhs = pwl.pow_integral_from_gaps(master, full_gap, p) ** (1.0 / p)
+    lhs, hull_excess = 0.0, 0.0
+    for (i0, i1), a, l in zip(spans, knots, lengths):
+        u = limits._unit_preimage(master[i0 : i1 + 1], a, l)
+        root = math.sqrt(l)
+        sub_gap = pwl.lcm_gap_on_grid(u, (w[i0 : i1 + 1] - w[i0]) / root)
+        lhs += l ** ((p + 2.0) / 2.0) * pwl.pow_integral_from_gaps(u, sub_gap, p)
+        hull_excess = max(hull_excess, float((sub_gap * root - full_gap[i0 : i1 + 1]).max()))
+    return float(lhs) ** (1.0 / p), rhs, hull_excess
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+@pytest.mark.parametrize(
+    "spec", [models.UniformCdf(), TWO_SEGMENT, FOUR_INTERVALS], ids=["uniform", "two", "four"]
+)
+def test_batched_verifiers_equal_one_path_reference(monkeypatch, spec, p):
+    # Narrow passes, so 40 paths span two or more of them on every grid.
+    monkeypatch.setattr(limits, "_POINTS_PER_PASS", 2**11)
+    iv = models.extract_intervals(spec)
+    streams = [substream(606, i) for i in range(40)]
+    for grid in (64, 256):
+        got = limits.verify_rescaling_identity(spec, p, streams, grid)
+        want = [_identity_one_path(spec, p, s, grid) for s in streams]
+        assert (got.lhs.tolist(), got.rhs.tolist()) == tuple(map(list, zip(*want)))
+        got = limits.verify_dominance_coupling(iv, p, streams, grid)
+        want = [_dominance_one_path(iv, p, s, grid) for s in streams]
+        got = (got.lhs.tolist(), got.rhs.tolist(), got.hull_excess.tolist())
+        assert got == tuple(map(list, zip(*want)))
 
 
 def test_dominance_rejects_inf():
     iv = models.extract_intervals(TWO_SEGMENT)
     with pytest.raises(ValueError):
-        limits.verify_dominance_coupling(iv, math.inf, 1)
+        limits.verify_dominance_coupling(iv, math.inf, [1])
 
 
 # -- quantiles ------------------------------------------------------------------------
