@@ -195,38 +195,28 @@ def _progress_logger(label: str):
     return cb
 
 
-def _limit_quantiles(args, iv: models.IntervalStructure, alphas, workers: int = 1):
-    # Upper quantiles of the limit law with affine intervals iv, at the
-    # command's norm index, grid, replications and seed.
+def _limit_table(args, ps, alphas, workers: int = 1, iv=None) -> limits.CriticalValueTable:
+    # The one route from a command to the limit engine: upper quantiles of
+    # the law with affine intervals iv (the uniform law when None) at the
+    # command's point budget, replications and seed.
     config = limits.SimConfig(args.grid, args.reps, args.seed)
-    draws = limits.simulate_draws(
-        iv, (args.p,), config, workers=workers, progress=_progress_logger("limit draws")
+    _log(
+        f"simulating the limit law: p={[limits.p_key(p) for p in ps]}, alpha={alphas}, "
+        f"grid={args.grid}, reps={args.reps}, seed={args.seed}, workers={workers}"
     )
-    return limits.estimate_quantiles(draws[:, 0], alphas)
+    progress = _progress_logger("limit draws")
+    return limits.build_critical_table(config, alphas, ps, workers, progress, iv)
 
 
 def _critical_values_for_test(args, alphas):
     """Resolve critical values: a cached table, a fresh simulation, or the
     simulated limit of a user-supplied concave CDF."""
+    source = {"mode": "uniform-table"}
     if args.cdf is not None:
-        if math.isinf(args.p):
-            raise InputError("--cdf critical values support finite p only")
         spec = load_spec(args.cdf)
-        iv = models.extract_intervals(spec)
-        _log(f"simulating limit for spec {models.spec_to_dict(spec)} ({args.reps} draws)")
-        quants = _limit_quantiles(args, iv, alphas, args.workers)
-        provenance = {
-            "mode": "cdf-limit",
-            "engine": limits.ENGINE,
-            "cdf": models.spec_to_dict(spec),
-            "grid_size": args.grid,
-            "replications": args.reps,
-            "master_seed": args.seed,
-        }
-        return quants, provenance
-
-    table = None
-    if args.table is not None and Path(args.table).is_file():
+        source = {"mode": "cdf-limit", "cdf": models.spec_to_dict(spec)}
+        table = _limit_table(args, (args.p,), alphas, args.workers, models.extract_intervals(spec))
+    elif args.table is not None and Path(args.table).is_file():
         try:
             table = limits.CriticalValueTable.load(args.table)
         except (ValueError, KeyError, TypeError) as exc:
@@ -241,25 +231,19 @@ def _critical_values_for_test(args, alphas):
             )
         _log(f"loaded critical values from {args.table}")
     elif args.simulate:
-        config = limits.SimConfig(args.grid, args.reps, args.seed)
-        _log(
-            f"simulating critical values (grid={args.grid}, reps={args.reps}, "
-            f"seed={args.seed})"
-        )
-        table = limits.build_critical_table(
-            config, alphas=alphas, ps=(args.p,), workers=args.workers,
-            progress=_progress_logger("critical values"),
-        )
+        table = _limit_table(args, (args.p,), alphas, args.workers)
         if args.table is not None:
             _save_table(table, args.table)
-    if table is None:
+    else:
         raise InputError("no critical values: pass --table FILE (existing) or --simulate")
     try:
         quants = {float(a): table.lookup(args.p, a) for a in alphas}
     except KeyError as exc:
         raise InputError(str(exc)) from None
-    provenance = dict(table.provenance)
-    provenance["mode"] = provenance.get("mode", "uniform-table")
+    # Wall-clock keys stay in the table file, so a report is the same from
+    # run to run.
+    provenance = {k: v for k, v in table.provenance.items() if k not in ("built_at", "timing")}
+    provenance.update(source)
     provenance["table_hash"] = _table_hash(table)
     return quants, provenance
 
@@ -291,16 +275,7 @@ def cmd_test(args) -> int:
 
 def cmd_critvals(args) -> int:
     alphas = [float(a) for a in args.alpha]
-    config = limits.SimConfig(args.grid, args.reps, args.seed)
-    _log(
-        f"building critical-value table: p={[limits.p_key(p) for p in args.p]}, "
-        f"alpha={alphas}, grid={args.grid}, reps={args.reps}, seed={args.seed}, "
-        f"workers={args.workers}"
-    )
-    table = limits.build_critical_table(
-        config, alphas=alphas, ps=args.p, workers=args.workers,
-        progress=_progress_logger("table"),
-    )
+    table = _limit_table(args, args.p, alphas, args.workers)
     _save_table(table, args.out)
     _emit(table.to_dict())
     return 0
@@ -308,12 +283,11 @@ def cmd_critvals(args) -> int:
 
 def cmd_simulate_limit(args) -> int:
     spec = load_spec(args.cdf)
-    if math.isinf(args.p):
-        raise InputError("the interval representation simulates finite p only")
     iv = models.extract_intervals(spec)
     if iv.is_empty:
         _log("strictly concave CDF: the limit is degenerate at zero")
-    quants = _limit_quantiles(args, iv, args.alphas)
+    table = _limit_table(args, (args.p,), args.alphas, iv=iv)
+    quants = {f"{a:g}": table.lookup(args.p, a) for a in args.alphas}
     _emit(
         {
             "cdf": models.spec_to_dict(spec),
@@ -323,9 +297,7 @@ def cmd_simulate_limit(args) -> int:
             "replications": args.reps,
             "master_seed": args.seed,
             "intervals": iv.as_tuples(),
-            "quantiles": {
-                f"{a:g}": {"q": est.quantile, "se": est.se} for a, est in quants.items()
-            },
+            "quantiles": {key: {"q": est.quantile, "se": est.se} for key, est in quants.items()},
         }
     )
     return 0

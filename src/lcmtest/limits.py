@@ -248,6 +248,12 @@ def _excursion_pow_integrals(rngs, lengths, counts, first, budget: int, ps) -> n
     return out
 
 
+def _roots(powers: np.ndarray, p: float) -> np.ndarray:
+    # p-th roots one entry at a time, as Python floats: numpy's array ** need
+    # not round like scalar pow.
+    return np.array([x ** (1.0 / p) for x in powers.tolist()])
+
+
 def _law_draws(d, h, ps, root: Stream, keys, budget: int) -> np.ndarray:
     # The one simulation engine: row i, column j is the draw at norm index
     # ps[j] of the law with affine widths d and rises h,
@@ -289,11 +295,8 @@ def _law_draws(d, h, ps, root: Stream, keys, budget: int) -> np.ndarray:
             for (j, p), x in zip(finite, powers.reshape(len(finite), -1, nk)):
                 for k in range(nk):
                     part[:, j] += d[k] * h[k] ** (p / 2.0) * x[:, k]
-    for row in range(len(keys)):
-        for j, p in finite:
-            # A scalar power per entry: numpy's array ** 0.5 is sqrt,
-            # which need not round like pow.
-            out[row, j] = out[row, j] ** (1.0 / p)
+    for j, p in finite:
+        out[:, j] = _roots(out[:, j], p)
     return out
 
 
@@ -301,15 +304,13 @@ def limit_draw_general(
     iv: models.IntervalStructure, p: float, stream: Stream, grid_size: int = DEFAULT_GRID
 ) -> float:
     """One draw of the limit law for a concave CDF with the given affine
-    intervals: ``(sum_k d_k h_k^{p/2} ||gap(W_k)||_p^p)^{1/p}`` over
-    independent Wiener paths, one per interval, each gap norm drawn by the
-    limit engine with ``grid_size`` as its point budget.
+    intervals: ``(sum_k d_k h_k^{p/2} ||gap(W_k)||_p^p)^{1/p}``, or
+    ``max_k h_k^{1/2} sup gap(W_k)`` at p = inf, over independent Wiener
+    paths, one per interval, each gap norm drawn by the limit engine with
+    ``grid_size`` as its point budget.
 
-    An empty collection (strictly concave CDF) gives exactly 0.  Finite p
-    only; the sup-norm limit is simulated under the uniform law.
+    An empty collection (strictly concave CDF) gives exactly 0.
     """
-    if np.isinf(p):
-        raise ValueError("the interval representation covers finite p only")
     draws = _law_draws(iv.d, iv.h, _norm_indices((p,)), stream, [()], grid_size)
     return float(draws[0, 0])
 
@@ -346,12 +347,6 @@ def _wiener_passes(master: np.ndarray, streams):
     for lo in range(0, len(streams), step):
         part = streams[lo : lo + step]
         yield slice(lo, lo + len(part)), sample_wiener(master, [substream(s, 0) for s in part])
-
-
-def _roots(powers: np.ndarray, p: float) -> np.ndarray:
-    # p-th roots one path at a time, as Python floats: numpy's array ** need
-    # not round like scalar pow.
-    return np.array([x ** (1.0 / p) for x in powers.tolist()])
 
 
 @dataclass(frozen=True)
@@ -530,7 +525,7 @@ def parse_p(token) -> float:
 
 @dataclass(frozen=True)
 class CriticalValueTable:
-    """Simulated upper quantiles of the uniform-CDF limit, with provenance.
+    """Simulated upper quantiles of a limit law, with provenance.
 
     ``entries`` maps ``(p key, alpha)`` to a :class:`QuantileEstimate`;
     ``provenance`` records everything needed to reproduce the simulation.
@@ -643,8 +638,10 @@ def build_critical_table(
     ps=(1.0, 2.0, math.inf),
     workers: int = 1,
     progress=None,
+    iv: models.IntervalStructure | None = None,
 ) -> CriticalValueTable:
-    """Simulate the uniform-CDF limit and tabulate its upper quantiles.
+    """Simulate the limit law with affine intervals ``iv`` (the uniform law
+    when None) and tabulate its upper quantiles.
 
     All norm indices share the same draws of the faces (and the finite ones
     the same excursions), so a table costs one simulation regardless of how
@@ -653,8 +650,9 @@ def build_critical_table(
     The provenance records the engine id, the software versions, the number
     of workers the simulation used and its wall time.
     """
+    iv = _UNIT if iv is None else iv
     start = time.perf_counter()
-    draws = simulate_draws(_UNIT, ps, config, workers, progress)
+    draws = simulate_draws(iv, ps, config, workers, progress)
     seconds = time.perf_counter() - start
     entries = {}
     for j, p in enumerate(ps):
@@ -672,7 +670,7 @@ def build_critical_table(
         "lcmtest_version": __version__,
         "numpy_version": np.__version__,
         "scipy_version": scipy.__version__,
-        "workers": _workers_used(_UNIT, config, workers),
+        "workers": _workers_used(iv, config, workers),
         "timing": {"seconds": seconds, "reps_per_s": config.replications / seconds},
     }
     return CriticalValueTable(entries, provenance)

@@ -143,15 +143,12 @@ def test_criterion_4_stochastic_dominance_quantiles():
     iv_unif = lt.extract_intervals(lt.UniformCdf())
     ok = True
     details = []
-    for p in (1.0, 2.0):
-        two = np.array(
-            [lt.limit_draw_general(iv_two, p, substream(303, i), grid) for i in range(reps)]
-        )
-        unif = np.array(
-            [lt.limit_draw_general(iv_unif, p, substream(404, i), grid) for i in range(reps)]
-        )
-        q_two = lt.estimate_quantiles(two, alphas)
-        q_unif = lt.estimate_quantiles(unif, alphas)
+    # Row i of each law is its draw from substream(seed, i), as in limit_draw_general.
+    two = lt.simulate_draws(iv_two, (1.0, 2.0), lt.SimConfig(grid, reps, 303))
+    unif = lt.simulate_draws(iv_unif, (1.0, 2.0), lt.SimConfig(grid, reps, 404))
+    for j, p in enumerate((1.0, 2.0)):
+        q_two = lt.estimate_quantiles(two[:, j], alphas)
+        q_unif = lt.estimate_quantiles(unif[:, j], alphas)
         for a in alphas:
             slack = 2.0 * math.hypot(q_two[a].se, q_unif[a].se)
             excess = q_two[a].quantile - q_unif[a].quantile

@@ -5,9 +5,11 @@ from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from lcmtest import cli, limits, models
 from lcmtest.streams import substream
+from oracle_utils import sup_gap_cdf
 
 
 def run_cli(capsys, *argv):
@@ -270,17 +272,32 @@ def test_cmd_test_csv_missing_column(capsys, tmp_path):
     assert "nope" in err
 
 
-def test_cmd_test_against_cdf_limit(capsys, data_file, two_segment_file):
+@pytest.mark.parametrize("p", ["2", "inf"])
+def test_cmd_test_against_cdf_limit(capsys, data_file, two_segment_file, p):
     code, doc, _ = run_cli(
         capsys,
         "test", str(data_file),
-        "--p", "2", "--alpha", "0.05",
+        "--p", p, "--alpha", "0.05",
         "--cdf", str(two_segment_file),
         "--reps", "400", "--grid", "256",
     )
     assert code == 0
+    assert doc["p"] == p and doc["critical_values"]["0.05"] > 0.0
     assert doc["table"]["mode"] == "cdf-limit"
     assert doc["table"]["engine"] == limits.ENGINE
+
+
+@pytest.mark.parametrize("source", [["--simulate"], ["--cdf", "{spec}"]], ids=["simulate", "cdf"])
+def test_cmd_test_report_is_the_same_from_run_to_run(capsys, data_file, two_segment_file, source):
+    # Wall-clock keys (built_at, timing) stay in table files, out of the report.
+    argv = ["test", str(data_file), "--reps", "50", "--grid", "16"]
+    argv += [tok.format(spec=two_segment_file) for tok in source]
+    outs = []
+    for _ in range(2):
+        assert cli.main(argv) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    assert not {"built_at", "timing"} & set(json.loads(outs[0])["table"])
 
 
 # -- critvals ---------------------------------------------------------------------------
@@ -344,6 +361,39 @@ def test_cmd_simulate_limit_power_degenerate(capsys, power_file):
     assert code == 0
     assert all(entry["q"] == 0.0 for entry in doc["quantiles"].values())
     assert doc["grid_size"] == limits.DEFAULT_GRID == 1024
+
+
+def test_cmd_simulate_limit_uniform_inf_equals_critvals(capsys, tmp_path):
+    # A column does not depend on the other norm indices drawn with it.
+    spec = tmp_path / "u.json"
+    spec.write_text(json.dumps({"type": "uniform"}))
+    scale = ["--grid", "128", "--reps", "600", "--seed", "17"]
+    code, sim, _ = run_cli(
+        capsys, "simulate-limit", "--cdf", str(spec), "--p", "inf", "--alphas", "0.01", "0.05", "0.1",
+        *scale,
+    )
+    assert code == 0
+    code, table, _ = run_cli(capsys, "critvals", *scale, "--out", str(tmp_path / "t.json"))
+    assert code == 0
+    cells = {f"{row['alpha']:g}": {"q": row["q"], "se": row["se"]}
+             for row in table["entries"] if row["p"] == "inf"}
+    assert sim["quantiles"] == cells
+
+
+def test_cmd_simulate_limit_inf_matches_exact_law(capsys, two_segment_file):
+    # Interval k contributes sqrt(h_k) times an independent uniform-law sup,
+    # so P(X_inf <= x) = prod_k G(x / sqrt(h_k)) with G the exact sup law.
+    code, doc, _ = run_cli(
+        capsys, "simulate-limit", "--cdf", str(two_segment_file), "--p", "inf", "--reps", "20000",
+    )
+    assert code == 0
+    h = [row[3] for row in doc["intervals"]]
+    for key, cell in doc["quantiles"].items():
+        level = 1.0 - float(key)
+        exact = brentq(
+            lambda x: math.prod(sup_gap_cdf(x / math.sqrt(hk)) for hk in h) - level, 0.3, 4.0, xtol=1e-10
+        )
+        assert abs(cell["q"] - exact) <= 3.0 * cell["se"], (key, cell, exact)
 
 
 def test_cmd_simulate_limit_invalid_spec(capsys, tmp_path):

@@ -99,10 +99,13 @@ def test_limit_draw_general_empty_is_zero():
     assert limits.limit_draw_general(iv, 2.0, 1, grid_size=64) == 0.0
 
 
-def test_limit_draw_general_rejects_inf():
-    iv = models.extract_intervals(models.UniformCdf())
-    with pytest.raises(ValueError):
-        limits.limit_draw_general(iv, math.inf, 1)
+def test_limit_draw_general_at_inf_is_a_row_of_simulate_draws():
+    # p = inf: max_k sqrt(h_k) sup gap(W_k), the same draw by either entry.
+    iv = models.extract_intervals(TWO_SEGMENT)
+    rows = limits.simulate_draws(iv, (math.inf,), limits.SimConfig(64, 20, 51))[:, 0]
+    assert rows.min() > 0.0
+    for i, want in enumerate(rows.tolist()):
+        assert limits.limit_draw_general(iv, math.inf, substream(51, i), 64) == want
 
 
 def test_derivative_route_uniform_matches_uniform_draw():
