@@ -99,9 +99,10 @@ def read_samples(path: str, column: str | None = None) -> np.ndarray:
     or from a CSV column given by name or 0-based index.
 
     A text file whose '#' all start whole-line comments is parsed by numpy
-    in one pass, comments dropped; the Python line loop takes over
-    whenever that pass fails or finds a value the loop would reject, so both
-    routes accept the same files with the same values and messages.
+    in one pass, comments dropped; the Python row loop, shared with CSV
+    files, takes over whenever that pass fails or finds a value the loop
+    would reject, so both routes accept the same files with the same values
+    and messages.
     """
     text = _read_text(path, "data")
     values: list[float] = []
@@ -110,15 +111,8 @@ def read_samples(path: str, column: str | None = None) -> np.ndarray:
             arr = _parse_plain(text)
             if arr is not None:
                 return arr
-        for ln, line in enumerate(text.splitlines(), 1):
-            tok = line.strip()
-            if not tok or tok.startswith("#"):
-                continue
-            try:
-                v = float(tok)
-            except ValueError:
-                raise InputError(f"{path}:{ln}: not a number: {tok!r}") from None
-            values.append(_check_value(v, f"{path}:{ln}"))
+        # One column whose rows are the lines, read by the CSV loop below.
+        rows, idx, start = [[line] for line in text.splitlines()], 0, 0
     else:
         rows = list(csv.reader(text.splitlines()))
         try:
@@ -138,21 +132,21 @@ def read_samples(path: str, column: str | None = None) -> np.ndarray:
                 raise InputError(f"{path}: no column named {name!r} (have {header})")
             idx = header.index(name)
             start = 1
-        for ln, row in enumerate(rows[start:], start + 1):
-            if not row or (row[0].strip().startswith("#")):
-                continue
-            if idx >= len(row):
-                raise InputError(f"{path}:{ln}: row has no column {idx}")
-            tok = row[idx].strip()
-            if not tok:
-                continue
-            try:
-                v = float(tok)
-            except ValueError:
-                if ln == 1:
-                    continue  # unnamed header row in index mode
-                raise InputError(f"{path}:{ln}: not a number: {tok!r}") from None
-            values.append(_check_value(v, f"{path}:{ln}"))
+    for ln, row in enumerate(rows[start:], start + 1):
+        if not row or (row[0].strip().startswith("#")):
+            continue
+        if idx >= len(row):
+            raise InputError(f"{path}:{ln}: row has no column {idx}")
+        tok = row[idx].strip()
+        if not tok:
+            continue
+        try:
+            v = float(tok)
+        except ValueError:
+            if ln == 1 and column is not None:
+                continue  # unnamed header row in index mode
+            raise InputError(f"{path}:{ln}: not a number: {tok!r}") from None
+        values.append(_check_value(v, f"{path}:{ln}"))
     if not values:
         raise InputError(f"{path}: no data values found")
     return np.asarray(values)

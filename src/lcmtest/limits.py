@@ -17,7 +17,8 @@ norms integrate those points exactly and share them, so ||gap||_1 <=
 ||gap||_2 path by path.  The p = inf column is max_i sqrt(l_i) K_i with K_i
 from Kennedy's law of the excursion maximum: exact in law, but not the max
 of the sampled excursions, so it is not tied path by path to the finite-p
-columns.  Streams are drawn in passes of about 2^16 face points: each
+columns.  Replications are drawn in passes of about 2^16 face points, the
+one unit of work in this process and in a worker pool alike: each stream
 makes its own random draws, then one run of array operations serves every
 face of the pass, and no value depends on which streams share a pass.
 Sampled paths on grids remain where one shared path is the point: the two
@@ -41,7 +42,7 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -155,6 +156,11 @@ _MIN_FACE_POINTS = 4
 _POINTS_PER_PASS = 2**16
 
 
+def _pass_rows(points_per_row: int) -> int:
+    # Rows of a pass: as many as fit in _POINTS_PER_PASS points, at least one.
+    return max(1, _POINTS_PER_PASS // points_per_row)
+
+
 def _kennedy_cdf(y) -> np.ndarray:
     """P(max of a standard Brownian excursion <= y), Kennedy's law, for y > 0.
 
@@ -255,48 +261,41 @@ def _roots(powers: np.ndarray, p: float) -> np.ndarray:
 
 
 def _law_draws(d, h, ps, root: Stream, keys, budget: int) -> np.ndarray:
-    # The one simulation engine: row i, column j is the draw at norm index
-    # ps[j] of the law with affine widths d and rises h,
+    # The one simulation engine, one pass: row i, column j is the draw at
+    # norm index ps[j] of the law with affine widths d and rises h,
     # (sum_k d_k h_k^{p/2} X_p(k)^p)^{1/p}, or max_k h_k^{1/2} X_inf(k) at
     # p = inf, with interval k's uniform-limit draw X(k) taken from
     # substream(root, *keys[i], k).  The uniform law is d = h = [1], for
     # which the arithmetic is exact.  Each stream breaks its sticks, then
     # draws one Kennedy uniform per face, then the excursions' normals, so a
-    # column does not depend on which other norm indices are asked for.
-    # The streams of up to _POINTS_PER_PASS // (budget len(d)) rows are
-    # drawn in one pass; no value depends on which rows share a pass.
+    # column does not depend on which other norm indices are asked for, and
+    # no value depends on which other keys share the pass.
     finite = [(j, p) for j, p in enumerate(ps) if not math.isinf(p)]
     sup = [j for j, p in enumerate(ps) if math.isinf(p)]
     nk = len(d)
     out = np.zeros((len(keys), len(ps)))
     if nk == 0:  # no affine interval: every draw is 0
         return out
-    rows = max(1, _POINTS_PER_PASS // (budget * nk))
-    for lo in range(0, len(keys), rows):
-        part = out[lo : lo + rows]
-        rngs = [
-            generator(substream(root, *key, k)) for key in keys[lo : lo + rows] for k in range(nk)
-        ]
-        lengths, counts = _face_lengths(rngs)
-        first = np.zeros(counts.size, dtype=np.intp)
-        np.cumsum(counts[:-1], out=first[1:])
-        u = np.empty(lengths.size)
-        for rng, a, n in zip(rngs, first.tolist(), counts.tolist()):
-            rng.random(out=u[a : a + n])
-        if sup:
-            top = np.maximum.reduceat(np.sqrt(lengths) * excursion_max_quantile(u), first)
-            top = top.reshape(-1, nk)
+    rngs = [generator(substream(root, *key, k)) for key in keys for k in range(nk)]
+    lengths, counts = _face_lengths(rngs)
+    first = np.zeros(counts.size, dtype=np.intp)
+    np.cumsum(counts[:-1], out=first[1:])
+    u = np.empty(lengths.size)
+    for rng, a, n in zip(rngs, first.tolist(), counts.tolist()):
+        rng.random(out=u[a : a + n])
+    if sup:
+        top = np.maximum.reduceat(np.sqrt(lengths) * excursion_max_quantile(u), first)
+        top = top.reshape(-1, nk)
+        for k in range(nk):
+            out[:, sup] = np.maximum(out[:, sup], h[k] ** 0.5 * top[:, k : k + 1])
+    if finite:
+        powers = _excursion_pow_integrals(
+            rngs, lengths, counts, first, budget, [p for _, p in finite]
+        )
+        for (j, p), x in zip(finite, powers.reshape(len(finite), -1, nk)):
             for k in range(nk):
-                part[:, sup] = np.maximum(part[:, sup], h[k] ** 0.5 * top[:, k : k + 1])
-        if finite:
-            powers = _excursion_pow_integrals(
-                rngs, lengths, counts, first, budget, [p for _, p in finite]
-            )
-            for (j, p), x in zip(finite, powers.reshape(len(finite), -1, nk)):
-                for k in range(nk):
-                    part[:, j] += d[k] * h[k] ** (p / 2.0) * x[:, k]
-    for j, p in finite:
-        out[:, j] = _roots(out[:, j], p)
+                out[:, j] += d[k] * h[k] ** (p / 2.0) * x[:, k]
+            out[:, j] = _roots(out[:, j], p)
     return out
 
 
@@ -343,7 +342,7 @@ def _wiener_passes(master: np.ndarray, streams):
     # (rows, W) for the verifiers, in passes of at most _POINTS_PER_PASS
     # grid points: W holds the Wiener paths on ``master`` drawn from
     # substream(streams[i], 0) for i in ``rows``.
-    step = max(1, _POINTS_PER_PASS // master.size)
+    step = _pass_rows(master.size)
     for lo in range(0, len(streams), step):
         part = streams[lo : lo + step]
         yield slice(lo, lo + len(part)), sample_wiener(master, [substream(s, 0) for s in part])
@@ -537,8 +536,9 @@ class CriticalValueTable:
     def __post_init__(self):
         by_p: dict[str, list[tuple[float, float]]] = {}
         for (pk, alpha), est in self.entries.items():
-            if est.quantile < 0.0:
-                raise ValueError("quantiles must be nonnegative")
+            # Written so NaN fails too: every comparison with NaN is False.
+            if not (0.0 <= est.quantile < math.inf and 0.0 <= est.se < math.inf):
+                raise ValueError("quantiles and standard errors must be finite and nonnegative")
             by_p.setdefault(pk, []).append((float(alpha), est.quantile))
         for pk, rows in by_p.items():
             rows.sort()
@@ -603,9 +603,12 @@ def simulate_draws(
     ``limit_draw_general``, so the result is bit-identical for any
     ``workers``.  ``workers`` is capped at ``os.cpu_count()`` and at one
     worker per ``_WORK_PER_WORKER`` of work, so a small simulation runs in
-    this process instead of waiting for a pool to start.  The finite norm
-    indices share the same excursions; p = inf shares their faces.
-    ``progress`` is an optional callback ``(done, total)``.
+    this process instead of waiting for a pool to start.  The replications
+    are cut once into passes of about ``_POINTS_PER_PASS`` face points, one
+    engine call each, here or in a worker; rows are written, and the
+    optional callback ``progress(done, total)`` is called, in pass order.
+    The finite norm indices share the same excursions; p = inf shares their
+    faces.
     """
     ps = _norm_indices(ps)
     n = config.replications
@@ -613,22 +616,22 @@ def simulate_draws(
     if iv.is_empty:
         return draws
     workers = _workers_used(iv, config, workers)
-    step = max(1, min(n, 2000 if workers <= 1 else math.ceil(n / (workers * 8))))
+    rows = _pass_rows(config.grid_size * len(iv.d))
     keys = np.arange(n)[:, None]  # interval k of replication i: substream(master_seed, i, k)
-    blocks = [(start, min(start + step, n)) for start in range(0, n, step)]
-    tasks = [(iv.d, iv.h, ps, config.master_seed, keys[a:b], config.grid_size) for a, b in blocks]
+    starts = range(0, n, rows)
+    passes = [keys[lo : lo + rows] for lo in starts]
+    draw = functools.partial(
+        _law_draws, iv.d, iv.h, ps, config.master_seed, budget=config.grid_size
+    )
     with ProcessPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool:
         if pool is None:
-            finished = zip(blocks, (_law_draws(*task) for task in tasks))
+            parts = map(draw, passes)
         else:
-            futures = {pool.submit(_law_draws, *task): block for block, task in zip(blocks, tasks)}
-            finished = ((futures[f], f.result()) for f in as_completed(futures))
-        done = 0
-        for (start, stop), rows in finished:
-            draws[start:stop] = rows
-            done += stop - start
+            parts = pool.map(draw, passes, chunksize=math.ceil(len(passes) / (8 * workers)))
+        for lo, part in zip(starts, parts):
+            draws[lo : lo + len(part)] = part
             if progress is not None:
-                progress(done, n)
+                progress(lo + len(part), n)
     return draws
 
 

@@ -1,6 +1,5 @@
 import json
 import math
-from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
@@ -107,6 +106,12 @@ def test_cmd_test_rejects_stale_table(capsys, data_file, tmp_path, engine):
     assert err.startswith(f"error: {cache}: stale table from engine {engine!r}")
 
 
+def _p2_table(q=(0.9, 0.75, 0.67), se=(0.01, 0.01, 0.01)) -> str:
+    # A current table at p = 2, alpha = 0.01, 0.05, 0.10; json writes NaN and Infinity.
+    rows = [{"p": "2", "alpha": a, "q": x, "se": e} for a, x, e in zip((0.01, 0.05, 0.1), q, se)]
+    return json.dumps({"entries": rows, "provenance": {"engine": limits.ENGINE}})
+
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -115,15 +120,20 @@ def test_cmd_test_rejects_stale_table(capsys, data_file, tmp_path, engine):
         json.dumps({"entries": [{"p": "2", "alpha": 0.05, "se": 0.0}]}),
         json.dumps([{"p": "2", "alpha": 0.05, "q": 0.7}]),
         json.dumps({"entries": [{"p": "2", "alpha": a, "q": q} for a, q in ((0.01, 0.5), (0.05, 0.9))]}),
+        _p2_table(q=(0.9, math.nan, 0.67)),
+        _p2_table(q=(math.inf,) * 3),
+        _p2_table(se=(0.01, math.nan, 0.01)),
     ],
-    ids=["not-json", "no-entries", "no-q", "list", "rising-in-alpha"],
+    ids=[
+        "not-json", "no-entries", "no-q", "list", "rising-in-alpha", "nan-q", "infinite-q", "nan-se"
+    ],
 )
 def test_cmd_test_rejects_malformed_table(capsys, data_file, tmp_path, text):
     table = tmp_path / "table.json"
     table.write_text(text)
     code, out, err = run_cli(capsys, "test", str(data_file), "--p", "2", "--table", str(table))
     assert code == 2 and out is None
-    assert err.startswith(f"error: {table}: ")
+    assert err.startswith(f"error: {table}: not a critical-value table (")
 
 
 def test_cmd_test_without_table_errors(capsys, data_file):
@@ -510,7 +520,7 @@ def test_cmd_verify_exit_code_on_violation(capsys, two_segment_file, monkeypatch
 
 
 class _CrashedPool:
-    """Stands in for ProcessPoolExecutor: every task fails as if its worker died."""
+    """Stands in for ProcessPoolExecutor: reading any result fails as if a worker died."""
 
     def __init__(self, workers):
         pass
@@ -521,10 +531,10 @@ class _CrashedPool:
     def __exit__(self, *exc):
         return False
 
-    def submit(self, fn, *args):
-        future = Future()
-        future.set_exception(BrokenProcessPool("a child process terminated abruptly"))
-        return future
+    def map(self, fn, *iterables, chunksize=1):
+        # A generator, so the error comes when the results are read.
+        raise BrokenProcessPool("a child process terminated abruptly")
+        yield
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -208,19 +209,34 @@ def test_small_simulation_runs_without_a_pool(monkeypatch):
 
 
 def test_engine_draws_do_not_depend_on_the_pass(monkeypatch):
-    # Rows are drawn _POINTS_PER_PASS // (budget * intervals) at a time; a
-    # row's draws are the same whichever rows share its pass, and with
-    # stick-breaking that takes several rounds for every stream.
+    # simulate_draws draws _POINTS_PER_PASS // (budget * intervals) rows a
+    # pass; a row's draws are the same whichever rows share its pass, in this
+    # process or in a pool, and with stick-breaking that takes several rounds
+    # for every stream.  (Pool workers are forked, so they see the patches.)
+    monkeypatch.setattr(limits, "_WORK_PER_WORKER", 1)  # a pool whenever workers > 1
     iv = models.extract_intervals(TWO_SEGMENT)
-    keys = [(i,) for i in range(45)]
+    cfg = limits.SimConfig(grid_size=64, replications=45, master_seed=17)
     ps = (1.0, 2.0, math.inf)
     for sticks in (limits._STICKS, 4):
         monkeypatch.setattr(limits, "_STICKS", sticks)
         monkeypatch.setattr(limits, "_POINTS_PER_PASS", 2**16)  # all 45 rows in one pass
-        want = limits._law_draws(iv.d, iv.h, ps, 17, keys, 64)
-        for rows in (1, 7, 30):
+        want = limits.simulate_draws(iv, ps, cfg, workers=1)
+        for rows, workers in itertools.product((1, 7, 30), (1, 2)):
             monkeypatch.setattr(limits, "_POINTS_PER_PASS", rows * 64 * 2)
-            assert np.array_equal(limits._law_draws(iv.d, iv.h, ps, 17, keys, 64), want)
+            assert np.array_equal(limits.simulate_draws(iv, ps, cfg, workers), want)
+
+
+def test_simulate_draws_reports_progress(monkeypatch):
+    monkeypatch.setattr(limits, "_WORK_PER_WORKER", 1)  # a pool whenever workers > 1
+    monkeypatch.setattr(limits, "_POINTS_PER_PASS", 7 * 64 * 2)  # 7 rows a pass
+    iv = models.extract_intervals(TWO_SEGMENT)
+    cfg = limits.SimConfig(grid_size=64, replications=45, master_seed=17)
+    for workers in (1, 2):
+        calls = []
+        limits.simulate_draws(iv, (2.0,), cfg, workers, lambda done, n: calls.append((done, n)))
+        done = [d for d, _ in calls]
+        assert done == sorted(done) and calls[-1] == (45, 45)
+        assert {n for _, n in calls} == {45}
 
 
 # -- couplings ------------------------------------------------------------------------
