@@ -387,8 +387,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
     seed_help = f"master seed (default {limits.DEFAULT_SEED}; fixed so default runs reproduce)"
     budget_help = (
-        f"point budget of the limit simulation: a majorant face of length l is "
-        f"sampled on max(4, round(grid * l)) points (default {limits.DEFAULT_GRID})"
+        f"point budget of the limit simulation for p outside {{1, 2, inf}}, whose "
+        f"face laws are exact: a majorant face of length l is sampled on "
+        f"max(4, round(grid * l)) points (default {limits.DEFAULT_GRID})"
     )
 
     t = sub.add_parser("test", help="run the concavity test on a data file")

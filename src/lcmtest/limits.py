@@ -10,17 +10,24 @@ The limit engine (``ENGINE``) uses two facts about the least concave
 majorant of a Wiener path W on [0, 1] (Groeneboom 1983; Balabdaoui & Pitman
 2011, Bernoulli 17(1)): its faces have uniform stick-breaking lengths l_i,
 and on each face the gap is an independent Brownian excursion.  A draw
-breaks sticks until less than 1e-12 is left (~28 faces) and samples face
-i's excursion as the norm of a 3-d Brownian bridge on max(4, round(budget *
-l_i)) points, with the point budget ``SimConfig.grid_size``; the finite-p
-norms integrate those points exactly and share them, so ||gap||_1 <=
-||gap||_2 path by path.  The p = inf column is max_i sqrt(l_i) K_i with K_i
-from Kennedy's law of the excursion maximum: exact in law, but not the max
-of the sampled excursions, so it is not tied path by path to the finite-p
-columns.  Replications are drawn in passes of about 2^16 face points, the
-one unit of work in this process and in a worker pool alike: each stream
-makes its own random draws, then one run of array operations serves every
-face of the pass, and no value depends on which streams share a pass.
+breaks sticks until less than 1e-12 is left (~28 faces) and draws one
+uniform u_i per face.  For p = 1, 2 and inf, u_i is the face's only other
+randomness: it is mapped through the tabulated inverse CDF of the
+excursion's area A (the Airy law; Janson 2007, Probab. Surveys 4), of its
+energy Y = int e^2 (Laplace transform (sqrt(2s)/sinh sqrt(2s))^{3/2}) and
+of its maximum K (Kennedy's law), so X_1 = sum_i l_i^{3/2} A_i, X_2^2 =
+sum_i l_i^2 Y_i and X_inf = max_i sqrt(l_i) K_i, each exact in law.  The
+three columns are coupled comonotonically through the shared u_i, and A <=
+sqrt(Y) <= K in the stochastic order, so X_1 <= X_2 <= X_inf draw by draw;
+the joint law is not that of one Brownian path.  Any other finite p samples
+face i's excursion as the norm of a 3-d Brownian bridge on max(4,
+round(budget * l_i)) points, with the point budget
+``SimConfig.grid_size``, and integrates those points exactly; those
+columns share the faces but not the excursions' values with the exact
+ones.  Replications are drawn in passes, the one unit of work in this
+process and in a worker pool alike: each stream makes its own random
+draws, then one run of array operations serves every face of the pass, and
+no value depends on which streams share a pass.
 Sampled paths on grids remain where one shared path is the point: the two
 coupling verifiers.  Each checks every path of a sequence of streams in one
 call: the CDF's intervals and the grids are built once, and the paths run
@@ -48,6 +55,7 @@ from pathlib import Path
 
 import numpy as np
 import scipy
+from scipy import special
 
 from . import __version__, models, pwl
 from .streams import Stream, generator, substream
@@ -55,7 +63,7 @@ from .streams import Stream, generator, substream
 DEFAULT_SEED = 171717
 #: Identifies the limit engine in table provenance and reports; a table made
 #: by another engine is stale.
-ENGINE = "stick-breaking-excursion/1"
+ENGINE = "stick-breaking-excursion/2"
 DEFAULT_GRID = 1024
 DEFAULT_REPLICATIONS = 200_000
 
@@ -73,9 +81,11 @@ _UNIT = models.extract_intervals(models.UniformCdf())
 class SimConfig:
     """Scale knobs for the simulator.
 
-    ``grid_size`` is the limit engine's point budget: a face of length l is
-    sampled on max(4, round(grid_size * l)) points, about grid_size + 90 in
-    all per draw.
+    ``grid_size`` is the limit engine's point budget, used only for norm
+    indices other than 1, 2 and inf, whose face functionals are drawn from
+    their exact laws: at any other p a face of length l is sampled on
+    max(4, round(grid_size * l)) points, about grid_size + 90 in all per
+    draw.
     """
 
     grid_size: int = DEFAULT_GRID
@@ -147,12 +157,13 @@ _STICK_TAIL = 1e-12
 _STICKS = 64
 #: Fewest points an excursion is sampled on.
 _MIN_FACE_POINTS = 4
-#: Face points the engine draws in one pass, about 64 streams at the default
-#: budget.  Past the per-stream random draws, each pass is a fixed number of
-#: numpy calls over all its faces, so wider passes cost less per stream,
-#: until their arrays outgrow the cache (4 streams at budget 16384 already
-#: take ~8 % longer than 2; 2 MB of normals a pass).  The coupling verifiers
-#: bound their passes by the same number of grid points.
+#: Work, in face points (``_row_points``), the engine does in one pass: 64
+#: streams at p in {1, 2, inf}, 32 at other p and the default budget.  Past
+#: the per-stream random draws, each pass is a fixed number of numpy calls
+#: over all its faces, so wider passes cost less per stream, until their
+#: arrays outgrow the cache (4 streams at budget 16384 already take ~8 %
+#: longer than 2; 2 MB of normals a pass).  The coupling verifiers bound
+#: their passes by the same number of grid points.
 _POINTS_PER_PASS = 2**16
 
 
@@ -180,22 +191,102 @@ def _kennedy_cdf(y) -> np.ndarray:
     return out
 
 
+def _airy_area_density(x) -> np.ndarray:
+    """Density of the area A under a standard Brownian excursion (the Airy
+    law), for x > 0: ``2 sqrt(6) / x^2 sum_j v_j^{2/3} e^{-v_j} U(-5/6, 4/3;
+    v_j)`` with ``v_j = 2 |a_j|^3 / (27 x^2)`` and a_j the zeros of Ai
+    (Takacs 1991; Janson 2007, Probab. Surveys 4).  Terms with v_j >= 60
+    are below 1e-24 and left out; 200 zeros cover x up to ~20."""
+    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
+    v = 2.0 * np.abs(special.ai_zeros(200)[0])[:, None] ** 3 / (27.0 * x**2)
+    keep = v < 60.0
+    terms = np.zeros_like(v)
+    vk = v[keep]
+    terms[keep] = vk ** (2.0 / 3.0) * np.exp(-vk) * special.hyperu(-5.0 / 6.0, 4.0 / 3.0, vk)
+    return 2.0 * math.sqrt(6.0) / x**2 * terms.sum(axis=0)
+
+
+def _energy_cdf(y, nodes: int = 24) -> np.ndarray:
+    """P(Y <= y) for the energy ``Y = int_0^1 e^2`` of a standard Brownian
+    excursion (in law, the integral of |3-d Brownian bridge|^2), for y > 0.
+
+    Fixed-Talbot inversion (Abate & Valko 2004) of ``phi(s) / s``, with the
+    Laplace transform ``phi(s) = (x / sinh x)^{3/2}``, x = sqrt(2s), taken
+    through ``log phi = 1.5 (log 2x - x - log1p(-e^{-2x}))``: Re x > 0 on
+    the contour, so no branch cut is crossed.
+    """
+    y = np.atleast_1d(np.asarray(y, dtype=np.float64))[:, None]
+    theta = np.arange(1, nodes) * (math.pi / nodes)
+    cot = 1.0 / np.tan(theta)
+    r = 2.0 * nodes / (5.0 * y)
+    s = r * theta * (cot + 1j)
+    sigma = theta + (theta * cot - 1.0) * cot
+
+    def log_phi(s):
+        x = np.sqrt(2.0 * s)
+        return 1.5 * (np.log(2.0 * x) - x - np.log1p(-np.exp(-2.0 * x)))
+
+    body = np.exp(y * s + log_phi(s) - np.log(s)) * (1.0 + 1j * sigma)
+    r = r[:, 0]
+    at_r = 0.5 * np.exp(2.0 * nodes / 5.0 + log_phi(r + 0j).real) / r
+    return r / nodes * (at_r + body.real.sum(axis=1))
+
+
+def _read_only(cdf, xs) -> tuple[np.ndarray, np.ndarray]:
+    cdf.flags.writeable = xs.flags.writeable = False
+    return cdf, xs
+
+
+# The face laws' tables are built on first use, not at import, and are
+# read-only, since every caller shares the arrays.  Each grid holds all but
+# ~1e-11 of its law's mass.
+
+
 @functools.cache
 def _kennedy_table() -> tuple[np.ndarray, np.ndarray]:
-    # Built on first use, not at import.  Below 0.2 and above 5 the law has
-    # mass under 1e-19.  Read-only, since every caller shares the arrays.
+    # Below 0.2 and above 5 the law has mass under 1e-19.
     ys = np.linspace(0.2, 5.0, 20001)
-    cdf = _kennedy_cdf(ys)
-    cdf.flags.writeable = ys.flags.writeable = False
-    return cdf, ys
+    return _read_only(_kennedy_cdf(ys), ys)
+
+
+@functools.cache
+def _area_table() -> tuple[np.ndarray, np.ndarray]:
+    # The density integrated by the trapezoid rule; it vanishes to all
+    # orders at both ends, so the moments are good to ~1e-12.
+    xs = np.linspace(0.02, 2.2, 4001)
+    f = _airy_area_density(xs)
+    cdf = np.zeros(xs.size)
+    np.cumsum(0.5 * (f[1:] + f[:-1]) * np.diff(xs), out=cdf[1:])
+    return _read_only(cdf, xs)
+
+
+@functools.cache
+def _energy_table() -> tuple[np.ndarray, np.ndarray]:
+    # The inversion is good to ~1e-12 absolute; clipping and a running max
+    # keep that noise from making the CDF decrease.
+    ys = np.linspace(0.005, 6.0, 6001)
+    cdf = np.maximum.accumulate(np.clip(_energy_cdf(ys), 0.0, 1.0))
+    return _read_only(cdf, ys)
+
+
+#: The norm indices whose face functional is drawn from its exact law, and
+#: that law's table: the area int e (p = 1), the energy int e^2 (p = 2) and
+#: the maximum of a standard excursion e (p = inf).
+_FACE_LAWS = {1.0: _area_table, 2.0: _energy_table, math.inf: _kennedy_table}
+
+
+def _face_quantile(p: float, u) -> np.ndarray:
+    # The face functional of norm index p in _FACE_LAWS at uniform draws u,
+    # by inverting its tabulated CDF.
+    cdf, xs = _FACE_LAWS[p]()
+    return np.interp(u, cdf, xs)
 
 
 def excursion_max_quantile(u) -> np.ndarray:
     """Kennedy's quantile function at ``u`` in [0, 1): maps uniform draws
     to draws of the max of a standard Brownian excursion, by inverting the
     tabulated CDF."""
-    cdf, ys = _kennedy_table()
-    return np.interp(u, cdf, ys)
+    return _face_quantile(math.inf, u)
 
 
 def _face_lengths(rngs) -> tuple[np.ndarray, np.ndarray]:
@@ -267,11 +358,10 @@ def _law_draws(d, h, ps, root: Stream, keys, budget: int) -> np.ndarray:
     # p = inf, with interval k's uniform-limit draw X(k) taken from
     # substream(root, *keys[i], k).  The uniform law is d = h = [1], for
     # which the arithmetic is exact.  Each stream breaks its sticks, then
-    # draws one Kennedy uniform per face, then the excursions' normals, so a
-    # column does not depend on which other norm indices are asked for, and
-    # no value depends on which other keys share the pass.
-    finite = [(j, p) for j, p in enumerate(ps) if not math.isinf(p)]
-    sup = [j for j, p in enumerate(ps) if math.isinf(p)]
+    # draws one uniform per face, which every norm index in _FACE_LAWS maps
+    # through its face law, then (for any other p) the excursions' normals,
+    # so a column does not depend on which other norm indices are asked
+    # for, and no value depends on which other keys share the pass.
     nk = len(d)
     out = np.zeros((len(keys), len(ps)))
     if nk == 0:  # no affine interval: every draw is 0
@@ -283,19 +373,23 @@ def _law_draws(d, h, ps, root: Stream, keys, budget: int) -> np.ndarray:
     u = np.empty(lengths.size)
     for rng, a, n in zip(rngs, first.tolist(), counts.tolist()):
         rng.random(out=u[a : a + n])
-    if sup:
-        top = np.maximum.reduceat(np.sqrt(lengths) * excursion_max_quantile(u), first)
-        top = top.reshape(-1, nk)
-        for k in range(nk):
-            out[:, sup] = np.maximum(out[:, sup], h[k] ** 0.5 * top[:, k : k + 1])
-    if finite:
-        powers = _excursion_pow_integrals(
-            rngs, lengths, counts, first, budget, [p for _, p in finite]
-        )
-        for (j, p), x in zip(finite, powers.reshape(len(finite), -1, nk)):
-            for k in range(nk):
-                out[:, j] += d[k] * h[k] ** (p / 2.0) * x[:, k]
-            out[:, j] = _roots(out[:, j], p)
+    general = [p for p in ps if p not in _FACE_LAWS]
+    if general:
+        powers = _excursion_pow_integrals(rngs, lengths, counts, first, budget, general)
+        sampled = dict(zip(general, powers))
+    for j, p in enumerate(ps):
+        if math.isinf(p):
+            top = np.maximum.reduceat(np.sqrt(lengths) * _face_quantile(p, u), first)
+            for k, x in enumerate(top.reshape(-1, nk).T):
+                out[:, j] = np.maximum(out[:, j], h[k] ** 0.5 * x)
+            continue
+        if p in _FACE_LAWS:
+            x = np.add.reduceat(lengths ** (1.0 + p / 2.0) * _face_quantile(p, u), first)
+        else:
+            x = sampled[p]
+        for k, x_k in enumerate(x.reshape(-1, nk).T):
+            out[:, j] += d[k] * h[k] ** (p / 2.0) * x_k
+        out[:, j] = _roots(out[:, j], p)
     return out
 
 
@@ -305,8 +399,9 @@ def limit_draw_general(
     """One draw of the limit law for a concave CDF with the given affine
     intervals: ``(sum_k d_k h_k^{p/2} ||gap(W_k)||_p^p)^{1/p}``, or
     ``max_k h_k^{1/2} sup gap(W_k)`` at p = inf, over independent Wiener
-    paths, one per interval, each gap norm drawn by the limit engine with
-    ``grid_size`` as its point budget.
+    paths, one per interval, each gap norm drawn by the limit engine (from
+    the exact face laws at p = 1, 2 and inf, with ``grid_size`` as its
+    point budget at any other p).
 
     An empty collection (strictly concave CDF) gives exactly 0.
     """
@@ -578,18 +673,27 @@ class CriticalValueTable:
         return cls.from_dict(json.loads(Path(path).read_text()))
 
 
-#: A stream of the limit engine costs about as much as this many face points
-#: on top of its point budget (stick-breaking, seeding, per-stream calls).
+#: A stream of the limit engine costs about as much as this many sampled face
+#: points (seeding, stick-breaking, the face-law inversions, per-stream
+#: calls); it is all a stream costs when every norm index is in _FACE_LAWS.
 _STREAM_COST_POINTS = 1024
-#: Work, in face points, that pays for one worker process: about 0.12 s of
+#: Work, in face points, that pays for one worker process: about 0.1 s of
 #: one core on a 2-core Xeon, where starting a pool of two takes 40-60 ms.
-#: At the default budget that is ~500 replications of the uniform law.
+#: That is ~1000 replications of the uniform law at p in {1, 2, inf}, or
+#: ~500 at any other p at the default budget.
 _WORK_PER_WORKER = 2**20
 
 
-def _workers_used(iv: models.IntervalStructure, config: SimConfig, workers: int) -> int:
+def _row_points(iv: models.IntervalStructure, ps, grid_size: int) -> int:
+    # The work of one replication, in face points: each interval's stream,
+    # plus its point budget when some norm index is outside _FACE_LAWS.
+    sampled = any(p not in _FACE_LAWS for p in ps)
+    return len(iv.d) * (grid_size * sampled + _STREAM_COST_POINTS)
+
+
+def _workers_used(iv: models.IntervalStructure, ps, config: SimConfig, workers: int) -> int:
     # ``workers`` capped at the CPU count and at one per _WORK_PER_WORKER of work.
-    work = config.replications * len(iv.d) * (config.grid_size + _STREAM_COST_POINTS)
+    work = config.replications * _row_points(iv, ps, config.grid_size)
     return min(workers, os.cpu_count() or 1, max(1, work // _WORK_PER_WORKER))
 
 
@@ -604,19 +708,21 @@ def simulate_draws(
     ``workers``.  ``workers`` is capped at ``os.cpu_count()`` and at one
     worker per ``_WORK_PER_WORKER`` of work, so a small simulation runs in
     this process instead of waiting for a pool to start.  The replications
-    are cut once into passes of about ``_POINTS_PER_PASS`` face points, one
-    engine call each, here or in a worker; rows are written, and the
-    optional callback ``progress(done, total)`` is called, in pass order.
-    The finite norm indices share the same excursions; p = inf shares their
-    faces.
+    are cut once into passes of about ``_POINTS_PER_PASS`` face points of
+    work, one engine call each, here or in a worker; rows are written, and
+    the optional callback ``progress(done, total)`` is called, in pass
+    order.  Work counts the point budget only when some norm index is
+    outside {1, 2, inf}, since those three draw no face points.  Every
+    column shares the faces; p = 1, 2 and inf share one uniform per face,
+    and the other finite norm indices the same sampled excursions.
     """
     ps = _norm_indices(ps)
     n = config.replications
     draws = np.zeros((n, len(ps)))
     if iv.is_empty:
         return draws
-    workers = _workers_used(iv, config, workers)
-    rows = _pass_rows(config.grid_size * len(iv.d))
+    workers = _workers_used(iv, ps, config, workers)
+    rows = _pass_rows(_row_points(iv, ps, config.grid_size))
     keys = np.arange(n)[:, None]  # interval k of replication i: substream(master_seed, i, k)
     starts = range(0, n, rows)
     passes = [keys[lo : lo + rows] for lo in starts]
@@ -646,9 +752,10 @@ def build_critical_table(
     """Simulate the limit law with affine intervals ``iv`` (the uniform law
     when None) and tabulate its upper quantiles.
 
-    All norm indices share the same draws of the faces (and the finite ones
-    the same excursions), so a table costs one simulation regardless of how
-    many norms it covers.  Deterministic for a given master seed, whatever
+    All norm indices share the same draws of the faces (p = 1, 2 and inf
+    one uniform per face, the other finite ones the same sampled
+    excursions), so a table costs one simulation regardless of how many
+    norms it covers.  Deterministic for a given master seed, whatever
     ``workers`` is; ``progress`` is an optional callback ``(done, total)``.
     The provenance records the engine id, the software versions, the number
     of workers the simulation used and its wall time.
@@ -664,7 +771,11 @@ def build_critical_table(
     provenance = {
         "engine": ENGINE,
         "grid_size": config.grid_size,
-        "grid_size_is": "point budget: a face of length l is sampled on max(4, round(grid_size * l)) points",
+        "grid_size_is": (
+            "point budget, used only for p outside {1, 2, inf}, whose face laws are exact: "
+            "a face of length l is sampled on max(4, round(grid_size * l)) points; "
+            "p = 1, 2 and inf are coupled comonotonically through one uniform per face"
+        ),
         "replications": config.replications,
         "master_seed": config.master_seed,
         "ps": [p_key(p) for p in ps],
@@ -673,7 +784,7 @@ def build_critical_table(
         "lcmtest_version": __version__,
         "numpy_version": np.__version__,
         "scipy_version": scipy.__version__,
-        "workers": _workers_used(iv, config, workers),
+        "workers": _workers_used(iv, ps, config, workers),
         "timing": {"seconds": seconds, "reps_per_s": config.replications / seconds},
     }
     return CriticalValueTable(entries, provenance)

@@ -143,14 +143,42 @@ def test_simulate_draws_match_single_draws_any_workers(monkeypatch):
 
 
 def test_engine_columns_ordered_and_independent_of_the_others():
-    # p = 1 and p = 2 integrate the same excursions, so ||.||_1 <= ||.||_2
-    # draw by draw; no column depends on which other indices are asked for.
-    iv = models.extract_intervals(TWO_SEGMENT)
-    cfg = limits.SimConfig(grid_size=256, replications=200, master_seed=41)
-    both = limits.simulate_draws(iv, (1.0, 2.0, math.inf), cfg)
-    assert np.all(both[:, 0] <= both[:, 1] * (1 + 1e-12))
-    for j, p in enumerate((1.0, 2.0, math.inf)):
-        assert np.array_equal(limits.simulate_draws(iv, (p,), cfg)[:, 0], both[:, j])
+    # p = 1, 2 and inf map one uniform per face through stochastically
+    # ordered face laws, so ||.||_1 <= ||.||_2 <= ||.||_inf draw by draw; no
+    # column depends on which other indices are asked for.
+    cfg = limits.SimConfig(grid_size=256, replications=1000, master_seed=41)
+    ps = (1.0, 2.0, 3.0, math.inf)
+    for spec in (models.UniformCdf(), TWO_SEGMENT):
+        iv = models.extract_intervals(spec)
+        every = limits.simulate_draws(iv, ps, cfg)
+        assert np.all(every[:, 0] <= every[:, 1] * (1 + 1e-12))
+        assert np.all(every[:, 1] <= every[:, 3] * (1 + 1e-12))
+        for j, p in enumerate(ps):
+            assert np.array_equal(limits.simulate_draws(iv, (p,), cfg)[:, 0], every[:, j])
+
+
+# Draws of SimConfig(64, 4, 2026) recorded before p = 1 and 2 had exact face
+# laws.  p = inf maps the same uniforms through Kennedy's law, and p = 3
+# samples the same excursions after them, so neither may move.
+RECORDED = {
+    "uniform": {
+        3.0: [0.4340771829337905, 0.4207084019342367, 0.46988021393631746, 0.5952895565730569],
+        math.inf: [1.0459922078238846, 0.9617618954070586, 0.7141943857517458, 1.1581599013043227],
+    },
+    "two": {
+        3.0: [0.3213162745311887, 0.3346421595812776, 0.36064422918771405, 0.419517757673985],
+        math.inf: [0.905855824136056, 0.8329102338143849, 0.6185104813012348, 1.0029958961740215],
+    },
+}
+
+
+@pytest.mark.parametrize("name,spec", [("uniform", models.UniformCdf()), ("two", TWO_SEGMENT)])
+def test_sampled_and_sup_columns_equal_recorded_draws(name, spec):
+    iv = models.extract_intervals(spec)
+    ps = (1.0, 2.0, 3.0, math.inf)
+    draws = limits.simulate_draws(iv, ps, limits.SimConfig(64, 4, 2026))
+    for p, want in RECORDED[name].items():
+        assert draws[:, ps.index(p)].tolist() == want
 
 
 def test_stick_breaking_rounds_do_not_change_faces(monkeypatch):
@@ -176,7 +204,7 @@ def test_stick_breaking_rounds_do_not_change_faces(monkeypatch):
 def test_kennedy_table_not_built_at_import():
     code = (
         "import lcmtest, lcmtest.cli; from lcmtest import limits; "
-        "assert limits._kennedy_table.cache_info().currsize == 0"
+        "assert all(t.cache_info().currsize == 0 for t in limits._FACE_LAWS.values())"
     )
     subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": SRC})
 
@@ -209,27 +237,47 @@ def test_small_simulation_runs_without_a_pool(monkeypatch):
 
 
 def test_engine_draws_do_not_depend_on_the_pass(monkeypatch):
-    # simulate_draws draws _POINTS_PER_PASS // (budget * intervals) rows a
-    # pass; a row's draws are the same whichever rows share its pass, in this
+    # simulate_draws draws _POINTS_PER_PASS // _row_points rows a pass; a
+    # row's draws are the same whichever rows share its pass, in this
     # process or in a pool, and with stick-breaking that takes several rounds
     # for every stream.  (Pool workers are forked, so they see the patches.)
     monkeypatch.setattr(limits, "_WORK_PER_WORKER", 1)  # a pool whenever workers > 1
     iv = models.extract_intervals(TWO_SEGMENT)
     cfg = limits.SimConfig(grid_size=64, replications=45, master_seed=17)
-    ps = (1.0, 2.0, math.inf)
-    for sticks in (limits._STICKS, 4):
-        monkeypatch.setattr(limits, "_STICKS", sticks)
-        monkeypatch.setattr(limits, "_POINTS_PER_PASS", 2**16)  # all 45 rows in one pass
-        want = limits.simulate_draws(iv, ps, cfg, workers=1)
-        for rows, workers in itertools.product((1, 7, 30), (1, 2)):
-            monkeypatch.setattr(limits, "_POINTS_PER_PASS", rows * 64 * 2)
-            assert np.array_equal(limits.simulate_draws(iv, ps, cfg, workers), want)
+    for ps in ((1.0, 2.0, math.inf), (1.0, 2.5, math.inf)):
+        row_points = limits._row_points(iv, ps, 64)
+        for sticks in (limits._STICKS, 4):
+            monkeypatch.setattr(limits, "_STICKS", sticks)
+            monkeypatch.setattr(limits, "_POINTS_PER_PASS", 45 * row_points)  # one pass
+            want = limits.simulate_draws(iv, ps, cfg, workers=1)
+            for rows, workers in itertools.product((1, 7, 30), (1, 2)):
+                monkeypatch.setattr(limits, "_POINTS_PER_PASS", rows * row_points)
+                assert np.array_equal(limits.simulate_draws(iv, ps, cfg, workers), want)
+
+
+def test_work_counts_the_budget_only_for_sampled_norms(monkeypatch):
+    # p = 1, 2 and inf draw no face points, so at budget 16384 a pass holds
+    # as many replications as at any budget, and 600 of them run here.
+    class NoPool:
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("this simulation is too small for a process pool")
+
+    iv = models.extract_intervals(TWO_SEGMENT)
+    exact = (1.0, 2.0, math.inf)
+    assert limits._row_points(iv, exact, 16384) == limits._row_points(iv, exact, 64)
+    assert limits._row_points(iv, (2.5,), 16384) == 2 * (16384 + limits._STREAM_COST_POINTS)
+    cfg = limits.SimConfig(grid_size=16384, replications=600, master_seed=5)
+    assert limits._workers_used(iv, (2.5,), cfg, 4) > 1
+    want = limits.simulate_draws(iv, exact, cfg, workers=1)
+    monkeypatch.setattr(limits.os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(limits, "ProcessPoolExecutor", NoPool)
+    assert np.array_equal(limits.simulate_draws(iv, exact, cfg, workers=4), want)
 
 
 def test_simulate_draws_reports_progress(monkeypatch):
     monkeypatch.setattr(limits, "_WORK_PER_WORKER", 1)  # a pool whenever workers > 1
-    monkeypatch.setattr(limits, "_POINTS_PER_PASS", 7 * 64 * 2)  # 7 rows a pass
     iv = models.extract_intervals(TWO_SEGMENT)
+    monkeypatch.setattr(limits, "_POINTS_PER_PASS", 7 * limits._row_points(iv, (2.0,), 64))
     cfg = limits.SimConfig(grid_size=64, replications=45, master_seed=17)
     for workers in (1, 2):
         calls = []
