@@ -157,8 +157,8 @@ _STICK_TAIL = 1e-12
 _STICKS = 64
 #: Fewest points an excursion is sampled on.
 _MIN_FACE_POINTS = 4
-#: Work, in face points (``_row_points``), the engine does in one pass: 64
-#: streams at p in {1, 2, inf}, 32 at other p and the default budget.  Past
+#: Face points (``_pass_points``) in one pass of the engine: 64 streams at
+#: p in {1, 2, inf} or at the default budget.  Past
 #: the per-stream random draws, each pass is a fixed number of numpy calls
 #: over all its faces, so wider passes cost less per stream, until their
 #: arrays outgrow the cache (4 streams at budget 16384 already take ~8 %
@@ -206,7 +206,12 @@ def _airy_area_density(x) -> np.ndarray:
     return 2.0 * math.sqrt(6.0) / x**2 * terms.sum(axis=0)
 
 
-def _energy_cdf(y, nodes: int = 24) -> np.ndarray:
+#: Nodes of the fixed-Talbot inversion in ``_energy_cdf``: with 24 the energy
+#: table's mean is 1/2 to ~2e-12.
+_TALBOT_NODES = 24
+
+
+def _energy_cdf(y) -> np.ndarray:
     """P(Y <= y) for the energy ``Y = int_0^1 e^2`` of a standard Brownian
     excursion (in law, the integral of |3-d Brownian bridge|^2), for y > 0.
 
@@ -215,6 +220,7 @@ def _energy_cdf(y, nodes: int = 24) -> np.ndarray:
     through ``log phi = 1.5 (log 2x - x - log1p(-e^{-2x}))``: Re x > 0 on
     the contour, so no branch cut is crossed.
     """
+    nodes = _TALBOT_NODES
     y = np.atleast_1d(np.asarray(y, dtype=np.float64))[:, None]
     theta = np.arange(1, nodes) * (math.pi / nodes)
     cot = 1.0 / np.tan(theta)
@@ -684,11 +690,21 @@ _STREAM_COST_POINTS = 1024
 _WORK_PER_WORKER = 2**20
 
 
+def _samples_faces(ps) -> bool:
+    # Whether some norm index is outside _FACE_LAWS, so excursions are sampled.
+    return any(p not in _FACE_LAWS for p in ps)
+
+
 def _row_points(iv: models.IntervalStructure, ps, grid_size: int) -> int:
     # The work of one replication, in face points: each interval's stream,
-    # plus its point budget when some norm index is outside _FACE_LAWS.
-    sampled = any(p not in _FACE_LAWS for p in ps)
-    return len(iv.d) * (grid_size * sampled + _STREAM_COST_POINTS)
+    # plus its point budget when excursions are sampled.
+    return len(iv.d) * (grid_size * _samples_faces(ps) + _STREAM_COST_POINTS)
+
+
+def _pass_points(iv: models.IntervalStructure, ps, grid_size: int) -> int:
+    # What sizes a pass for one replication: its sampled face points when
+    # excursions are sampled, else its streams' cost.
+    return len(iv.d) * (grid_size if _samples_faces(ps) else _STREAM_COST_POINTS)
 
 
 def _workers_used(iv: models.IntervalStructure, ps, config: SimConfig, workers: int) -> int:
@@ -708,10 +724,10 @@ def simulate_draws(
     ``workers``.  ``workers`` is capped at ``os.cpu_count()`` and at one
     worker per ``_WORK_PER_WORKER`` of work, so a small simulation runs in
     this process instead of waiting for a pool to start.  The replications
-    are cut once into passes of about ``_POINTS_PER_PASS`` face points of
-    work, one engine call each, here or in a worker; rows are written, and
-    the optional callback ``progress(done, total)`` is called, in pass
-    order.  Work counts the point budget only when some norm index is
+    are cut once into passes of about ``_POINTS_PER_PASS`` face points,
+    one engine call each, here or in a worker; rows are written, and the
+    optional callback ``progress(done, total)`` is called, in pass order.
+    Work and passes count the point budget only when some norm index is
     outside {1, 2, inf}, since those three draw no face points.  Every
     column shares the faces; p = 1, 2 and inf share one uniform per face,
     and the other finite norm indices the same sampled excursions.
@@ -722,7 +738,7 @@ def simulate_draws(
     if iv.is_empty:
         return draws
     workers = _workers_used(iv, ps, config, workers)
-    rows = _pass_rows(_row_points(iv, ps, config.grid_size))
+    rows = _pass_rows(_pass_points(iv, ps, config.grid_size))
     keys = np.arange(n)[:, None]  # interval k of replication i: substream(master_seed, i, k)
     starts = range(0, n, rows)
     passes = [keys[lo : lo + rows] for lo in starts]

@@ -237,7 +237,7 @@ def test_small_simulation_runs_without_a_pool(monkeypatch):
 
 
 def test_engine_draws_do_not_depend_on_the_pass(monkeypatch):
-    # simulate_draws draws _POINTS_PER_PASS // _row_points rows a pass; a
+    # simulate_draws draws _POINTS_PER_PASS // _pass_points rows a pass; a
     # row's draws are the same whichever rows share its pass, in this
     # process or in a pool, and with stick-breaking that takes several rounds
     # for every stream.  (Pool workers are forked, so they see the patches.)
@@ -245,7 +245,7 @@ def test_engine_draws_do_not_depend_on_the_pass(monkeypatch):
     iv = models.extract_intervals(TWO_SEGMENT)
     cfg = limits.SimConfig(grid_size=64, replications=45, master_seed=17)
     for ps in ((1.0, 2.0, math.inf), (1.0, 2.5, math.inf)):
-        row_points = limits._row_points(iv, ps, 64)
+        row_points = limits._pass_points(iv, ps, 64)
         for sticks in (limits._STICKS, 4):
             monkeypatch.setattr(limits, "_STICKS", sticks)
             monkeypatch.setattr(limits, "_POINTS_PER_PASS", 45 * row_points)  # one pass
@@ -266,6 +266,8 @@ def test_work_counts_the_budget_only_for_sampled_norms(monkeypatch):
     exact = (1.0, 2.0, math.inf)
     assert limits._row_points(iv, exact, 16384) == limits._row_points(iv, exact, 64)
     assert limits._row_points(iv, (2.5,), 16384) == 2 * (16384 + limits._STREAM_COST_POINTS)
+    assert limits._pass_points(iv, exact, 16384) == limits._pass_points(iv, exact, 64)
+    assert limits._pass_points(iv, (2.5,), 16384) == 2 * 16384  # the budget sizes passes of sampled norms
     cfg = limits.SimConfig(grid_size=16384, replications=600, master_seed=5)
     assert limits._workers_used(iv, (2.5,), cfg, 4) > 1
     want = limits.simulate_draws(iv, exact, cfg, workers=1)
@@ -277,7 +279,7 @@ def test_work_counts_the_budget_only_for_sampled_norms(monkeypatch):
 def test_simulate_draws_reports_progress(monkeypatch):
     monkeypatch.setattr(limits, "_WORK_PER_WORKER", 1)  # a pool whenever workers > 1
     iv = models.extract_intervals(TWO_SEGMENT)
-    monkeypatch.setattr(limits, "_POINTS_PER_PASS", 7 * limits._row_points(iv, (2.0,), 64))
+    monkeypatch.setattr(limits, "_POINTS_PER_PASS", 7 * limits._pass_points(iv, (2.0,), 64))
     cfg = limits.SimConfig(grid_size=64, replications=45, master_seed=17)
     for workers in (1, 2):
         calls = []
