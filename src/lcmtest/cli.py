@@ -5,8 +5,7 @@ values, simulate the limit law of a given concave CDF, run the pathwise
 coupling verifications, and print the exact two-point worked example.
 
 Reports are JSON on stdout; human-readable logs go to stderr.  Exit codes:
-0 success, 1 verification failure or a crashed simulation worker, 2 input
-error.
+0 success, 1 verification failure, 2 input error.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ import json
 import math
 import sys
 import warnings
-from concurrent.futures.process import BrokenProcessPool
 from fractions import Fraction
 from pathlib import Path
 
@@ -189,17 +187,17 @@ def _progress_logger(label: str):
     return cb
 
 
-def _limit_table(args, ps, alphas, workers: int = 1, iv=None) -> limits.CriticalValueTable:
+def _limit_table(args, ps, alphas, iv=None) -> limits.CriticalValueTable:
     # The one route from a command to the limit engine: upper quantiles of
     # the law with affine intervals iv (the uniform law when None) at the
     # command's point budget, replications and seed.
     config = limits.SimConfig(args.grid, args.reps, args.seed)
     _log(
         f"simulating the limit law: p={[limits.p_key(p) for p in ps]}, alpha={alphas}, "
-        f"grid={args.grid}, reps={args.reps}, seed={args.seed}, workers={workers}"
+        f"grid={args.grid}, reps={args.reps}, seed={args.seed}"
     )
     progress = _progress_logger("limit draws")
-    return limits.build_critical_table(config, alphas, ps, workers, progress, iv)
+    return limits.build_critical_table(config, alphas, ps, progress, iv)
 
 
 def _critical_values_for_test(args, alphas):
@@ -209,7 +207,7 @@ def _critical_values_for_test(args, alphas):
     if args.cdf is not None:
         spec = load_spec(args.cdf)
         source = {"mode": "cdf-limit", "cdf": models.spec_to_dict(spec)}
-        table = _limit_table(args, (args.p,), alphas, args.workers, models.extract_intervals(spec))
+        table = _limit_table(args, (args.p,), alphas, models.extract_intervals(spec))
     elif args.table is not None and Path(args.table).is_file():
         try:
             table = limits.CriticalValueTable.load(args.table)
@@ -225,7 +223,7 @@ def _critical_values_for_test(args, alphas):
             )
         _log(f"loaded critical values from {args.table}")
     elif args.simulate:
-        table = _limit_table(args, (args.p,), alphas, args.workers)
+        table = _limit_table(args, (args.p,), alphas)
         if args.table is not None:
             _save_table(table, args.table)
     else:
@@ -269,7 +267,7 @@ def cmd_test(args) -> int:
 
 def cmd_critvals(args) -> int:
     alphas = [float(a) for a in args.alpha]
-    table = _limit_table(args, args.p, alphas, args.workers)
+    table = _limit_table(args, args.p, alphas)
     _save_table(table, args.out)
     _emit(table.to_dict())
     return 0
@@ -391,6 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
         f"face laws are exact: a majorant face of length l is sampled on "
         f"max(4, round(grid * l)) points (default {limits.DEFAULT_GRID})"
     )
+    workers_help = "ignored, kept for old command lines: the simulation runs in this process"
 
     t = sub.add_parser("test", help="run the concavity test on a data file")
     t.add_argument("data", help="text file with one value per line, or CSV with --column")
@@ -403,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--grid", type=int, default=limits.DEFAULT_GRID, help=budget_help)
     t.add_argument("--reps", type=int, default=limits.DEFAULT_REPLICATIONS, help="simulation replications")
     t.add_argument("--seed", type=int, default=limits.DEFAULT_SEED, help=seed_help)
-    t.add_argument("--workers", type=int, default=1, help="parallel workers for simulation")
+    t.add_argument("--workers", type=int, default=1, help=workers_help)
     t.set_defaults(func=cmd_test)
 
     c = sub.add_parser("critvals", help="simulate and cache critical values")
@@ -412,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--grid", type=int, default=limits.DEFAULT_GRID, help=budget_help)
     c.add_argument("--reps", type=int, default=limits.DEFAULT_REPLICATIONS)
     c.add_argument("--seed", type=int, default=limits.DEFAULT_SEED, help=seed_help)
-    c.add_argument("--workers", type=int, default=1)
+    c.add_argument("--workers", type=int, default=1, help=workers_help)
     c.add_argument("--out", required=True, help="output JSON path")
     c.set_defaults(func=cmd_critvals)
 
@@ -451,7 +450,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _check_scale(args) -> None:
     # Norm indices, counts and levels shared by the commands that take them,
-    # checked before any file is read or any simulation runs.
+    # checked before any file is read or any simulation runs.  A norm index
+    # or level given twice is kept once, at its first place.
     for flag in ("reps", "paths", "workers"):
         value = getattr(args, flag, None)
         if value is not None and value < 1:
@@ -459,7 +459,7 @@ def _check_scale(args) -> None:
     p = getattr(args, "p", None)
     try:
         if isinstance(p, list):
-            args.p = [limits.parse_p(tok) for tok in p]
+            args.p = list(dict.fromkeys(limits.parse_p(tok) for tok in p))
         elif p is not None:
             args.p = limits.parse_p(p)
     except ValueError as exc:
@@ -471,9 +471,12 @@ def _check_scale(args) -> None:
     if grid is not None and grid < 2:
         raise InputError(f"--grid must be at least 2, got {grid}")
     for flag in ("alpha", "alphas"):
-        for level in getattr(args, flag, None) or ():
+        levels = getattr(args, flag, None)
+        for level in levels or ():
             if not 0.0 < level < 1.0:
                 raise InputError(f"--{flag} levels must lie in (0, 1), got {level:g}")
+        if levels is not None:
+            setattr(args, flag, list(dict.fromkeys(levels)))
 
 
 def main(argv=None) -> int:
@@ -484,9 +487,6 @@ def main(argv=None) -> int:
     except InputError as exc:
         _log(f"error: {exc}")
         return 2
-    except BrokenProcessPool as exc:
-        _log(f"error: a simulation worker process died: {exc}")
-        return 1
 
 
 def console_main() -> None:

@@ -24,32 +24,30 @@ face i's excursion as the norm of a 3-d Brownian bridge on max(4,
 round(budget * l_i)) points, with the point budget
 ``SimConfig.grid_size``, and integrates those points exactly; those
 columns share the faces but not the excursions' values with the exact
-ones.  Replications are drawn in passes, the one unit of work in this
-process and in a worker pool alike: each stream makes its own random
-draws, then one run of array operations serves every face of the pass, and
-no value depends on which streams share a pass.
+ones.  Replications are drawn in blocks of ``_BLOCK``, the one unit of
+randomness: one generator draws every stick, face uniform and normal of a
+block, and one run of array operations serves every face of the block (or
+of a sub-pass of at most ``_POINTS_PER_PASS`` sampled points).
 Sampled paths on grids remain where one shared path is the point: the two
 coupling verifiers.  Each checks every path of a sequence of streams in one
 call: the CDF's intervals and the grids are built once, and the paths run
 in passes of at most ``_POINTS_PER_PASS`` grid points, each pass one
 matrix with a path per row.
 
-Determinism contract: every replication derives its randomness from
-``(master seed, replication index)`` through spawn keys, so results are
-bit-identical for any worker count; aggregation sorts the draws, so order
-never matters.
+Determinism contract: block b of a simulation is drawn from
+``substream(master seed, b)`` through spawn keys, in this process, so a
+simulation's draws are the same from run to run, and do not depend on how
+a block's sampled excursions are cut into sub-passes; aggregation sorts
+the draws, so order never matters.
 """
 
 from __future__ import annotations
 
-import contextlib
 import datetime as _dt
 import functools
 import json
 import math
-import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -63,7 +61,7 @@ from .streams import Stream, generator, substream
 DEFAULT_SEED = 171717
 #: Identifies the limit engine in table provenance and reports; a table made
 #: by another engine is stale.
-ENGINE = "stick-breaking-excursion/2"
+ENGINE = "stick-breaking-excursion/3"
 DEFAULT_GRID = 1024
 DEFAULT_REPLICATIONS = 200_000
 
@@ -85,7 +83,10 @@ class SimConfig:
     indices other than 1, 2 and inf, whose face functionals are drawn from
     their exact laws: at any other p a face of length l is sampled on
     max(4, round(grid_size * l)) points, about grid_size + 90 in all per
-    draw.
+    draw.  ``master_seed`` seeds the blocks of ``_BLOCK`` replications, so
+    it and ``replications`` fix every draw: the replications of a shorter
+    simulation are the first rows of a longer one only where they fill
+    whole blocks.
     """
 
     grid_size: int = DEFAULT_GRID
@@ -157,13 +158,12 @@ _STICK_TAIL = 1e-12
 _STICKS = 64
 #: Fewest points an excursion is sampled on.
 _MIN_FACE_POINTS = 4
-#: Face points (``_pass_points``) in one pass of the engine: 64 streams at
-#: p in {1, 2, inf} or at the default budget.  Past
-#: the per-stream random draws, each pass is a fixed number of numpy calls
-#: over all its faces, so wider passes cost less per stream, until their
-#: arrays outgrow the cache (4 streams at budget 16384 already take ~8 %
-#: longer than 2; 2 MB of normals a pass).  The coupling verifiers bound
-#: their passes by the same number of grid points.
+#: Sampled face points in one sub-pass of the engine at p outside {1, 2,
+#: inf}: 64 replications of the uniform law at the default budget, 4 at
+#: 16384.  Each sub-pass is a fixed number of numpy calls over all its
+#: faces, so wider ones cost less per replication, until their arrays
+#: outgrow the cache (2 MB of normals a sub-pass).  The coupling verifiers
+#: bound their passes by the same number of grid points.
 _POINTS_PER_PASS = 2**16
 
 
@@ -288,25 +288,17 @@ def _face_quantile(p: float, u) -> np.ndarray:
     return np.interp(u, cdf, xs)
 
 
-def excursion_max_quantile(u) -> np.ndarray:
-    """Kennedy's quantile function at ``u`` in [0, 1): maps uniform draws
-    to draws of the max of a standard Brownian excursion, by inverting the
-    tabulated CDF."""
-    return _face_quantile(math.inf, u)
-
-
-def _face_lengths(rngs) -> tuple[np.ndarray, np.ndarray]:
-    # Every stream's stick lengths, stream after stream, and how many each
-    # has: uniform stick-breaking of [0, 1] until the stick left is below
-    # _STICK_TAIL.  Each round draws _STICKS uniforms for the streams still
-    # above it; finished rows get zero columns, which leave their cumprod
-    # unchanged.
-    u = np.zeros((len(rngs), 0))
-    unfinished = range(len(rngs))
-    while len(unfinished):
-        more = np.zeros((len(rngs), _STICKS))
-        for s in unfinished:
-            rngs[s].random(out=more[s])
+def _face_lengths(rng, streams: int) -> tuple[np.ndarray, np.ndarray]:
+    # The stick lengths of ``streams`` streams, stream after stream, and how
+    # many each has: uniform stick-breaking of [0, 1] until the stick left is
+    # below _STICK_TAIL.  Each round draws _STICKS uniforms a stream, in
+    # stream order, for the streams still above it; finished rows get zero
+    # columns, which leave their cumprod unchanged.
+    u = np.zeros((streams, 0))
+    unfinished = np.arange(streams)
+    while unfinished.size:
+        more = np.zeros((streams, _STICKS))
+        more[unfinished] = rng.random((unfinished.size, _STICKS))
         u = np.hstack([u, more])
         rest = np.cumprod(1.0 - u, axis=1)
         unfinished = np.flatnonzero(rest[:, -1] >= _STICK_TAIL)
@@ -315,39 +307,55 @@ def _face_lengths(rngs) -> tuple[np.ndarray, np.ndarray]:
     return u[np.arange(u.shape[1]) < counts[:, None]], counts
 
 
-def _excursion_pow_integrals(rngs, lengths, counts, first, budget: int, ps) -> np.ndarray:
+def _excursion_pow_integrals(rng, lengths, counts, nk: int, budget: int, ps) -> np.ndarray:
     # Row j, column s: sum_i l_i^{1+p/2} int e_i^p at ps[j] over stream s's
-    # faces, one excursion per face.  Face i is |3-d Brownian bridge| on
-    # m_i = max(4, round(budget l_i)) steps.  Stream s draws its normals as
-    # one (3, sum of its m_i) array, which fills columns of z; increments
-    # centred per face make each face's cumsum a bridge, whose last point is
-    # 0.  The walk has unit steps, so int e_i^p = m_i^{-(1+p/2)} times the
-    # sum of the ramp integrals of |bridge|.
+    # faces, one excursion per face, with the streams nk to a replication.
+    # Face i is |3-d Brownian bridge| on m_i = max(4, round(budget l_i))
+    # steps.  Each replication draws its normals as one (3, sum of its m_i)
+    # array, in replication order, and cumsums its own walk, so no value
+    # depends on how the replications are cut into sub-passes of at most
+    # _POINTS_PER_PASS points.  Increments centred per face make each face's
+    # cumsum a bridge, whose last point is 0.  The walk has unit steps, so
+    # int e_i^p = m_i^{-(1+p/2)} times the sum of the ramp integrals of
+    # |bridge|.
     m = np.maximum(_MIN_FACE_POINTS, np.rint(budget * lengths)).astype(np.intp)
-    starts = np.zeros(m.size, dtype=np.intp)
-    np.cumsum(m[:-1], out=starts[1:])
-    total = int(starts[-1] + m[-1])
-    spans = list(zip(starts[first].tolist(), np.add.reduceat(m, first).tolist()))
-    z = np.empty((3, total))
-    for rng, (c, w) in zip(rngs, spans):
-        z[:, c : c + w] = rng.standard_normal((3, w))
-    mean = np.add.reduceat(z, starts, axis=1)
-    mean /= m
-    z -= np.repeat(mean, m, axis=1)
-    for c, w in spans:
-        walk = z[:, c : c + w]
-        np.cumsum(walk, axis=1, out=walk)
-    r = np.zeros(total + 1)  # every face starts and ends at 0
-    np.sqrt(np.einsum("ij,ij->j", z, z), out=r[1:])
-    r[starts] = 0.0
-    r[total] = 0.0
-    steps = lengths / m
-    faces = list(zip(first.tolist(), counts.tolist()))
-    out = np.empty((len(ps), len(rngs)))
-    for j, p in enumerate(ps):
-        per_face = np.add.reduceat(pwl.ramp_pow_integrals(r[:-1], r[1:], 1.0, p), starts)
-        w = steps ** (1.0 + p / 2.0)
-        out[j] = [np.dot(w[a : a + n], per_face[a : a + n]) for a, n in faces]
+    first = np.zeros(counts.size + 1, dtype=np.intp)  # stream s has faces first[s]:first[s + 1]
+    np.cumsum(counts, out=first[1:])
+    rep_first = first[::nk]  # the same for replications
+    rep_ends = np.cumsum(m)[rep_first[1:] - 1]  # points up to each replication's end
+    out = np.empty((len(ps), counts.size))
+    lo = 0
+    while lo < rep_ends.size:
+        begin = rep_ends[lo - 1] if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(rep_ends, begin + _POINTS_PER_PASS, side="right")))
+        faces = slice(rep_first[lo], rep_first[hi])
+        mf = m[faces]
+        starts = np.zeros(mf.size, dtype=np.intp)
+        np.cumsum(mf[:-1], out=starts[1:])
+        ends = rep_ends[lo:hi] - begin
+        widths = np.diff(ends, prepend=0)
+        spans = list(zip((ends - widths).tolist(), widths.tolist()))
+        total = int(ends[-1])
+        z = np.empty((3, total))
+        for c, w in spans:
+            z[:, c : c + w] = rng.standard_normal((3, w))
+        mean = np.add.reduceat(z, starts, axis=1)
+        mean /= mf
+        z -= np.repeat(mean, mf, axis=1)
+        for c, w in spans:
+            walk = z[:, c : c + w]
+            np.cumsum(walk, axis=1, out=walk)
+        r = np.zeros(total + 1)  # every face starts and ends at 0
+        np.sqrt(np.einsum("ij,ij->j", z, z), out=r[1:])
+        r[starts] = 0.0
+        r[total] = 0.0
+        steps = lengths[faces] / mf
+        streams = slice(lo * nk, hi * nk)
+        stream_first = first[streams] - first[lo * nk]
+        for j, p in enumerate(ps):
+            per_face = np.add.reduceat(pwl.ramp_pow_integrals(r[:-1], r[1:], 1.0, p), starts)
+            out[j, streams] = np.add.reduceat(steps ** (1.0 + p / 2.0) * per_face, stream_first)
+        lo = hi
     return out
 
 
@@ -357,31 +365,29 @@ def _roots(powers: np.ndarray, p: float) -> np.ndarray:
     return np.array([x ** (1.0 / p) for x in powers.tolist()])
 
 
-def _law_draws(d, h, ps, root: Stream, keys, budget: int) -> np.ndarray:
-    # The one simulation engine, one pass: row i, column j is the draw at
-    # norm index ps[j] of the law with affine widths d and rises h,
-    # (sum_k d_k h_k^{p/2} X_p(k)^p)^{1/p}, or max_k h_k^{1/2} X_inf(k) at
-    # p = inf, with interval k's uniform-limit draw X(k) taken from
-    # substream(root, *keys[i], k).  The uniform law is d = h = [1], for
-    # which the arithmetic is exact.  Each stream breaks its sticks, then
-    # draws one uniform per face, which every norm index in _FACE_LAWS maps
-    # through its face law, then (for any other p) the excursions' normals,
-    # so a column does not depend on which other norm indices are asked
-    # for, and no value depends on which other keys share the pass.
+def _law_draws(d, h, ps, stream: Stream, rows: int, budget: int) -> np.ndarray:
+    # The one simulation engine, one block of ``rows`` replications: row i,
+    # column j is the draw at norm index ps[j] of the law with affine widths
+    # d and rises h, (sum_k d_k h_k^{p/2} X_p(k)^p)^{1/p}, or max_k h_k^{1/2}
+    # X_inf(k) at p = inf, where interval k's uniform-limit draw X(k) is
+    # stream i * len(d) + k.  The uniform law is d = h = [1], for which the
+    # arithmetic is exact.  One generator, from ``stream``, draws in this
+    # order: every stream's sticks, one uniform per face, which every norm
+    # index in _FACE_LAWS maps through its face law, then (for any other p)
+    # the excursions' normals, so a column does not depend on which other
+    # norm indices are asked for.
     nk = len(d)
-    out = np.zeros((len(keys), len(ps)))
+    out = np.zeros((rows, len(ps)))
     if nk == 0:  # no affine interval: every draw is 0
         return out
-    rngs = [generator(substream(root, *key, k)) for key in keys for k in range(nk)]
-    lengths, counts = _face_lengths(rngs)
+    rng = generator(stream)
+    lengths, counts = _face_lengths(rng, rows * nk)
     first = np.zeros(counts.size, dtype=np.intp)
     np.cumsum(counts[:-1], out=first[1:])
-    u = np.empty(lengths.size)
-    for rng, a, n in zip(rngs, first.tolist(), counts.tolist()):
-        rng.random(out=u[a : a + n])
+    u = rng.random(lengths.size)
     general = [p for p in ps if p not in _FACE_LAWS]
     if general:
-        powers = _excursion_pow_integrals(rngs, lengths, counts, first, budget, general)
+        powers = _excursion_pow_integrals(rng, lengths, counts, nk, budget, general)
         sampled = dict(zip(general, powers))
     for j, p in enumerate(ps):
         if math.isinf(p):
@@ -407,12 +413,14 @@ def limit_draw_general(
     ``max_k h_k^{1/2} sup gap(W_k)`` at p = inf, over independent Wiener
     paths, one per interval, each gap norm drawn by the limit engine (from
     the exact face laws at p = 1, 2 and inf, with ``grid_size`` as its
-    point budget at any other p).
+    point budget at any other p).  The draw is the engine's block of one
+    replication, drawn from ``stream``, so it is the one draw of
+    ``simulate_draws`` with one replication and master seed s when
+    ``stream`` is ``substream(s, 0)``.
 
     An empty collection (strictly concave CDF) gives exactly 0.
     """
-    draws = _law_draws(iv.d, iv.h, _norm_indices((p,)), stream, [()], grid_size)
-    return float(draws[0, 0])
+    return float(_law_draws(iv.d, iv.h, _norm_indices((p,)), stream, 1, grid_size)[0, 0])
 
 
 def _block_grid(knots, widths, grid_size: int) -> tuple[np.ndarray, list[tuple[int, int]]]:
@@ -679,81 +687,31 @@ class CriticalValueTable:
         return cls.from_dict(json.loads(Path(path).read_text()))
 
 
-#: A stream of the limit engine costs about as much as this many sampled face
-#: points (seeding, stick-breaking, the face-law inversions, per-stream
-#: calls); it is all a stream costs when every norm index is in _FACE_LAWS.
-_STREAM_COST_POINTS = 1024
-#: Work, in face points, that pays for one worker process: about 0.1 s of
-#: one core on a 2-core Xeon, where starting a pool of two takes 40-60 ms.
-#: That is ~1000 replications of the uniform law at p in {1, 2, inf}, or
-#: ~500 at any other p at the default budget.
-_WORK_PER_WORKER = 2**20
+#: Replications in one block, the limit engine's unit of randomness: block b
+#: is drawn by one generator from ``substream(master_seed, b)``.
+_BLOCK = 256
 
 
-def _samples_faces(ps) -> bool:
-    # Whether some norm index is outside _FACE_LAWS, so excursions are sampled.
-    return any(p not in _FACE_LAWS for p in ps)
-
-
-def _row_points(iv: models.IntervalStructure, ps, grid_size: int) -> int:
-    # The work of one replication, in face points: each interval's stream,
-    # plus its point budget when excursions are sampled.
-    return len(iv.d) * (grid_size * _samples_faces(ps) + _STREAM_COST_POINTS)
-
-
-def _pass_points(iv: models.IntervalStructure, ps, grid_size: int) -> int:
-    # What sizes a pass for one replication: its sampled face points when
-    # excursions are sampled, else its streams' cost.
-    return len(iv.d) * (grid_size if _samples_faces(ps) else _STREAM_COST_POINTS)
-
-
-def _workers_used(iv: models.IntervalStructure, ps, config: SimConfig, workers: int) -> int:
-    # ``workers`` capped at the CPU count and at one per _WORK_PER_WORKER of work.
-    work = config.replications * _row_points(iv, ps, config.grid_size)
-    return min(workers, os.cpu_count() or 1, max(1, work // _WORK_PER_WORKER))
-
-
-def simulate_draws(
-    iv: models.IntervalStructure, ps, config: SimConfig, workers: int = 1, progress=None
-) -> np.ndarray:
+def simulate_draws(iv: models.IntervalStructure, ps, config: SimConfig, progress=None) -> np.ndarray:
     """Draws of the limit law with affine intervals ``iv``: one row per
     replication, one column per norm index in ``ps`` (p = inf included).
 
-    Row i is drawn from ``substream(config.master_seed, i)``, as in
-    ``limit_draw_general``, so the result is bit-identical for any
-    ``workers``.  ``workers`` is capped at ``os.cpu_count()`` and at one
-    worker per ``_WORK_PER_WORKER`` of work, so a small simulation runs in
-    this process instead of waiting for a pool to start.  The replications
-    are cut once into passes of about ``_POINTS_PER_PASS`` face points,
-    one engine call each, here or in a worker; rows are written, and the
-    optional callback ``progress(done, total)`` is called, in pass order.
-    Work and passes count the point budget only when some norm index is
-    outside {1, 2, inf}, since those three draw no face points.  Every
-    column shares the faces; p = 1, 2 and inf share one uniform per face,
-    and the other finite norm indices the same sampled excursions.
+    The replications are drawn in blocks of ``_BLOCK``, one after another
+    in this process: row i is row ``i % _BLOCK`` of the block drawn by one
+    generator from ``substream(config.master_seed, i // _BLOCK)``.  The
+    optional callback ``progress(done, total)`` is called after each block.
+    Every column shares the faces; p = 1, 2 and inf share one uniform per
+    face, and the other finite norm indices the same sampled excursions.
     """
     ps = _norm_indices(ps)
     n = config.replications
     draws = np.zeros((n, len(ps)))
-    if iv.is_empty:
-        return draws
-    workers = _workers_used(iv, ps, config, workers)
-    rows = _pass_rows(_pass_points(iv, ps, config.grid_size))
-    keys = np.arange(n)[:, None]  # interval k of replication i: substream(master_seed, i, k)
-    starts = range(0, n, rows)
-    passes = [keys[lo : lo + rows] for lo in starts]
-    draw = functools.partial(
-        _law_draws, iv.d, iv.h, ps, config.master_seed, budget=config.grid_size
-    )
-    with ProcessPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool:
-        if pool is None:
-            parts = map(draw, passes)
-        else:
-            parts = pool.map(draw, passes, chunksize=math.ceil(len(passes) / (8 * workers)))
-        for lo, part in zip(starts, parts):
-            draws[lo : lo + len(part)] = part
-            if progress is not None:
-                progress(lo + len(part), n)
+    for lo in range(0, n, _BLOCK):
+        stream = substream(config.master_seed, lo // _BLOCK)
+        rows = min(_BLOCK, n - lo)
+        draws[lo : lo + rows] = _law_draws(iv.d, iv.h, ps, stream, rows, config.grid_size)
+        if progress is not None:
+            progress(lo + rows, n)
     return draws
 
 
@@ -761,7 +719,6 @@ def build_critical_table(
     config: SimConfig,
     alphas=(0.01, 0.05, 0.10),
     ps=(1.0, 2.0, math.inf),
-    workers: int = 1,
     progress=None,
     iv: models.IntervalStructure | None = None,
 ) -> CriticalValueTable:
@@ -771,14 +728,13 @@ def build_critical_table(
     All norm indices share the same draws of the faces (p = 1, 2 and inf
     one uniform per face, the other finite ones the same sampled
     excursions), so a table costs one simulation regardless of how many
-    norms it covers.  Deterministic for a given master seed, whatever
-    ``workers`` is; ``progress`` is an optional callback ``(done, total)``.
-    The provenance records the engine id, the software versions, the number
-    of workers the simulation used and its wall time.
+    norms it covers.  Deterministic for a given master seed; ``progress`` is
+    an optional callback ``(done, total)``.  The provenance records the
+    engine id, the software versions and the simulation's wall time.
     """
     iv = _UNIT if iv is None else iv
     start = time.perf_counter()
-    draws = simulate_draws(iv, ps, config, workers, progress)
+    draws = simulate_draws(iv, ps, config, progress)
     seconds = time.perf_counter() - start
     entries = {}
     for j, p in enumerate(ps):
@@ -800,7 +756,6 @@ def build_critical_table(
         "lcmtest_version": __version__,
         "numpy_version": np.__version__,
         "scipy_version": scipy.__version__,
-        "workers": _workers_used(iv, ps, config, workers),
         "timing": {"seconds": seconds, "reps_per_s": config.replications / seconds},
     }
     return CriticalValueTable(entries, provenance)

@@ -2,8 +2,10 @@
 
 A stream token is an integer seed, a ``numpy.random.SeedSequence``, or a
 ``numpy.random.Generator``.  Substreams are derived through spawn keys, so a
-computation split across any number of workers draws the same numbers as the
-sequential run.
+child's numbers depend only on its key, not on which other children were
+derived or in what order: the limit engine draws block b of a simulation
+from ``substream(master_seed, b)``, and the coupling verifiers draw path i
+from ``substream(streams[i], 0)``.
 """
 
 from __future__ import annotations

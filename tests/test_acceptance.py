@@ -8,7 +8,6 @@ few minutes of total runtime.  Every test here is marked ``slow``, so
 
 import json
 import math
-import os
 import time
 
 import numpy as np
@@ -58,20 +57,14 @@ def _report(num: int, desc: str, ok: bool, detail: str = ""):
 
 @pytest.fixture(scope="session")
 def full_table():
-    workers = min(4, os.cpu_count() or 1)
     config = lt.SimConfig(
         grid_size=TABLE_GRID, replications=TABLE_REPS, master_seed=lt.DEFAULT_SEED
     )
-    print(f"\nbuilding full-scale table: grid={TABLE_GRID}, reps={TABLE_REPS}, workers={workers}")
+    print(f"\nbuilding full-scale table: grid={TABLE_GRID}, reps={TABLE_REPS}")
     start = time.perf_counter()
-    table = lt.build_critical_table(
-        config, alphas=TABLE_ALPHAS, ps=(1.0, 2.0, math.inf), workers=workers
-    )
+    table = lt.build_critical_table(config, alphas=TABLE_ALPHAS, ps=(1.0, 2.0, math.inf))
     elapsed = time.perf_counter() - start
-    print(
-        f"built in {elapsed:.0f} s "
-        f"({1e3 * elapsed * workers / TABLE_REPS:.2f} ms/replication/core)"
-    )
+    print(f"built in {elapsed:.1f} s ({1e6 * elapsed / TABLE_REPS:.1f} us/replication)")
     return table
 
 
@@ -143,7 +136,6 @@ def test_criterion_4_stochastic_dominance_quantiles():
     iv_unif = lt.extract_intervals(lt.UniformCdf())
     ok = True
     details = []
-    # Row i of each law is its draw from substream(seed, i), as in limit_draw_general.
     two = lt.simulate_draws(iv_two, (1.0, 2.0), lt.SimConfig(grid, reps, 303))
     unif = lt.simulate_draws(iv_unif, (1.0, 2.0), lt.SimConfig(grid, reps, 404))
     for j, p in enumerate((1.0, 2.0)):

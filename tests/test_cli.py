@@ -1,6 +1,5 @@
 import json
 import math
-from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -314,30 +313,21 @@ def test_cmd_test_report_is_the_same_from_run_to_run(capsys, data_file, two_segm
 
 
 def test_cmd_critvals_writes_and_reproduces(capsys, tmp_path):
+    # A norm index or level given twice is simulated and recorded once, and
+    # --workers is accepted and changes nothing.
     out1 = tmp_path / "t1.json"
     out2 = tmp_path / "t2.json"
-    args = ["critvals", "--p", "1", "inf", "--alpha", "0.05", "--grid", "128",
+    args = ["critvals", "--p", "1", "inf", "1.0", "--alpha", "0.05", "0.05", "--grid", "128",
             "--reps", "500", "--seed", "7", "--out"]
     code1, doc1, _ = run_cli(capsys, *args, str(out1))
-    code2, doc2, _ = run_cli(capsys, *args, str(out2))
+    code2, doc2, _ = run_cli(capsys, *args, str(out2), "--workers", "2")
     assert code1 == code2 == 0
     e1 = json.loads(out1.read_text())["entries"]
     e2 = json.loads(out2.read_text())["entries"]
     assert e1 == e2
     assert doc1["entries"] == e1
-
-
-@pytest.mark.parametrize("pooled", [False, True], ids=["in-process", "pool"])
-def test_cmd_critvals_records_workers_used(capsys, monkeypatch, tmp_path, pooled):
-    # 150 replications are too little work for a second worker, unless the
-    # threshold is lowered.
-    if pooled:
-        monkeypatch.setattr(limits.os, "cpu_count", lambda: 4)
-        monkeypatch.setattr(limits, "_WORK_PER_WORKER", 1)
-    out = tmp_path / "t.json"
-    code, doc, _ = run_cli(capsys, "critvals", "--reps", "150", "--workers", "2", "--out", str(out))
-    assert code == 0
-    assert doc["provenance"]["workers"] == (2 if pooled else 1)
+    assert [(e["p"], e["alpha"]) for e in e1] == [("1", 0.05), ("inf", 0.05)]
+    assert doc1["provenance"]["ps"] == ["1", "inf"] and doc1["provenance"]["alphas"] == [0.05]
 
 
 def test_cmd_critvals_unwritable_path(capsys, tmp_path):
@@ -517,47 +507,6 @@ def test_cmd_verify_exit_code_on_violation(capsys, two_segment_file, monkeypatch
     )
     assert code == 1
     assert doc["violations"] == 3 and doc["pass"] is False
-
-
-class _CrashedPool:
-    """Stands in for ProcessPoolExecutor: reading any result fails as if a worker died."""
-
-    def __init__(self, workers):
-        pass
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, *iterables, chunksize=1):
-        # A generator, so the error comes when the results are read.
-        raise BrokenProcessPool("a child process terminated abruptly")
-        yield
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["critvals", "--reps", "20", "--grid", "16", "--workers", "2", "--out", "{out}"],
-        ["test", "{data}", "--simulate", "--reps", "20", "--grid", "16", "--workers", "2"],
-    ],
-    ids=["critvals", "test-simulate"],
-)
-def test_crashed_worker_exits_1(capsys, monkeypatch, tmp_path, argv):
-    monkeypatch.setattr(limits, "ProcessPoolExecutor", _CrashedPool)
-    monkeypatch.setattr(limits.os, "cpu_count", lambda: 4)
-    monkeypatch.setattr(limits, "_WORK_PER_WORKER", 1)  # a pool even for this small job
-    data = tmp_path / "data.txt"
-    data.write_text("0.1\n0.5\n0.9\n")
-    paths = {"data": data, "out": tmp_path / "table.json"}
-    code = cli.main([tok.format(**paths) for tok in argv])
-    out = capsys.readouterr()
-    assert code == 1
-    assert out.out == ""
-    assert out.err.splitlines()[-1].startswith("error: a simulation worker process died")
-    assert not (tmp_path / "table.json").exists()
 
 
 # -- input faults --------------------------------------------------------------------------

@@ -73,13 +73,10 @@ def test_sampled_excursions_match_exact_face_laws_in_mean():
     # X_2^2 agree within 3 combined se.
     n = 20_000
     sampled = []
-    for lo in range(0, n, 500):
-        rngs = [generator(substream(9191, i, 0)) for i in range(lo, lo + 500)]
-        lengths, counts = limits._face_lengths(rngs)
-        first = np.concatenate([[0], np.cumsum(counts[:-1])])
-        sampled.append(
-            limits._excursion_pow_integrals(rngs, lengths, counts, first, 1024, (1.0, 2.0))
-        )
+    for b in range(n // 500):
+        rng = generator(substream(9191, b))
+        lengths, counts = limits._face_lengths(rng, 500)
+        sampled.append(limits._excursion_pow_integrals(rng, lengths, counts, 1, 1024, (1.0, 2.0)))
     x1_sampled, x2sq_sampled = np.concatenate(sampled, axis=1)
     exact = limits.simulate_draws(limits._UNIT, (1.0, 2.0), limits.SimConfig(1024, n, 9292))
     for name, a, b in (

@@ -1,4 +1,3 @@
-import itertools
 import json
 import math
 import os
@@ -101,12 +100,14 @@ def test_limit_draw_general_empty_is_zero():
 
 
 def test_limit_draw_general_at_inf_is_a_row_of_simulate_draws():
-    # p = inf: max_k sqrt(h_k) sup gap(W_k), the same draw by either entry.
+    # p = inf: max_k sqrt(h_k) sup gap(W_k), the same draw by either entry:
+    # limit_draw_general is the block of one replication drawn from its
+    # stream, as simulate_draws draws a one-replication simulation.
     iv = models.extract_intervals(TWO_SEGMENT)
-    rows = limits.simulate_draws(iv, (math.inf,), limits.SimConfig(64, 20, 51))[:, 0]
-    assert rows.min() > 0.0
-    for i, want in enumerate(rows.tolist()):
-        assert limits.limit_draw_general(iv, math.inf, substream(51, i), 64) == want
+    for seed in range(20):
+        want = limits.simulate_draws(iv, (math.inf,), limits.SimConfig(64, 1, seed))[0, 0]
+        assert want > 0.0
+        assert limits.limit_draw_general(iv, math.inf, substream(seed, 0), 64) == want
 
 
 def test_derivative_route_uniform_matches_uniform_draw():
@@ -130,16 +131,18 @@ def test_derivative_route_matches_rescaled_representation():
     assert check.gap.size == 50 and check.gap.max() < 1e-9
 
 
-def test_simulate_draws_match_single_draws_any_workers(monkeypatch):
-    monkeypatch.setattr(limits, "_WORK_PER_WORKER", 1)  # a pool even for this small job
-    iv = models.extract_intervals(TWO_SEGMENT)
-    cfg = limits.SimConfig(grid_size=64, replications=30, master_seed=31)
-    ps = (1.0, 2.5)
-    serial = limits.simulate_draws(iv, ps, cfg, workers=1)
-    assert np.array_equal(serial, limits.simulate_draws(iv, ps, cfg, workers=2))
-    for i, row in enumerate(serial):
-        want = [limits.limit_draw_general(iv, p, substream(31, i), 64) for p in ps]
-        assert row.tolist() == want
+def test_simulate_draws_rows_are_rows_of_their_blocks():
+    # Row i is row i % _BLOCK of the block drawn from substream(seed, i //
+    # _BLOCK); the last block holds the replications left over.
+    ps = (1.0, 2.5, math.inf)
+    n = 2 * limits._BLOCK + 37
+    for spec in (models.UniformCdf(), TWO_SEGMENT):
+        iv = models.extract_intervals(spec)
+        draws = limits.simulate_draws(iv, ps, limits.SimConfig(64, n, 31))
+        for b, lo in enumerate(range(0, n, limits._BLOCK)):
+            rows = min(limits._BLOCK, n - lo)
+            block = limits._law_draws(iv.d, iv.h, ps, substream(31, b), rows, 64)
+            assert np.array_equal(draws[lo : lo + rows], block)
 
 
 def test_engine_columns_ordered_and_independent_of_the_others():
@@ -157,17 +160,20 @@ def test_engine_columns_ordered_and_independent_of_the_others():
             assert np.array_equal(limits.simulate_draws(iv, (p,), cfg)[:, 0], every[:, j])
 
 
-# Draws of SimConfig(64, 4, 2026) recorded before p = 1 and 2 had exact face
-# laws.  p = inf maps the same uniforms through Kennedy's law, and p = 3
-# samples the same excursions after them, so neither may move.
+# Draws of SimConfig(64, 4, 2026), recorded from the engine that draws each
+# block of replications from one generator.
 RECORDED = {
     "uniform": {
-        3.0: [0.4340771829337905, 0.4207084019342367, 0.46988021393631746, 0.5952895565730569],
-        math.inf: [1.0459922078238846, 0.9617618954070586, 0.7141943857517458, 1.1581599013043227],
+        1.0: [0.4054643512919218, 0.5920997552673195, 0.4187996274146641, 0.22081801877630908],
+        2.0: [0.4545982493734873, 0.6914655006577333, 0.4803863541501473, 0.2482849911538045],
+        3.0: [0.6779948602897761, 0.4709155525893117, 0.3815933030866809, 0.2505143613827709],
+        math.inf: [0.932643117129867, 1.3517092823121108, 1.039804239358821, 0.5467116216409355],
     },
     "two": {
-        3.0: [0.3213162745311887, 0.3346421595812776, 0.36064422918771405, 0.419517757673985],
-        math.inf: [0.905855824136056, 0.8329102338143849, 0.6185104813012348, 1.0029958961740215],
+        1.0: [0.28989660660284267, 0.209912101631274, 0.2920851158420152, 0.2917819505643555],
+        2.0: [0.33287848614787263, 0.24904341411484585, 0.33448608140150027, 0.348804435121897],
+        3.0: [0.37478656620846434, 0.2686465383022512, 0.4389282470084973, 0.43212445031376373],
+        math.inf: [0.6953982856408537, 0.664310142759937, 0.7802788667457238, 0.9261943698919013],
     },
 }
 
@@ -181,24 +187,36 @@ def test_sampled_and_sup_columns_equal_recorded_draws(name, spec):
         assert draws[:, ps.index(p)].tolist() == want
 
 
-def test_stick_breaking_rounds_do_not_change_faces(monkeypatch):
-    # Uniforms drawn 4 or 28 at a time are the same numbers as 64 at once, so
-    # no stream's faces change when stick-breaking takes several rounds and
-    # the streams of a pass finish in different rounds.  (Later draws do
-    # change: the round size sets where a stream's Kennedy uniforms start.)
-    for spec in (models.UniformCdf(), TWO_SEGMENT):
-        nk = len(models.extract_intervals(spec).d)
-        streams = [substream(43, i, k) for i in range(40) for k in range(nk)]
-        monkeypatch.setattr(limits, "_STICKS", 64)
-        lengths, counts = limits._face_lengths([limits.generator(s) for s in streams])
+def _stick_lengths_by_loop(rng, streams: int):
+    # Reference for _face_lengths: the same draws in the same order, one
+    # stick at a time in Python.
+    sticks = [[] for _ in range(streams)]
+    left = [1.0] * streams
+    done = [False] * streams
+    while not all(done):
+        rounds = {s: rng.random(limits._STICKS) for s in range(streams) if not done[s]}
+        for s, u in rounds.items():
+            for x in u.tolist():
+                if not done[s]:
+                    sticks[s].append(x * left[s])
+                    left[s] *= 1.0 - x
+                    done[s] = left[s] < limits._STICK_TAIL
+    return sticks, left
+
+
+def test_stick_breaking_rounds_match_a_loop_reference(monkeypatch):
+    # One generator breaks every stream's sticks, _STICKS at a time, in
+    # stream order, and later rounds draw only for unfinished streams: with
+    # 4 a round every stream takes several rounds and they finish in
+    # different ones.
+    for sticks in (limits._STICKS, 4):
+        monkeypatch.setattr(limits, "_STICKS", sticks)
+        lengths, counts = limits._face_lengths(limits.generator(43), 80)
+        want, left = _stick_lengths_by_loop(limits.generator(43), 80)
+        assert counts.tolist() == [len(w) for w in want]
+        assert lengths.tolist() == [x for w in want for x in w]
         assert counts.min() > 4 and counts.max() > counts.min()
-        first = np.concatenate([[0], np.cumsum(counts[:-1])])
-        left = 1.0 - np.add.reduceat(lengths, first)
-        assert np.all((0.0 < left) & (left < limits._STICK_TAIL * (1 + 1e-3) + 1e-15))
-        for sticks in (4, 28):
-            monkeypatch.setattr(limits, "_STICKS", sticks)
-            got = limits._face_lengths([limits.generator(s) for s in streams])
-            assert np.array_equal(got[0], lengths) and np.array_equal(got[1], counts)
+        assert max(left) < limits._STICK_TAIL
 
 
 def test_kennedy_table_not_built_at_import():
@@ -209,84 +227,30 @@ def test_kennedy_table_not_built_at_import():
     subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": SRC})
 
 
-def test_simulate_draws_caps_workers_at_cpu_count(monkeypatch):
-    class NoPool:
-        def __init__(self, *args, **kwargs):
-            raise AssertionError("a capped run must not start a process pool")
-
-    iv = models.extract_intervals(TWO_SEGMENT)
-    cfg = limits.SimConfig(grid_size=32, replications=12, master_seed=5)
-    want = limits.simulate_draws(iv, (2.0,), cfg, workers=1)
-    monkeypatch.setattr(limits.os, "cpu_count", lambda: 1)
-    monkeypatch.setattr(limits, "ProcessPoolExecutor", NoPool)
-    assert np.array_equal(limits.simulate_draws(iv, (2.0,), cfg, workers=8), want)
-
-
-def test_small_simulation_runs_without_a_pool(monkeypatch):
-    # Fewer replications than pay for starting worker processes run here.
-    class NoPool:
-        def __init__(self, *args, **kwargs):
-            raise AssertionError("a small simulation must not start a process pool")
-
-    cfg = limits.SimConfig(grid_size=1024, replications=150, master_seed=5)
-    want = limits.simulate_draws(limits._UNIT, (1.0, math.inf), cfg, workers=1)
-    monkeypatch.setattr(limits.os, "cpu_count", lambda: 4)
-    monkeypatch.setattr(limits, "ProcessPoolExecutor", NoPool)
-    got = limits.simulate_draws(limits._UNIT, (1.0, math.inf), cfg, workers=4)
-    assert np.array_equal(got, want)
-
-
 def test_engine_draws_do_not_depend_on_the_pass(monkeypatch):
-    # simulate_draws draws _POINTS_PER_PASS // _pass_points rows a pass; a
-    # row's draws are the same whichever rows share its pass, in this
-    # process or in a pool, and with stick-breaking that takes several rounds
-    # for every stream.  (Pool workers are forked, so they see the patches.)
-    monkeypatch.setattr(limits, "_WORK_PER_WORKER", 1)  # a pool whenever workers > 1
-    iv = models.extract_intervals(TWO_SEGMENT)
+    # The sampled excursions of a block are drawn in sub-passes of at most
+    # _POINTS_PER_PASS points, a replication's normals in one call and its
+    # walk cumsummed on its own, so no draw depends on the sub-pass width,
+    # including when stick-breaking takes several rounds for every stream.
     cfg = limits.SimConfig(grid_size=64, replications=45, master_seed=17)
-    for ps in ((1.0, 2.0, math.inf), (1.0, 2.5, math.inf)):
-        row_points = limits._pass_points(iv, ps, 64)
-        for sticks in (limits._STICKS, 4):
-            monkeypatch.setattr(limits, "_STICKS", sticks)
-            monkeypatch.setattr(limits, "_POINTS_PER_PASS", 45 * row_points)  # one pass
-            want = limits.simulate_draws(iv, ps, cfg, workers=1)
-            for rows, workers in itertools.product((1, 7, 30), (1, 2)):
-                monkeypatch.setattr(limits, "_POINTS_PER_PASS", rows * row_points)
-                assert np.array_equal(limits.simulate_draws(iv, ps, cfg, workers), want)
+    for spec in (models.UniformCdf(), TWO_SEGMENT):
+        iv = models.extract_intervals(spec)
+        for ps in ((1.0, 2.0, math.inf), (1.0, 2.5, math.inf), (2.5, 3.0)):
+            for sticks in (limits._STICKS, 4):
+                monkeypatch.setattr(limits, "_STICKS", sticks)
+                monkeypatch.setattr(limits, "_POINTS_PER_PASS", 2**16)  # one sub-pass
+                want = limits.simulate_draws(iv, ps, cfg)
+                for points in (1, 200, 1000):
+                    monkeypatch.setattr(limits, "_POINTS_PER_PASS", points)
+                    assert np.array_equal(limits.simulate_draws(iv, ps, cfg), want)
 
 
-def test_work_counts_the_budget_only_for_sampled_norms(monkeypatch):
-    # p = 1, 2 and inf draw no face points, so at budget 16384 a pass holds
-    # as many replications as at any budget, and 600 of them run here.
-    class NoPool:
-        def __init__(self, *args, **kwargs):
-            raise AssertionError("this simulation is too small for a process pool")
-
+def test_simulate_draws_reports_progress():
     iv = models.extract_intervals(TWO_SEGMENT)
-    exact = (1.0, 2.0, math.inf)
-    assert limits._row_points(iv, exact, 16384) == limits._row_points(iv, exact, 64)
-    assert limits._row_points(iv, (2.5,), 16384) == 2 * (16384 + limits._STREAM_COST_POINTS)
-    assert limits._pass_points(iv, exact, 16384) == limits._pass_points(iv, exact, 64)
-    assert limits._pass_points(iv, (2.5,), 16384) == 2 * 16384  # the budget sizes passes of sampled norms
-    cfg = limits.SimConfig(grid_size=16384, replications=600, master_seed=5)
-    assert limits._workers_used(iv, (2.5,), cfg, 4) > 1
-    want = limits.simulate_draws(iv, exact, cfg, workers=1)
-    monkeypatch.setattr(limits.os, "cpu_count", lambda: 4)
-    monkeypatch.setattr(limits, "ProcessPoolExecutor", NoPool)
-    assert np.array_equal(limits.simulate_draws(iv, exact, cfg, workers=4), want)
-
-
-def test_simulate_draws_reports_progress(monkeypatch):
-    monkeypatch.setattr(limits, "_WORK_PER_WORKER", 1)  # a pool whenever workers > 1
-    iv = models.extract_intervals(TWO_SEGMENT)
-    monkeypatch.setattr(limits, "_POINTS_PER_PASS", 7 * limits._pass_points(iv, (2.0,), 64))
-    cfg = limits.SimConfig(grid_size=64, replications=45, master_seed=17)
-    for workers in (1, 2):
-        calls = []
-        limits.simulate_draws(iv, (2.0,), cfg, workers, lambda done, n: calls.append((done, n)))
-        done = [d for d, _ in calls]
-        assert done == sorted(done) and calls[-1] == (45, 45)
-        assert {n for _, n in calls} == {45}
+    n = 2 * limits._BLOCK + 45
+    calls = []
+    limits.simulate_draws(iv, (2.0,), limits.SimConfig(64, n, 17), lambda done, n: calls.append((done, n)))
+    assert calls == [(limits._BLOCK, n), (2 * limits._BLOCK, n), (n, n)]
 
 
 # -- couplings ------------------------------------------------------------------------
@@ -427,20 +391,15 @@ def _tiny_config():
     return limits.SimConfig(grid_size=64, replications=400, master_seed=4242)
 
 
-def test_table_deterministic_across_workers(monkeypatch):
-    monkeypatch.setattr(limits, "_WORK_PER_WORKER", 1)
-    cfg = _tiny_config()
-    t1 = limits.build_critical_table(cfg, alphas=(0.05, 0.10), ps=(1.0, math.inf), workers=1)
-    t2 = limits.build_critical_table(cfg, alphas=(0.05, 0.10), ps=(1.0, math.inf), workers=2)
-    assert t1.to_dict()["entries"] == t2.to_dict()["entries"]
-
-
 def test_table_matches_single_draws():
-    cfg = limits.SimConfig(grid_size=64, replications=50, master_seed=99)
-    table = limits.build_critical_table(cfg, alphas=(0.5,), ps=(2.0,), workers=1)
-    draws = [limits.limit_draw_general(limits._UNIT, 2.0, substream(99, i), 64) for i in range(50)]
-    want = limits.estimate_quantiles(draws, [0.5])[0.5].quantile
-    assert table.lookup(2.0, 0.5).quantile == want
+    # A one-replication table holds the one draw that limit_draw_general
+    # makes from substream(seed, 0), at an exact-law and a sampled index.
+    for seed in range(10):
+        cfg = limits.SimConfig(grid_size=64, replications=1, master_seed=seed)
+        table = limits.build_critical_table(cfg, alphas=(0.5,), ps=(2.0, 2.5))
+        for p in (2.0, 2.5):
+            want = limits.limit_draw_general(limits._UNIT, p, substream(seed, 0), 64)
+            assert table.lookup(p, 0.5).quantile == want
 
 
 def test_table_quantiles_decrease_in_alpha():
@@ -460,10 +419,10 @@ def test_table_json_roundtrip(tmp_path):
     prov = doc["provenance"]
     assert set(prov) >= {
         "engine", "grid_size", "replications", "master_seed", "built_at",
-        "lcmtest_version", "numpy_version", "scipy_version", "workers", "timing",
+        "lcmtest_version", "numpy_version", "scipy_version", "timing",
     }
     assert prov["lcmtest_version"] == lcmtest.__version__ and prov["engine"] == limits.ENGINE
-    assert prov["numpy_version"] == np.__version__ and prov["workers"] == 1
+    assert prov["numpy_version"] == np.__version__ and "workers" not in prov
     assert prov["timing"]["seconds"] > 0.0
     assert prov["timing"]["reps_per_s"] == pytest.approx(400 / prov["timing"]["seconds"])
 
@@ -475,9 +434,8 @@ def test_package_version_matches_pyproject():
 
 
 def test_flat_substream_key_matches_nested_substreams():
-    # simulate_draws draws interval k of replication i from
-    # substream(seed, i, k); limit_draw_general from
-    # substream(substream(seed, i), k).
+    # Keys compose: the coupling verifiers draw path i from
+    # substream(substream(seed, i), 0), which is substream(seed, i, 0).
     for seed in (0, 171717, 2**70):
         for i, k in ((0, 0), (5, 3), (199_999, 1)):
             flat = substream(seed, i, k)
