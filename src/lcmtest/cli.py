@@ -22,8 +22,9 @@ from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
+import scipy
 
-from . import limits, models, pwl, stats
+from . import __version__, limits, models, pwl, stats
 from .streams import substream
 
 
@@ -316,6 +317,9 @@ def cmd_verify(args) -> int:
         "paths": args.paths,
         "grid_size": args.grid,
         "master_seed": args.seed,
+        "lcmtest_version": __version__,
+        "numpy_version": np.__version__,
+        "scipy_version": scipy.__version__,
     }
     streams = [substream(args.seed, i) for i in range(args.paths)]
     if args.mode == "identity":

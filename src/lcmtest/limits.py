@@ -16,10 +16,13 @@ randomness: it is mapped through the tabulated inverse CDF of the
 excursion's area A (the Airy law; Janson 2007, Probab. Surveys 4), of its
 energy Y = int e^2 (Laplace transform (sqrt(2s)/sinh sqrt(2s))^{3/2}) and
 of its maximum K (Kennedy's law), so X_1 = sum_i l_i^{3/2} A_i, X_2^2 =
-sum_i l_i^2 Y_i and X_inf = max_i sqrt(l_i) K_i, each exact in law.  The
-three columns are coupled comonotonically through the shared u_i, and A <=
-sqrt(Y) <= K in the stochastic order, so X_1 <= X_2 <= X_inf draw by draw;
-the joint law is not that of one Brownian path.  Any other finite p samples
+sum_i l_i^2 Y_i and X_inf = max_i sqrt(l_i) K_i, each exact in law.  Each
+block sorts its face uniforms once; every table is inverted on the sorted
+uniforms, where np.interp's search runs as a merge, and the values are
+scattered back to their faces.  The three columns are coupled
+comonotonically through the shared u_i, and A <= sqrt(Y) <= K in the
+stochastic order, so X_1 <= X_2 <= X_inf draw by draw; the joint law is
+not that of one Brownian path.  Any other finite p samples
 face i's excursion as the norm of a 3-d Brownian bridge on max(4,
 round(budget * l_i)) points, with the point budget
 ``SimConfig.grid_size``, and integrates those points exactly; those
@@ -281,11 +284,21 @@ def _energy_table() -> tuple[np.ndarray, np.ndarray]:
 _FACE_LAWS = {1.0: _area_table, 2.0: _energy_table, math.inf: _kennedy_table}
 
 
-def _face_quantile(p: float, u) -> np.ndarray:
-    # The face functional of norm index p in _FACE_LAWS at uniform draws u,
-    # by inverting its tabulated CDF.
-    cdf, xs = _FACE_LAWS[p]()
-    return np.interp(u, cdf, xs)
+def _face_quantiles(ps, u) -> dict[float, np.ndarray]:
+    # The face functional of each norm index of ps, all in _FACE_LAWS, at the
+    # uniform draws u, by inverting its tabulated CDF.  u is sorted once for
+    # all of them: np.interp starts each search at the previous value's
+    # index, so on sorted input it runs as a merge.  Each value is still the
+    # one np.interp(u, cdf, xs) gives, since it depends only on the table
+    # cell holding it, and equal uniforms get equal values in any order.
+    order = np.argsort(u)
+    sorted_u = u[order]
+    out = {}
+    for p in ps:
+        cdf, xs = _FACE_LAWS[p]()
+        out[p] = np.empty_like(sorted_u)
+        out[p][order] = np.interp(sorted_u, cdf, xs)
+    return out
 
 
 def _face_lengths(rng, streams: int) -> tuple[np.ndarray, np.ndarray]:
@@ -385,18 +398,19 @@ def _law_draws(d, h, ps, stream: Stream, rows: int, budget: int) -> np.ndarray:
     first = np.zeros(counts.size, dtype=np.intp)
     np.cumsum(counts[:-1], out=first[1:])
     u = rng.random(lengths.size)
+    faces = _face_quantiles([p for p in ps if p in _FACE_LAWS], u)
     general = [p for p in ps if p not in _FACE_LAWS]
     if general:
         powers = _excursion_pow_integrals(rng, lengths, counts, nk, budget, general)
         sampled = dict(zip(general, powers))
     for j, p in enumerate(ps):
         if math.isinf(p):
-            top = np.maximum.reduceat(np.sqrt(lengths) * _face_quantile(p, u), first)
+            top = np.maximum.reduceat(np.sqrt(lengths) * faces[p], first)
             for k, x in enumerate(top.reshape(-1, nk).T):
                 out[:, j] = np.maximum(out[:, j], h[k] ** 0.5 * x)
             continue
         if p in _FACE_LAWS:
-            x = np.add.reduceat(lengths ** (1.0 + p / 2.0) * _face_quantile(p, u), first)
+            x = np.add.reduceat(lengths ** (1.0 + p / 2.0) * faces[p], first)
         else:
             x = sampled[p]
         for k, x_k in enumerate(x.reshape(-1, nk).T):
@@ -730,16 +744,19 @@ def build_critical_table(
     excursions), so a table costs one simulation regardless of how many
     norms it covers.  Deterministic for a given master seed; ``progress`` is
     an optional callback ``(done, total)``.  The provenance records the
-    engine id, the software versions and the simulation's wall time.
+    engine id, the software versions and the wall time: ``timing`` holds the
+    whole build's ``seconds`` and ``reps_per_s``, and its two phases,
+    ``draws_seconds`` (the simulation) and ``quantiles_seconds``.
     """
     iv = _UNIT if iv is None else iv
     start = time.perf_counter()
     draws = simulate_draws(iv, ps, config, progress)
-    seconds = time.perf_counter() - start
+    drawn = time.perf_counter()
     entries = {}
     for j, p in enumerate(ps):
         for alpha, est in estimate_quantiles(draws[:, j], alphas).items():
             entries[(p_key(p), alpha)] = est
+    done = time.perf_counter()
     provenance = {
         "engine": ENGINE,
         "grid_size": config.grid_size,
@@ -756,6 +773,11 @@ def build_critical_table(
         "lcmtest_version": __version__,
         "numpy_version": np.__version__,
         "scipy_version": scipy.__version__,
-        "timing": {"seconds": seconds, "reps_per_s": config.replications / seconds},
+        "timing": {
+            "seconds": done - start,
+            "reps_per_s": config.replications / (done - start),
+            "draws_seconds": drawn - start,
+            "quantiles_seconds": done - drawn,
+        },
     }
     return CriticalValueTable(entries, provenance)

@@ -3,8 +3,10 @@ import math
 
 import numpy as np
 import pytest
+import scipy
 from scipy.optimize import brentq
 
+import lcmtest
 from lcmtest import cli, limits, models
 from lcmtest.streams import substream
 from oracle_utils import sup_gap_cdf
@@ -441,12 +443,15 @@ def test_cmd_verify_report_keys(capsys, two_segment_file, mode, keys):
     )
     assert code == 0
     head = ["mode", "cdf", "p", "paths", "grid_size", "master_seed"]
+    head += ["lcmtest_version", "numpy_version", "scipy_version"]
     spread = [key for key in doc if key.endswith("_quantiles")]
     assert list(doc) == head + keys + ["tolerance", "pass"] + spread
     assert spread == (
         ["gap_quantiles"] if mode == "identity" else ["norm_excess_quantiles", "hull_excess_quantiles"]
     )
     assert all(list(doc[key]) == ["0.5", "0.9", "0.99"] for key in spread)
+    versions = [doc["lcmtest_version"], doc["numpy_version"], doc["scipy_version"]]
+    assert versions == [lcmtest.__version__, np.__version__, scipy.__version__]
 
 
 def test_cmd_verify_quantiles_are_path_values(capsys, two_segment_file):

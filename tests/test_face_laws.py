@@ -60,11 +60,35 @@ def test_face_quantiles_ordered_on_a_fine_grid():
     # functions keep that order, which makes X_1 <= X_2 <= X_inf draw by draw.
     tails = np.logspace(-15, -3, 1000)
     u = np.concatenate([tails, np.linspace(0.0, 1.0, 1_000_001)[1:-1], 1.0 - tails])
-    area = limits._face_quantile(1.0, u)
-    root_energy = np.sqrt(limits._face_quantile(2.0, u))
-    top = limits._face_quantile(math.inf, u)
+    faces = limits._face_quantiles([1.0, 2.0, math.inf], u)
+    area, root_energy, top = faces[1.0], np.sqrt(faces[2.0]), faces[math.inf]
     assert (root_energy - area).min() > 0.01
     assert (top - root_energy).min() > 0.1
+
+
+@pytest.mark.parametrize(
+    "u",
+    [
+        np.random.default_rng(77).random(5000),
+        np.array([0.3, 0.7, 0.3, 0.0, 1.0 - 1e-15, 0.7, 0.0, 1.0, 0.3, 1e-300]),
+        np.array([0.5]),
+        np.array([0.0]),
+        np.array([1.0 - 1e-15]),
+        np.full(7, 0.25),
+    ],
+    ids=["random", "ties-and-ends", "one", "one-zero", "one-top", "all-equal"],
+)
+def test_shared_sort_inversion_equals_interp(u):
+    # The uniforms are sorted once for every law and the values scattered
+    # back; each must be the np.interp value of its own uniform.  The inputs
+    # include repeated values, an exact 0 (the area table starts with a run
+    # of zeros), 1 - 1e-15 and 1, above the last CDF value of the area and
+    # energy tables (the Kennedy table ends in a run of ones), and
+    # one-element arrays.
+    faces = limits._face_quantiles(list(limits._FACE_LAWS), u)
+    for p, law in limits._FACE_LAWS.items():
+        want = np.interp(u, *law())
+        assert faces[p].shape == u.shape and np.array_equal(faces[p], want), p
 
 
 def test_sampled_excursions_match_exact_face_laws_in_mean():

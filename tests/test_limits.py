@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -185,6 +186,24 @@ def test_sampled_and_sup_columns_equal_recorded_draws(name, spec):
     draws = limits.simulate_draws(iv, ps, limits.SimConfig(64, 4, 2026))
     for p, want in RECORDED[name].items():
         assert draws[:, ps.index(p)].tolist() == want
+
+
+# sha256 of simulate_draws(iv, (1, 2, 3, inf), SimConfig(1024, 600, 2026))
+# .tobytes(), recorded from the engine that inverted each face law with one
+# np.interp call on the block's unsorted uniforms.  600 rows are two full
+# blocks and a partial one, so a face value scattered back to the wrong face
+# anywhere in a block changes the digest.
+BLOCK_DIGESTS = {
+    "uniform": "465f1ff2f33ef2f1fff3b1a304742d9e4e41cd8293f3876c38c61385d0112bbf",
+    "two": "721f0f4f795f5b967ba710445c0d3bbaed7786bc6ebdf8b642ec707c221b7bd7",
+}
+
+
+@pytest.mark.parametrize("name,spec", [("uniform", models.UniformCdf()), ("two", TWO_SEGMENT)])
+def test_block_scale_draws_equal_recorded_digest(name, spec):
+    iv = models.extract_intervals(spec)
+    draws = limits.simulate_draws(iv, (1.0, 2.0, 3.0, math.inf), limits.SimConfig(1024, 600, 2026))
+    assert hashlib.sha256(draws.tobytes()).hexdigest() == BLOCK_DIGESTS[name]
 
 
 def _stick_lengths_by_loop(rng, streams: int):
@@ -423,8 +442,11 @@ def test_table_json_roundtrip(tmp_path):
     }
     assert prov["lcmtest_version"] == lcmtest.__version__ and prov["engine"] == limits.ENGINE
     assert prov["numpy_version"] == np.__version__ and "workers" not in prov
-    assert prov["timing"]["seconds"] > 0.0
-    assert prov["timing"]["reps_per_s"] == pytest.approx(400 / prov["timing"]["seconds"])
+    timing = prov["timing"]
+    assert list(timing) == ["seconds", "reps_per_s", "draws_seconds", "quantiles_seconds"]
+    assert timing["draws_seconds"] > 0.0 and timing["quantiles_seconds"] > 0.0
+    assert timing["seconds"] == pytest.approx(timing["draws_seconds"] + timing["quantiles_seconds"])
+    assert timing["reps_per_s"] == pytest.approx(400 / timing["seconds"])
 
 
 def test_package_version_matches_pyproject():
