@@ -9,15 +9,25 @@ under every other concave CDF.
 # Set before the submodules import it.
 __version__ = "0.1.0"
 
-from .limits import (
+from .coupling import (
     COUPLING_TOL,
+    CouplingIdentity,
+    DominanceCheck,
+    coupling_lengths,
+    gap_pow_integral,
+    lcm_gap_on_grid,
+    pack_intervals,
+    sample_wiener,
+    uniform_grid,
+    verify_dominance_coupling,
+    verify_rescaling_identity,
+)
+from .limits import (
     DEFAULT_GRID,
     DEFAULT_REPLICATIONS,
     DEFAULT_SEED,
     ENGINE,
-    CouplingIdentity,
     CriticalValueTable,
-    DominanceCheck,
     QuantileEstimate,
     SimConfig,
     build_critical_table,
@@ -25,11 +35,7 @@ from .limits import (
     limit_draw_general,
     p_key,
     parse_p,
-    sample_wiener,
     simulate_draws,
-    uniform_grid,
-    verify_dominance_coupling,
-    verify_rescaling_identity,
 )
 from .models import (
     ConcaveCdf,
@@ -37,25 +43,19 @@ from .models import (
     PiecewiseAffineCdf,
     PowerCdf,
     UniformCdf,
-    coupling_lengths,
     evaluate,
     extract_intervals,
     inverse_cdf_sample,
-    pack_intervals,
-    pit_transform,
     quantile,
     spec_from_dict,
     spec_to_dict,
-    x_bar,
 )
 from .pwl import (
     MAJORIZATION_TOL,
     GeometryError,
     corner_gaps,
     ecdf_corners,
-    gap_pow_integral,
     hull_vertices,
-    lcm_gap_on_grid,
 )
 from .stats import StatisticResult, exact_gap_pow_integral, lp_stat
 from .streams import Stream, generator, seed_sequence, substream

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 import scipy
 
-from . import __version__, limits, models, pwl, stats
+from . import __version__, coupling, limits, models, pwl, stats
 from .streams import substream
 
 
@@ -323,19 +323,24 @@ def cmd_verify(args) -> int:
     }
     streams = [substream(args.seed, i) for i in range(args.paths)]
     if args.mode == "identity":
-        gaps = limits.verify_rescaling_identity(spec, args.p, streams, args.grid).gap
+        try:
+            gaps = coupling.verify_rescaling_identity(spec, args.p, streams, args.grid).gap
+        except pwl.GeometryError:
+            raise
+        except ValueError as exc:  # an interval too narrow for its grid
+            raise InputError(str(exc)) from None
         report["max_gap"] = float(gaps.max())
-        passed = report["max_gap"] < limits.COUPLING_TOL
+        passed = report["max_gap"] < coupling.COUPLING_TOL
         spread = {"gap_quantiles": gaps}
     else:
-        check = limits.verify_dominance_coupling(iv, args.p, streams, args.grid)
+        check = coupling.verify_dominance_coupling(iv, args.p, streams, args.grid)
         excess = check.lhs - check.rhs
         report["violations"] = int(np.count_nonzero(check.violation))
         report["max_norm_excess"] = float(excess.max())
         report["max_hull_excess"] = float(check.hull_excess.max())
         passed = report["violations"] == 0
         spread = {"norm_excess_quantiles": excess, "hull_excess_quantiles": check.hull_excess}
-    report["tolerance"] = limits.COUPLING_TOL
+    report["tolerance"] = coupling.COUPLING_TOL
     report["pass"] = bool(passed)
     levels = (0.5, 0.9, 0.99)
     for key, values in spread.items():

@@ -2,9 +2,8 @@
 
 Under a concave CDF the scaled majorant distance converges to the L^p norm
 of a majorant gap built from Brownian motion.  This module draws that limit
-with no grid hull (the limit engine), estimates the quantiles used as
-critical values, and, on sampled Wiener paths, verifies the pathwise
-rescaling identity and the pathwise dominance inequality.
+with no grid hull (the limit engine) and estimates the quantiles used as
+critical values.
 
 The limit engine (``ENGINE``) uses two facts about the least concave
 majorant of a Wiener path W on [0, 1] (Groeneboom 1983; Balabdaoui & Pitman
@@ -31,11 +30,8 @@ ones.  Replications are drawn in blocks of ``_BLOCK``, the one unit of
 randomness: one generator draws every stick, face uniform and normal of a
 block, and one run of array operations serves every face of the block (or
 of a sub-pass of at most ``_POINTS_PER_PASS`` sampled points).
-Sampled paths on grids remain where one shared path is the point: the two
-coupling verifiers.  Each checks every path of a sequence of streams in one
-call: the CDF's intervals and the grids are built once, and the paths run
-in passes of at most ``_POINTS_PER_PASS`` grid points, each pass one
-matrix with a path per row.
+Sampled paths on grids, where one shared path is the point, live in
+:mod:`lcmtest.coupling` with the two coupling verifiers.
 
 Determinism contract: block b of a simulation is drawn from
 ``substream(master seed, b)`` through spawn keys, in this process, so a
@@ -68,12 +64,6 @@ ENGINE = "stick-breaking-excursion/3"
 DEFAULT_GRID = 1024
 DEFAULT_REPLICATIONS = 200_000
 
-#: Pathwise coupling identities hold up to float accumulation only; a gap
-#: beyond this is a bug, not discretization error.
-COUPLING_TOL = 1e-9
-
-_GRID_MERGE_TOL = 1e-12
-
 #: The uniform law's affine intervals: the single unit interval, d = h = 1.
 _UNIT = models.extract_intervals(models.UniformCdf())
 
@@ -103,44 +93,6 @@ class SimConfig:
             raise ValueError("replications must be at least 1")
 
 
-def uniform_grid(size: int) -> np.ndarray:
-    """Uniform grid with ``size`` subintervals: j / size for j = 0 .. size."""
-    if size < 1:
-        raise ValueError("grid size must be positive")
-    return np.arange(size + 1, dtype=np.float64) / size
-
-
-def merge_grids(required, extra, tol: float = _GRID_MERGE_TOL) -> np.ndarray:
-    """Union of grids, dropping ``extra`` points that nearly collide with
-    required ones (required points always survive verbatim)."""
-    required = np.unique(np.asarray(required, dtype=np.float64))
-    extra = np.asarray(extra, dtype=np.float64)
-    if extra.size == 0:
-        return required
-    idx = np.searchsorted(required, extra)
-    left = required[np.clip(idx - 1, 0, required.size - 1)]
-    right = required[np.clip(idx, 0, required.size - 1)]
-    near = (np.abs(extra - left) <= tol) | (np.abs(extra - right) <= tol)
-    return np.unique(np.concatenate([required, extra[~near]]))
-
-
-def sample_wiener(grid, streams) -> np.ndarray:
-    """Wiener paths at the grid points, one row per stream of ``streams``:
-    W(0) = 0, independent Gaussian increments with variance equal to the
-    time step.  Row i is deterministic given ``streams[i]`` and does not
-    depend on the other streams.  The grid must be strictly increasing from
-    0 to 1."""
-    grid = pwl.as_sorted_array(grid, "grid")
-    if grid.size < 2 or grid[0] != 0.0 or grid[-1] != 1.0:
-        raise ValueError("grid must span [0, 1] with 0 and 1 as grid points")
-    values = np.zeros((len(streams), grid.size))
-    for stream, row in zip(streams, values):
-        generator(stream).standard_normal(out=row[1:])
-    values[:, 1:] *= np.sqrt(np.diff(grid))
-    np.cumsum(values[:, 1:], axis=1, out=values[:, 1:])
-    return values
-
-
 # -- Limit draws ----------------------------------------------------------------
 
 
@@ -165,14 +117,8 @@ _MIN_FACE_POINTS = 4
 #: inf}: 64 replications of the uniform law at the default budget, 4 at
 #: 16384.  Each sub-pass is a fixed number of numpy calls over all its
 #: faces, so wider ones cost less per replication, until their arrays
-#: outgrow the cache (2 MB of normals a sub-pass).  The coupling verifiers
-#: bound their passes by the same number of grid points.
+#: outgrow the cache (2 MB of normals a sub-pass).
 _POINTS_PER_PASS = 2**16
-
-
-def _pass_rows(points_per_row: int) -> int:
-    # Rows of a pass: as many as fit in _POINTS_PER_PASS points, at least one.
-    return max(1, _POINTS_PER_PASS // points_per_row)
 
 
 def _kennedy_cdf(y) -> np.ndarray:
@@ -372,12 +318,6 @@ def _excursion_pow_integrals(rng, lengths, counts, nk: int, budget: int, ps) -> 
     return out
 
 
-def _roots(powers: np.ndarray, p: float) -> np.ndarray:
-    # p-th roots one entry at a time, as Python floats: numpy's array ** need
-    # not round like scalar pow.
-    return np.array([x ** (1.0 / p) for x in powers.tolist()])
-
-
 def _law_draws(d, h, ps, stream: Stream, rows: int, budget: int) -> np.ndarray:
     # The one simulation engine, one block of ``rows`` replications: row i,
     # column j is the draw at norm index ps[j] of the law with affine widths
@@ -415,7 +355,7 @@ def _law_draws(d, h, ps, stream: Stream, rows: int, budget: int) -> np.ndarray:
             x = sampled[p]
         for k, x_k in enumerate(x.reshape(-1, nk).T):
             out[:, j] += d[k] * h[k] ** (p / 2.0) * x_k
-        out[:, j] = _roots(out[:, j], p)
+        out[:, j] = pwl._roots(out[:, j], p)
     return out
 
 
@@ -435,150 +375,6 @@ def limit_draw_general(
     An empty collection (strictly concave CDF) gives exactly 0.
     """
     return float(_law_draws(iv.d, iv.h, _norm_indices((p,)), stream, 1, grid_size)[0, 0])
-
-
-def _block_grid(knots, widths, grid_size: int) -> tuple[np.ndarray, list[tuple[int, int]]]:
-    # The base grid scaled into each block [knots[k], knots[k] + widths[k]],
-    # merged with the base grid itself, and each block's index span.  Block
-    # ends are pinned to the exact knots, so junctions coincide bit-for-bit.
-    base = uniform_grid(grid_size)
-    parts = []
-    for k, width in enumerate(widths):
-        pts = knots[k] + width * base
-        pts[0] = knots[k]
-        pts[-1] = knots[k + 1]
-        parts.append(pts)
-    master = merge_grids(np.concatenate(parts), base)
-    ends = np.searchsorted(master, knots).tolist()
-    return master, list(zip(ends[:-1], ends[1:]))
-
-
-def _unit_preimage(u: np.ndarray, start: float, width: float) -> np.ndarray:
-    # Block grid points mapped affinely onto [0, 1], ends pinned.
-    out = (u - start) / width
-    out[0] = 0.0
-    out[-1] = 1.0
-    return out
-
-
-def _wiener_passes(master: np.ndarray, streams):
-    # (rows, W) for the verifiers, in passes of at most _POINTS_PER_PASS
-    # grid points: W holds the Wiener paths on ``master`` drawn from
-    # substream(streams[i], 0) for i in ``rows``.
-    step = _pass_rows(master.size)
-    for lo in range(0, len(streams), step):
-        part = streams[lo : lo + step]
-        yield slice(lo, lo + len(part)), sample_wiener(master, [substream(s, 0) for s in part])
-
-
-@dataclass(frozen=True)
-class CouplingIdentity:
-    """Both routes to the same pathwise limit draw, one entry per path, and
-    their gaps."""
-
-    lhs: np.ndarray
-    rhs: np.ndarray
-
-    @property
-    def gap(self) -> np.ndarray:
-        return np.abs(self.lhs - self.rhs)
-
-
-def verify_rescaling_identity(
-    spec: models.ConcaveCdf, p: float, streams, grid_size: int = DEFAULT_GRID
-) -> CouplingIdentity:
-    """Check, pathwise, that the interval-rescaled Wiener representation
-    reproduces the derivative-route draw, on one Wiener path per stream of
-    ``streams`` (path i drawn from ``substream(streams[i], 0)``).
-
-    ``lhs`` applies interval-local majorants to the composed bridge;
-    ``rhs`` rescales the same underlying Wiener path into one standard
-    Wiener path per interval and aggregates their gap norms.  The two are
-    equal for every path up to float accumulation (``COUPLING_TOL``), not
-    merely in distribution.  The grids are built once per call, and each
-    path's entries do not depend on the other streams.
-    """
-    if np.isinf(p):
-        raise ValueError("the rescaling identity covers finite p only")
-    iv = models.extract_intervals(spec)
-    if iv.is_empty:
-        raise ValueError("a strictly concave CDF has a degenerate limit: no intervals to rescale")
-    kx = np.append(iv.a, iv.b[-1])
-    ku = models.evaluate(spec, kx)  # np.interp returns the knot ordinates exactly
-    master, spans = _block_grid(ku, iv.h, grid_size)
-    blocks = []
-    for k, (i0, i1) in enumerate(spans):
-        u_pre = _unit_preimage(master[i0 : i1 + 1], ku[k], iv.h[k])
-        x_blk = kx[k] + iv.d[k] * u_pre
-        x_blk[-1] = kx[k + 1]
-        blocks.append((i0, i1 + 1, u_pre, x_blk, iv.h[k] ** -0.5, iv.d[k] * iv.h[k] ** (p / 2.0)))
-    lhs_pow = np.zeros(len(streams))
-    rhs_pow = np.zeros(len(streams))
-    for rows, w in _wiener_passes(master, streams):
-        b = w - master * w[:, -1:]  # the Brownian bridge B(u) = W(u) - u W(1)
-        for i0, i1, u_pre, x_blk, scale, weight in blocks:
-            lhs_pow[rows] += pwl.gap_pow_integral(x_blk, b[:, i0:i1], p)
-            w_k = (w[:, i0:i1] - w[:, i0 : i0 + 1]) * scale
-            rhs_pow[rows] += weight * pwl.gap_pow_integral(u_pre, w_k, p)
-    return CouplingIdentity(_roots(lhs_pow, p), _roots(rhs_pow, p))
-
-
-@dataclass(frozen=True)
-class DominanceCheck:
-    """Pathwise checks of the dominance coupling, one entry per path.
-
-    ``lhs`` is the rescaled-interval aggregate, ``rhs`` the full-path gap
-    norm; ``hull_excess`` is the worst violation of the interval-hull
-    inequality (sub-interval majorant must not exceed the full majorant) at
-    any grid point.
-    """
-
-    lhs: np.ndarray
-    rhs: np.ndarray
-    hull_excess: np.ndarray
-
-    @property
-    def violation(self) -> np.ndarray:
-        return (self.lhs > self.rhs + COUPLING_TOL) | (self.hull_excess > COUPLING_TOL)
-
-
-def verify_dominance_coupling(
-    iv: models.IntervalStructure, p: float, streams, grid_size: int = DEFAULT_GRID
-) -> DominanceCheck:
-    """Check, pathwise, the coupling that makes the uniform law dominant,
-    on one Wiener path per stream of ``streams`` (path i drawn from
-    ``substream(streams[i], 0)``).
-
-    Sub-intervals of the coupling lengths are packed into [0, 1]; one
-    standard Wiener path per sub-interval is carved out of a single Wiener
-    path by rescaling.  For every path the aggregated gap norm is at most
-    the full-path gap norm, because each sub-interval majorant sits below
-    the full majorant.
-    """
-    if np.isinf(p):
-        raise ValueError("the dominance coupling covers finite p only")
-    lengths = models.coupling_lengths(iv, p)
-    packed = models.pack_intervals(lengths)
-    knots = [a for a, _ in packed] + [packed[-1][1]]
-    master, spans = _block_grid(knots, lengths, grid_size)
-    blocks = [
-        (i0, i1 + 1, _unit_preimage(master[i0 : i1 + 1], a, l), math.sqrt(l), l ** ((p + 2.0) / 2.0))
-        for (i0, i1), a, l in zip(spans, knots, lengths)
-    ]
-    lhs_pow = np.zeros(len(streams))
-    rhs_pow = np.zeros(len(streams))
-    hull_excess = np.zeros(len(streams))
-    for rows, w in _wiener_passes(master, streams):
-        full_gap = pwl.lcm_gap_on_grid(master, w)
-        rhs_pow[rows] = pwl.pow_integral_from_gaps(master, full_gap, p)
-        for i0, i1, u_pre, root, weight in blocks:
-            w_k = (w[:, i0:i1] - w[:, i0 : i0 + 1]) / root
-            sub_gap = pwl.lcm_gap_on_grid(u_pre, w_k)
-            lhs_pow[rows] += weight * pwl.pow_integral_from_gaps(u_pre, sub_gap, p)
-            excess = (sub_gap * root - full_gap[:, i0:i1]).max(axis=1)
-            # Python's max(kept, new): the new value only where it is larger.
-            hull_excess[rows] = np.where(excess > hull_excess[rows], excess, hull_excess[rows])
-    return DominanceCheck(_roots(lhs_pow, p), _roots(rhs_pow, p), hull_excess)
 
 
 # -- Quantiles and critical-value tables ----------------------------------------

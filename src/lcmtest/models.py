@@ -5,8 +5,8 @@ uniform law (one maximal affine interval), the power family ``u**gamma``
 (strictly concave, no affine interval), and piecewise-affine CDFs (any
 finite collection of affine intervals).  :class:`IntervalStructure` records
 the maximal open intervals on which a concave CDF is affine, with each
-interval's width ``d`` and rise ``h``; these drive the limiting laws and
-the couplings in :mod:`lcmtest.limits`.
+interval's width ``d`` and rise ``h``; these drive the limiting laws in
+:mod:`lcmtest.limits` and the couplings in :mod:`lcmtest.coupling`.
 """
 
 from __future__ import annotations
@@ -95,13 +95,6 @@ class PiecewiseAffineCdf:
 
 
 ConcaveCdf = Union[UniformCdf, PowerCdf, PiecewiseAffineCdf]
-
-
-def x_bar(spec: ConcaveCdf) -> float:
-    """Left edge of the region where F equals 1."""
-    if isinstance(spec, PiecewiseAffineCdf):
-        return spec.xs[-1]
-    return 1.0
 
 
 def evaluate(spec: ConcaveCdf, x) -> np.ndarray:
@@ -211,44 +204,6 @@ def extract_intervals(spec: ConcaveCdf) -> IntervalStructure:
     raise TypeError(f"not a concave CDF spec: {spec!r}")
 
 
-def coupling_lengths(iv: IntervalStructure, p: float) -> np.ndarray:
-    """Sub-interval lengths ``d**(2/(p+2)) * h**(p/(p+2))`` for the dominance coupling.
-
-    By the weighted AM-GM inequality each length is at most
-    ``2/(p+2) * d + p/(p+2) * h``, so the lengths always sum to at most 1 and
-    fit inside the unit interval.  Undefined for ``p = inf``.
-    """
-    if np.isinf(p):
-        raise ValueError("coupling lengths are undefined for p = inf")
-    if p < 1.0:
-        raise ValueError("norm index p must be at least 1")
-    if iv.is_empty:
-        raise ValueError("interval structure is empty")
-    lengths = np.power(iv.d, 2.0 / (p + 2.0)) * np.power(iv.h, p / (p + 2.0))
-    total = float(lengths.sum())
-    if total > 1.0 + _TOL:
-        raise ValueError(f"coupling lengths sum to {total} > 1; invalid intervals")
-    return lengths
-
-
-def pack_intervals(lengths) -> list[tuple[float, float]]:
-    """Pack disjoint intervals of the given lengths left-to-right from 0.
-
-    Any placement works; packing in index order from the origin keeps runs
-    reproducible.
-    """
-    lengths = np.asarray(lengths, dtype=np.float64)
-    if lengths.ndim != 1 or lengths.size == 0:
-        raise ValueError("need a nonempty 1-d list of lengths")
-    if np.any(lengths <= 0.0):
-        raise ValueError("lengths must be positive")
-    ends = np.cumsum(lengths)
-    if ends[-1] > 1.0 + _TOL:
-        raise ValueError(f"lengths sum to {float(ends[-1])} > 1")
-    starts = np.concatenate(([0.0], ends[:-1]))
-    return [(float(a), float(b)) for a, b in zip(starts, ends)]
-
-
 def inverse_cdf_sample(spec: ConcaveCdf, count: int, stream: Stream) -> np.ndarray:
     """I.i.d. draws from the spec via the inverse-CDF transform.
 
@@ -258,14 +213,6 @@ def inverse_cdf_sample(spec: ConcaveCdf, count: int, stream: Stream) -> np.ndarr
         raise ValueError("count must be at least 1")
     u = generator(stream).random(count)
     return np.asarray(quantile(spec, u))
-
-
-def pit_transform(spec: ConcaveCdf, samples) -> np.ndarray:
-    """Elementwise F(X_i); uniform when the spec is the true CDF."""
-    arr = np.asarray(samples, dtype=np.float64)
-    if np.any(arr < 0.0) or np.any(arr > 1.0):
-        raise ValueError("samples must lie in [0, 1]")
-    return np.asarray(evaluate(spec, arr))
 
 
 def spec_to_dict(spec: ConcaveCdf) -> dict:

@@ -1,18 +1,12 @@
-"""Exact geometry of empirical CDFs and sampled paths on [0, 1].
+"""Exact geometry of empirical CDFs on [0, 1].
 
-One hull algorithm serves every caller: weighted antitonic regression of
-segment slopes (pool-adjacent-violators).
-
-* An empirical CDF is held as its corner points ``(px, py)``, two sorted
-  arrays.  Every vertex of its least concave majorant (LCM) is a corner, so
-  :func:`hull_vertices` only picks corners, and :func:`corner_gaps` gives
-  the gap ``LCM - ECDF`` at both ends of each interval between corners.
-* A sampled path gets its hull value at every grid point from the fitted
-  slopes, in :func:`lcm_gap_on_grid`, for the pathwise coupling verifiers.
-
-All L^p norms are evaluated exactly: on each segment the integrand is a
-power of an affine ramp, for which the antiderivative is closed-form.
-Quadrature never enters.
+An empirical CDF is held as its corner points ``(px, py)``, two sorted
+arrays.  Every vertex of its least concave majorant (LCM) is a corner, so
+:func:`hull_vertices` only picks corners, by weighted antitonic regression
+of segment slopes (pool-adjacent-violators), and :func:`corner_gaps` gives
+the gap ``LCM - ECDF`` at both ends of each interval between corners.  L^p
+norms are exact: on each segment the integrand is a power of an affine
+ramp, integrated in closed form by :func:`ramp_pow_integrals`.
 """
 
 from __future__ import annotations
@@ -24,22 +18,9 @@ from scipy.optimize import isotonic_regression
 #: to float rounding, so anything past this indicates a bug, not noise.
 MAJORIZATION_TOL = 1e-12
 
-_SLOPE_TOL = 1e-12
-
 
 class GeometryError(ValueError):
     """An internal geometric invariant failed; indicates an upstream bug."""
-
-
-def as_sorted_array(values, name: str) -> np.ndarray:
-    arr = np.ascontiguousarray(values, dtype=np.float64)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError(f"{name} must be a nonempty 1-d array")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} contains non-finite entries")
-    if arr.size > 1 and not np.all(np.diff(arr) > 0):
-        raise ValueError(f"{name} must be strictly increasing")
-    return arr
 
 
 def ecdf_corners(samples) -> tuple[np.ndarray, np.ndarray]:
@@ -162,68 +143,7 @@ def ramp_pow_integrals(v_lo, v_hi, lengths, p: float) -> np.ndarray:
     return lengths * np.where(near, mid, exact)
 
 
-# -- Fast grid route -----------------------------------------------------------
-#
-# Hull values at every grid point via weighted antitonic regression of the
-# segment slopes (the classical majorant/isotonic duality).  The chord from
-# the first to the last grid point is removed first: the majorant gap is
-# invariant under affine shifts, and removing the chord makes the identity
-# gap(W) == gap(W - chord) hold to the bit, not just to rounding.
-
-
-def lcm_gap_on_grid(grid, values) -> np.ndarray:
-    """Gap ``LCM(path) - path`` at every grid point of a sampled path.
-
-    ``values`` is one path, or a 2-d array with one path per row, all on
-    ``grid``; the gap has its shape.  Each row's gap is bit-for-bit what the
-    row alone would give.
-    """
-    grid = as_sorted_array(grid, "grid")
-    values = np.ascontiguousarray(values, dtype=np.float64)
-    if values.ndim not in (1, 2) or values.shape[-1] != grid.size:
-        raise ValueError("grid and values differ in length")
-    if grid.size < 2:
-        raise ValueError("need at least two grid points")
-
-    rows = values.reshape(-1, grid.size)
-    chord_slope = (rows[:, -1] - rows[:, 0]) / (grid[-1] - grid[0])
-    yc = (rows - rows[:, :1]) - (grid - grid[0]) * chord_slope[:, None]
-    dx = np.diff(grid)
-    s = np.diff(yc, axis=1) / dx
-    # Concave up to slope dust: the path is its own majorant.  The tolerance
-    # scales with the original slopes (canonical + chord), so an affine path
-    # whose rounded values wiggle at the last bit still maps to a zero gap.
-    slope_dust = _SLOPE_TOL * (1.0 + np.abs(chord_slope) + np.max(np.abs(s), axis=1))
-    bent = np.flatnonzero(~np.all(np.diff(s, axis=1) <= slope_dust[:, None], axis=1))
-    gap = np.zeros_like(yc)
-    if bent.size:
-        yb = yc[bent]
-        hull = np.empty_like(yb)
-        hull[:, 0] = yb[:, 0]
-        fitted = np.empty((bent.size, dx.size))
-        for j, r in enumerate(bent.tolist()):
-            fitted[j] = isotonic_regression(s[r], weights=dx, increasing=False).x
-        np.cumsum(fitted * dx, axis=1, out=hull[:, 1:])
-        hull -= yb
-        worst = hull.min(axis=1)
-        low = worst < -1e-9 * np.maximum(1.0, np.max(np.abs(yb), axis=1))
-        if low.any():
-            raise GeometryError(f"hull fell below the path by {-float(worst[low].min()):.3e}")
-        np.maximum(hull, 0.0, out=hull)
-        gap[bent] = hull
-    return gap.reshape(values.shape)
-
-
-def pow_integral_from_gaps(grid, gaps, p: float):
-    """Exact ``integral gap(t)**p dt`` for a gap sampled on ``grid``: a
-    float for one gap, an array with one integral per row for a 2-d ``gaps``."""
-    lengths = np.diff(np.asarray(grid, dtype=np.float64))
-    gaps = np.asarray(gaps, dtype=np.float64)
-    out = np.sum(ramp_pow_integrals(gaps[..., :-1], gaps[..., 1:], lengths, p), axis=-1)
-    return float(out) if out.ndim == 0 else out
-
-
-def gap_pow_integral(grid, values, p: float):
-    """Exact ``integral (LCM(path) - path)**p`` over the grid span, per row
-    for a 2-d ``values``."""
-    return pow_integral_from_gaps(grid, lcm_gap_on_grid(grid, values), p)
+def _roots(powers: np.ndarray, p: float) -> np.ndarray:
+    # p-th roots one entry at a time, as Python floats: numpy's array ** need
+    # not round like scalar pow.
+    return np.array([x ** (1.0 / p) for x in powers.tolist()])

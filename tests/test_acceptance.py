@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import lcmtest as lt
-from lcmtest import cli, pwl
+from lcmtest import cli, coupling
 from lcmtest.streams import substream
 from oracle_utils import (
     eval_pl_exact,
@@ -247,7 +247,7 @@ def test_criterion_8_affine_and_bridge_identities(rng):
         w = lt.sample_wiener(grid, [substream(808, i) for i in range(lo, lo + 1000)])
         gap_w, gap_b = (lt.lcm_gap_on_grid(grid, paths) for paths in (w, w - grid * w[:, -1:]))
         norms = [
-            [pwl.pow_integral_from_gaps(grid, g, p) for p in (1.0, 2.0)] + [g.max(axis=1)]
+            [coupling.pow_integral_from_gaps(grid, g, p) for p in (1.0, 2.0)] + [g.max(axis=1)]
             for g in (gap_w, gap_b)
         ]
         exact = np.array_equal(gap_w, gap_b) and all(map(np.array_equal, *norms))

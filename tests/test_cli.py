@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -7,7 +8,7 @@ import scipy
 from scipy.optimize import brentq
 
 import lcmtest
-from lcmtest import cli, limits, models
+from lcmtest import cli, coupling, limits, models
 from lcmtest.streams import substream
 from oracle_utils import sup_gap_cdf
 
@@ -463,7 +464,7 @@ def test_cmd_verify_quantiles_are_path_values(capsys, two_segment_file):
     assert code == 0
     iv = models.extract_intervals(models.spec_from_dict(doc["cdf"]))
     streams = [substream(5, i) for i in range(10)]
-    check = limits.verify_dominance_coupling(iv, 2.0, streams, 32)
+    check = coupling.verify_dominance_coupling(iv, 2.0, streams, 32)
     spread = {"norm_excess_quantiles": check.lhs - check.rhs, "hull_excess_quantiles": check.hull_excess}
     for key, values in spread.items():
         ranked = sorted(values.tolist())
@@ -498,12 +499,10 @@ def test_cmd_verify_identity_rejects_strictly_concave(capsys, power_file):
 
 
 def test_cmd_verify_exit_code_on_violation(capsys, two_segment_file, monkeypatch):
-    from lcmtest import limits
-
     monkeypatch.setattr(
-        limits,
+        coupling,
         "verify_dominance_coupling",
-        lambda iv, p, streams, grid: limits.DominanceCheck(
+        lambda iv, p, streams, grid: coupling.DominanceCheck(
             lhs=np.ones(len(streams)), rhs=np.full(len(streams), 0.5), hull_excess=np.zeros(len(streams))
         ),
     )
@@ -512,6 +511,55 @@ def test_cmd_verify_exit_code_on_violation(capsys, two_segment_file, monkeypatch
     )
     assert code == 1
     assert doc["violations"] == 3 and doc["pass"] is False
+
+
+#: The four-interval CDF of the benchmark's coupling workload.
+FOUR_INTERVALS = [[0.0, 0.0], [0.1, 0.3], [0.3, 0.6], [0.6, 0.85], [1.0, 1.0]]
+
+# sha256 of `lcmtest verify --cdf <FOUR_INTERVALS> --mode MODE --p P --paths
+# 200 --grid 256 --seed 1` stdout, with the three package-version lines left
+# out so that the digest pins the numbers and the layout, not the installed
+# versions.  Recorded before the grids and the verifiers moved to
+# lcmtest.coupling.
+VERIFY_DIGESTS = {
+    ("identity", "1"): "131e6bb40060a07bcfb7fc28acceeee57798af30b01c5ce28ef26a482486082f",
+    ("identity", "2"): "1878c9eca6d3881d8e7621ff8c179448bd0fda735ada1825e524d6a68adc4397",
+    ("identity", "2.5"): "48b14e4568de1da146f8fc139d27c5ac3e2eb22f8308f25e2791ff74a28b1fa4",
+    ("dominance", "1"): "9dc025489437477141f4869af66f21761e64f8011ec498dacaab8550f8103b6f",
+    ("dominance", "2"): "b4852443c893344ce4df5983a7bd078d48a67137a8155c0b4998ea7dd8ac6e53",
+    ("dominance", "2.5"): "c20f37aca431fa0a8450435a9de0a9ad891a8d69e6f1c532cd4eb1de7b43001f",
+}
+
+
+@pytest.mark.parametrize("mode, p", list(VERIFY_DIGESTS))
+def test_cmd_verify_stdout_digest(capsys, tmp_path, mode, p):
+    spec = tmp_path / "four.json"
+    spec.write_text(json.dumps({"type": "piecewise", "knots": FOUR_INTERVALS}))
+    code = cli.main(
+        ["verify", "--cdf", str(spec), "--mode", mode, "--p", p]
+        + ["--paths", "200", "--grid", "256", "--seed", "1"]
+    )
+    out = capsys.readouterr().out
+    assert code == 0
+    kept = "".join(line for line in out.splitlines(keepends=True) if '_version": ' not in line)
+    assert hashlib.sha256(kept.encode()).hexdigest() == VERIFY_DIGESTS[(mode, p)]
+
+
+def test_cmd_verify_identity_narrow_interval(capsys, tmp_path):
+    # An affine interval of width 1e-14 is below one ulp of the grid points
+    # around 0.5, so its scaled block grid collapses.
+    spec = tmp_path / "narrow.json"
+    knots = [[0, 0], [0.5, 0.6], [0.5 + 1e-14, 0.6 + 1.1e-14], [1, 1]]
+    spec.write_text(json.dumps({"type": "piecewise", "knots": knots}))
+    for mode in ("identity", "dominance"):
+        code, doc, err = run_cli(
+            capsys, "verify", "--cdf", str(spec), "--mode", mode, "--p", "2", "--grid", "64", "--paths", "5"
+        )
+        assert code in (0, 2)
+        if code == 0:
+            assert doc["pass"] is True
+        else:
+            assert doc is None and "error:" in err and "interval" in err
 
 
 # -- input faults --------------------------------------------------------------------------

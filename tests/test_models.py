@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import kstest
 
-from lcmtest import models
+from lcmtest import coupling, models
 
 TWO_SEGMENT = models.PiecewiseAffineCdf.from_knots([(0, 0), (0.5, 0.75), (1, 1)])
 
@@ -105,7 +105,7 @@ def test_intervals_two_segment():
 def test_intervals_sum_exact_for_piecewise():
     spec = models.PiecewiseAffineCdf.from_knots([(0, 0), (0.25, 0.5), (0.4, 0.72), (0.8, 1)])
     iv = models.extract_intervals(spec)
-    assert float(iv.d.sum()) == pytest.approx(models.x_bar(spec), abs=1e-15)
+    assert float(iv.d.sum()) == pytest.approx(iv.x_bar, abs=1e-15)
     assert float(iv.h.sum()) == pytest.approx(1.0, abs=1e-15)
 
 
@@ -114,7 +114,7 @@ def test_intervals_sum_exact_for_piecewise():
 
 def test_coupling_lengths_two_segment():
     iv = models.extract_intervals(TWO_SEGMENT)
-    lengths = models.coupling_lengths(iv, 2.0)
+    lengths = coupling.coupling_lengths(iv, 2.0)
     np.testing.assert_allclose(lengths, [math.sqrt(0.375), math.sqrt(0.125)], rtol=1e-15)
     assert lengths.sum() <= 1.0
 
@@ -122,35 +122,35 @@ def test_coupling_lengths_two_segment():
 def test_coupling_lengths_unit_interval():
     iv = models.extract_intervals(models.UniformCdf())
     for p in (1.0, 2.0, 7.5):
-        assert models.coupling_lengths(iv, p).tolist() == [1.0]
+        assert coupling.coupling_lengths(iv, p).tolist() == [1.0]
 
 
 def test_coupling_lengths_depth_equals_rise():
     iv = models.IntervalStructure(
         np.array([0.0]), np.array([0.5]), np.array([0.5]), np.array([0.5]), 1.0
     )
-    assert models.coupling_lengths(iv, 2.0)[0] == pytest.approx(0.5, rel=1e-15)
+    assert coupling.coupling_lengths(iv, 2.0)[0] == pytest.approx(0.5, rel=1e-15)
 
 
 def test_coupling_lengths_reject_inf():
     iv = models.extract_intervals(models.UniformCdf())
     with pytest.raises(ValueError):
-        models.coupling_lengths(iv, math.inf)
+        coupling.coupling_lengths(iv, math.inf)
 
 
 def test_pack_intervals():
-    packed = models.pack_intervals([0.6, 0.3])
+    packed = coupling.pack_intervals([0.6, 0.3])
     assert packed[0] == (0.0, 0.6)
     assert packed[1][0] == 0.6 and packed[1][1] == pytest.approx(0.9, rel=1e-15)
-    assert models.pack_intervals([1.0]) == [(0.0, 1.0)]
+    assert coupling.pack_intervals([1.0]) == [(0.0, 1.0)]
     with pytest.raises(ValueError):
-        models.pack_intervals([0.7, 0.5])
+        coupling.pack_intervals([0.7, 0.5])
 
 
 def test_pack_intervals_from_lengths():
     iv = models.extract_intervals(TWO_SEGMENT)
-    lengths = models.coupling_lengths(iv, 2.0)
-    packed = models.pack_intervals(lengths)
+    lengths = coupling.coupling_lengths(iv, 2.0)
+    packed = coupling.pack_intervals(lengths)
     assert packed[0][0] == 0.0
     assert packed[1][0] == packed[0][1]
     assert packed[1][1] == pytest.approx(0.9659258, abs=1e-6)
@@ -177,7 +177,7 @@ def concave_specs(draw):
 @settings(max_examples=150, deadline=None)
 def test_coupling_lengths_sum_below_one(spec, p):
     iv = models.extract_intervals(spec)
-    lengths = models.coupling_lengths(iv, p)
+    lengths = coupling.coupling_lengths(iv, p)
     assert float(lengths.sum()) <= 1.0 + 1e-12
     # AM-GM bound, interval by interval
     bound = 2.0 / (p + 2.0) * iv.d + p / (p + 2.0) * iv.h
@@ -195,11 +195,11 @@ def test_quantile_examples():
 
 def test_pit_examples():
     np.testing.assert_allclose(
-        models.pit_transform(models.PowerCdf(0.5), [0.25, 1.0]), [0.5, 1.0]
+        models.evaluate(models.PowerCdf(0.5), [0.25, 1.0]), [0.5, 1.0]
     )
     samples = [0.1, 0.4, 0.9]
-    np.testing.assert_allclose(models.pit_transform(models.UniformCdf(), samples), samples)
-    np.testing.assert_allclose(models.pit_transform(TWO_SEGMENT, [0.5]), [0.75])
+    np.testing.assert_allclose(models.evaluate(models.UniformCdf(), samples), samples)
+    np.testing.assert_allclose(models.evaluate(TWO_SEGMENT, [0.5]), [0.75])
 
 
 def test_inverse_cdf_sample_deterministic():
@@ -214,7 +214,7 @@ def test_inverse_cdf_sample_deterministic():
 )
 def test_pit_of_samples_is_uniform(spec):
     draws = models.inverse_cdf_sample(spec, 100_000, 991)
-    u = models.pit_transform(spec, draws)
+    u = models.evaluate(spec, draws)
     assert kstest(u, "uniform").pvalue > 1e-3
 
 

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from lcmtest import limits, models, pwl
+from lcmtest import coupling, limits, models
 from lcmtest.streams import substream
 from oracle_utils import (
     KENNEDY_MEAN,
@@ -60,10 +60,10 @@ def test_engine_sup_matches_exact_quantiles():
 
 
 def test_grid_route_falls_below_exact_mean():
-    grid = limits.uniform_grid(1024)
+    grid = coupling.uniform_grid(1024)
     x1 = []  # ||gap||_1, no root needed
     for lo in range(0, 4000, 250):
-        paths = limits.sample_wiener(grid, [substream(8484, i) for i in range(lo, lo + 250)])
-        x1.extend(pwl.gap_pow_integral(grid, paths, 1.0).tolist())
+        paths = coupling.sample_wiener(grid, [substream(8484, i) for i in range(lo, lo + 250)])
+        x1.extend(coupling.gap_pow_integral(grid, paths, 1.0).tolist())
     mean, se = _mean_and_se(x1)
     assert mean + 3.0 * se < MEAN_X1, (mean, se, MEAN_X1)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lcmtest import pwl, stats
+from lcmtest import coupling, pwl, stats
 from oracle_utils import (
     eval_pl_exact,
     exact_hull_values,
@@ -100,18 +100,18 @@ def test_lcm_of_step_jump_at_zero():
 
 
 def test_lcm_of_path_affine():
-    assert pwl.lcm_gap_on_grid([0.0, 0.5, 1.0], [0.0, 0.5, 1.0]).tolist() == [0.0, 0.0, 0.0]
+    assert coupling.lcm_gap_on_grid([0.0, 0.5, 1.0], [0.0, 0.5, 1.0]).tolist() == [0.0, 0.0, 0.0]
 
 
 def test_lcm_of_path_vee():
-    assert pwl.lcm_gap_on_grid([0.0, 0.5, 1.0], [0.5, 0.0, 0.5]).tolist() == [0.0, 0.5, 0.0]
+    assert coupling.lcm_gap_on_grid([0.0, 0.5, 1.0], [0.5, 0.0, 0.5]).tolist() == [0.0, 0.5, 0.0]
 
 
 def test_lcm_of_path_restriction():
     # Over the slice [0.5, 1] the path is a single segment: its own majorant.
     grid = np.array([0.0, 0.5, 1.0])
     values = np.array([0.0, 1.0, 0.0])
-    assert pwl.lcm_gap_on_grid(grid[1:], values[1:]).tolist() == [0.0, 0.0]
+    assert coupling.lcm_gap_on_grid(grid[1:], values[1:]).tolist() == [0.0, 0.0]
 
 
 # -- difference segments -----------------------------------------------------------
@@ -277,14 +277,14 @@ def test_gap_on_grid_matches_knot_route(rng):
         values = np.cumsum(rng.standard_normal(grid.size)) * 0.1
         hx, hy = qhull_upper_hull(grid, values)
         want = np.interp(grid, hx, hy) - values
-        got = pwl.lcm_gap_on_grid(grid, values)
+        got = coupling.lcm_gap_on_grid(grid, values)
         np.testing.assert_allclose(got, np.maximum(want, 0.0), atol=1e-11)
 
 
 def test_gap_on_grid_concave_input_is_exactly_zero():
     grid = np.linspace(0.0, 1.0, 50)
     values = np.sqrt(grid)
-    assert np.all(pwl.lcm_gap_on_grid(grid, values) == 0.0)
+    assert np.all(coupling.lcm_gap_on_grid(grid, values) == 0.0)
 
 
 def test_gap_pow_integral_matches_lp_norm(rng):
@@ -292,7 +292,7 @@ def test_gap_pow_integral_matches_lp_norm(rng):
     values = np.cumsum(rng.standard_normal(129)) * 0.1
     for p in (1.0, 2.0, 3.0, 2.5):
         want = qhull_gap_pow_integral(grid, values, p)
-        got = pwl.gap_pow_integral(grid, values, p)
+        got = coupling.gap_pow_integral(grid, values, p)
         assert got == pytest.approx(want, rel=1e-10, abs=1e-15)
 
 
@@ -343,7 +343,7 @@ def test_hull_minimality(samples, salt):
 @example(samples=[1.0] * 19 + [0.5] * 8 + [0.0625, 0.09375, 0.1])
 def test_hull_idempotent(samples):
     hx, hy = _hull(samples)
-    assert np.all(pwl.lcm_gap_on_grid(hx, hy) == 0.0)
+    assert np.all(coupling.lcm_gap_on_grid(hx, hy) == 0.0)
     assert np.all(np.diff(np.diff(hy) / np.diff(hx)) < 0.0)
 
 
@@ -354,8 +354,8 @@ def test_gap_affine_shift_invariance(seed):
     grid = np.linspace(0.0, 1.0, 65)
     theta = np.cumsum(rng.standard_normal(65)) * 0.125
     shift = rng.normal() + rng.normal() * grid
-    base = pwl.lcm_gap_on_grid(grid, theta)
-    shifted = pwl.lcm_gap_on_grid(grid, theta + shift)
+    base = coupling.lcm_gap_on_grid(grid, theta)
+    shifted = coupling.lcm_gap_on_grid(grid, theta + shift)
     np.testing.assert_allclose(shifted, base, atol=1e-10)
 
 
@@ -369,6 +369,6 @@ def test_hull_monotone_under_domain_restriction(seed):
     if i1 - i0 < 1:
         return
     inner = slice(i0, i1 + 1)
-    small = values[inner] + pwl.lcm_gap_on_grid(grid[inner], values[inner])
-    big = values + pwl.lcm_gap_on_grid(grid, values)
+    small = values[inner] + coupling.lcm_gap_on_grid(grid[inner], values[inner])
+    big = values + coupling.lcm_gap_on_grid(grid, values)
     assert np.all(small <= big[inner] + 1e-12)

@@ -81,7 +81,7 @@ def test_sup_statistic_grows_under_pit(spec, samples):
     # The sup-norm statistic never decreases when observations are replaced
     # by their probability-integral transforms under a concave CDF.
     before = stats.lp_stat(samples, math.inf).value
-    transformed = models.pit_transform(spec, samples)
+    transformed = models.evaluate(spec, samples)
     if float(np.max(transformed)) == 0.0:
         return
     after = stats.lp_stat(transformed, math.inf).value
@@ -92,5 +92,5 @@ def test_finite_p_monotonicity_can_fail():
     # The two worked samples: the transformed value is NOT larger at p=2
     # (both equal sqrt(1/6)), so no finite-p monotonicity is asserted.
     before = stats.lp_stat([0.25, 1.0], 2.0).value
-    after = stats.lp_stat(models.pit_transform(models.PowerCdf(0.5), [0.25, 1.0]), 2.0).value
+    after = stats.lp_stat(models.evaluate(models.PowerCdf(0.5), [0.25, 1.0]), 2.0).value
     assert after == pytest.approx(before, rel=1e-12)
