@@ -399,10 +399,11 @@ def build_parser() -> argparse.ArgumentParser:
         f"max(4, round(grid * l)) points (default {limits.DEFAULT_GRID})"
     )
     workers_help = "ignored, kept for old command lines: the simulation runs in this process"
+    p_range = f"in [1, {pwl.MAX_P:g}] or 'inf'"
 
     t = sub.add_parser("test", help="run the concavity test on a data file")
     t.add_argument("data", help="text file with one value per line, or CSV with --column")
-    t.add_argument("--p", default="2", help="norm index in [1, inf] or 'inf' (default 2)")
+    t.add_argument("--p", default="2", help=f"norm index {p_range} (default 2)")
     t.add_argument("--alpha", nargs="+", type=float, default=[0.05], help="test levels")
     t.add_argument("--column", default=None, help="CSV column name or 0-based index")
     t.add_argument("--table", default=None, help="critical-value cache (JSON); created with --simulate")
@@ -415,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.set_defaults(func=cmd_test)
 
     c = sub.add_parser("critvals", help="simulate and cache critical values")
-    c.add_argument("--p", nargs="+", default=["1", "2", "inf"], help="norm indices")
+    c.add_argument("--p", nargs="+", default=["1", "2", "inf"], help=f"norm indices, each {p_range}")
     c.add_argument("--alpha", nargs="+", type=float, default=[0.01, 0.05, 0.10], help="levels")
     c.add_argument("--grid", type=int, default=limits.DEFAULT_GRID, help=budget_help)
     c.add_argument("--reps", type=int, default=limits.DEFAULT_REPLICATIONS)
@@ -426,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("simulate-limit", help="simulate the limit law of a concave CDF")
     s.add_argument("--cdf", required=True, help="concave CDF spec file (JSON)")
-    s.add_argument("--p", default="2")
+    s.add_argument("--p", default="2", help=f"norm index {p_range} (default 2)")
     s.add_argument("--reps", type=int, default=20000)
     s.add_argument("--seed", type=int, default=limits.DEFAULT_SEED, help=seed_help)
     s.add_argument("--alphas", nargs="+", type=float, default=[0.01, 0.05, 0.10, 0.50])
@@ -435,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="run the pathwise coupling verifications")
     v.add_argument("--cdf", required=True, help="concave CDF spec file (JSON)")
-    v.add_argument("--p", default="2")
+    v.add_argument("--p", default="2", help=f"norm index in [1, {pwl.MAX_P:g}] (default 2)")
     v.add_argument("--paths", type=int, default=1000)
     v.add_argument("--seed", type=int, default=limits.DEFAULT_SEED, help=seed_help)
     v.add_argument(

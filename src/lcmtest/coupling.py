@@ -153,10 +153,8 @@ def coupling_lengths(iv: models.IntervalStructure, p: float) -> np.ndarray:
     ``2/(p+2) * d + p/(p+2) * h``, so the lengths always sum to at most 1 and
     fit inside the unit interval.  Undefined for ``p = inf``.
     """
-    if np.isinf(p):
+    if math.isinf(pwl.norm_index(p)):
         raise ValueError("coupling lengths are undefined for p = inf")
-    if p < 1.0:
-        raise ValueError("norm index p must be at least 1")
     if iv.is_empty:
         raise ValueError("interval structure is empty")
     lengths = np.power(iv.d, 2.0 / (p + 2.0)) * np.power(iv.h, p / (p + 2.0))
@@ -245,7 +243,7 @@ def verify_rescaling_identity(
     path's entries do not depend on the other streams.  An interval too
     narrow for distinct grid points in double precision is a ValueError.
     """
-    if np.isinf(p):
+    if math.isinf(pwl.norm_index(p)):
         raise ValueError("the rescaling identity covers finite p only")
     iv = models.extract_intervals(spec)
     if iv.is_empty:
@@ -306,8 +304,6 @@ def verify_dominance_coupling(
     the full-path gap norm, because each sub-interval majorant sits below
     the full majorant.
     """
-    if np.isinf(p):
-        raise ValueError("the dominance coupling covers finite p only")
     lengths = coupling_lengths(iv, p)
     packed = pack_intervals(lengths)
     knots = [a for a, _ in packed] + [packed[-1][1]]

@@ -96,13 +96,6 @@ class SimConfig:
 # -- Limit draws ----------------------------------------------------------------
 
 
-def _norm_indices(ps) -> tuple:
-    ps = tuple(float(p) for p in ps)
-    if not all(p >= 1.0 for p in ps):
-        raise ValueError("norm indices must be >= 1")
-    return ps
-
-
 # The limit engine: with face lengths l_i and standard excursions e_i,
 # ||gap||_p^p = sum_i l_i^{1+p/2} int e_i^p and sup gap = max_i sqrt(l_i) max e_i.
 
@@ -374,7 +367,7 @@ def limit_draw_general(
 
     An empty collection (strictly concave CDF) gives exactly 0.
     """
-    return float(_law_draws(iv.d, iv.h, _norm_indices((p,)), stream, 1, grid_size)[0, 0])
+    return float(_law_draws(iv.d, iv.h, (pwl.norm_index(p),), stream, 1, grid_size)[0, 0])
 
 
 # -- Quantiles and critical-value tables ----------------------------------------
@@ -430,15 +423,10 @@ def p_key(p: float) -> str:
 
 
 def parse_p(token) -> float:
-    """Parse a norm index; accepts 'inf' (any case) and numbers >= 1."""
+    """Parse a norm index: 'inf' (any case), or a number :func:`pwl.norm_index` accepts."""
     if isinstance(token, str) and token.strip().lower() in ("inf", "infinity"):
         return math.inf
-    p = float(token)
-    if math.isinf(p) and p > 0:
-        return math.inf
-    if not p >= 1.0:
-        raise ValueError(f"norm index must be >= 1 or 'inf', got {token!r}")
-    return p
+    return pwl.norm_index(token)
 
 
 @dataclass(frozen=True)
@@ -513,7 +501,7 @@ def simulate_draws(iv: models.IntervalStructure, ps, config: SimConfig, progress
     Every column shares the faces; p = 1, 2 and inf share one uniform per
     face, and the other finite norm indices the same sampled excursions.
     """
-    ps = _norm_indices(ps)
+    ps = tuple(pwl.norm_index(p) for p in ps)
     n = config.replications
     draws = np.zeros((n, len(ps)))
     for lo in range(0, n, _BLOCK):

@@ -17,10 +17,22 @@ from scipy.optimize import isotonic_regression
 #: Absolute slack for internal majorization checks.  The geometry is exact up
 #: to float rounding, so anything past this indicates a bug, not noise.
 MAJORIZATION_TOL = 1e-12
+#: Largest finite norm index: a gap is at most ~n^{-1/2}, and its 64th power
+#: is a normal double up to n ~ 10^9; the limit engine's overflow past p ~ 175.
+MAX_P = 64.0
 
 
 class GeometryError(ValueError):
     """An internal geometric invariant failed; indicates an upstream bug."""
+
+
+def norm_index(p) -> float:
+    """The package's one rule for the norm index: ``p`` as a float if it is
+    in [1, ``MAX_P``] or inf; anything else, NaN and -inf too, is a ValueError."""
+    p = float(p)
+    if not (1.0 <= p <= MAX_P or p == np.inf):
+        raise ValueError(f"norm index must be in [1, {MAX_P:g}] or 'inf' (use 'inf' for larger p), got {p!r}")
+    return p
 
 
 def ecdf_corners(samples) -> tuple[np.ndarray, np.ndarray]:
@@ -108,21 +120,22 @@ def corner_gaps(px, py, idx) -> tuple[np.ndarray, np.ndarray]:
 
 
 def ramp_pow_integrals(v_lo, v_hi, lengths, p: float) -> np.ndarray:
-    """Exact integral of ``ramp(t)**p`` per segment.
+    """Exact integral of ``ramp(t)**p`` per segment, for a finite norm index p.
 
     Each segment carries an affine ramp running from ``v_lo`` to ``v_hi``
-    (both nonnegative) over ``lengths``.  Integer ``p`` uses the geometric
-    identity ``(b^{p+1}-a^{p+1})/(b-a) = sum a^i b^{p-i}``, which has no
-    removable singularity; non-integer ``p`` uses the closed-form
-    antiderivative with a midpoint fallback when the endpoints nearly agree.
+    (both nonnegative) over ``lengths``.  p = 1, 2, 3 and 4 use the identity
+    ``(b^{p+1}-a^{p+1})/(b-a) = sum a^i b^{p-i}``, free of removable
+    singularities; any other p, where its 2p power arrays would grow, uses the
+    closed-form antiderivative, with a midpoint fallback when the ends nearly agree.
     """
+    p = norm_index(p)
+    if np.isinf(p):
+        raise ValueError("ramp integrals need a finite p; the sup norm is the largest corner gap")
     v_lo = np.asarray(v_lo, dtype=np.float64)
     v_hi = np.asarray(v_hi, dtype=np.float64)
     lengths = np.asarray(lengths, dtype=np.float64)
-    if p < 1.0:
-        raise ValueError("norm index p must be at least 1")
-    k = int(round(p))
-    if p == k:
+    if p in (1.0, 2.0, 3.0, 4.0):
+        k = int(p)
         # lo_pows[i] = v_lo**(i+1), likewise hi_pows; acc = hi^k + lo hi^(k-1)
         # + ... + lo^k, summed in that order.
         lo_pows = [v_lo]

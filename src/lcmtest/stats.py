@@ -32,10 +32,11 @@ def lp_stat(samples, p: float) -> StatisticResult:
     """sqrt(n) times the L^p distance between the ECDF and its majorant.
 
     The difference vanishes beyond the largest observation, so integrating
-    over [0, max(X)] equals integrating over [0, 1].  Exact for every p,
-    including p = inf: the gap is affine between corners, so its maximum is
-    a corner value.
+    over [0, max(X)] equals integrating over [0, 1].  Exact for every p in
+    [1, ``pwl.MAX_P``] and for p = inf: the gap is affine between corners,
+    so its maximum is a corner value.
     """
+    p = pwl.norm_index(p)
     px, py = pwl.ecdf_corners(samples)
     v_lo, v_hi = pwl.corner_gaps(px, py, pwl.hull_vertices(px, py))
     if np.isinf(p):
@@ -44,7 +45,7 @@ def lp_stat(samples, p: float) -> StatisticResult:
         total = float(np.sum(pwl.ramp_pow_integrals(v_lo, v_hi, np.diff(px), p)))
         norm = total ** (1.0 / p)
     n = len(np.asarray(samples))
-    return StatisticResult(float(np.sqrt(n) * norm), n, float(p), "lp")
+    return StatisticResult(float(np.sqrt(n) * norm), n, p, "lp")
 
 
 # -- Exact rational cross-check ------------------------------------------------
@@ -57,8 +58,9 @@ def exact_gap_pow_integral(samples, p: int) -> Fraction:
     the polynomial integral can all be carried out in exact arithmetic.  Used
     to cross-check the floating-point path and to print exact values.
     """
-    if p != int(p) or p < 1:
-        raise ValueError("the exact route needs an integer p >= 1")
+    p = pwl.norm_index(p)
+    if not p.is_integer():
+        raise ValueError("the exact route needs an integer p")
     p = int(p)
     arr = sorted(float(v) for v in np.asarray(samples, dtype=np.float64))
     n = len(arr)

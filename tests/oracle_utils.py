@@ -119,35 +119,40 @@ def qhull_gap_pow_integral(grid, values, p: float) -> float:
     values = np.asarray(values, dtype=float)
     hx, hy = qhull_upper_hull(grid, values)
     gap = np.maximum(np.interp(grid, hx, hy) - values, 0.0)
-    total = 0.0
-    for x0, x1, g0, g1 in zip(grid[:-1], grid[1:], gap[:-1], gap[1:]):
-        val, _ = quad(lambda t: (g0 + (g1 - g0) * t) ** p, 0.0, 1.0, epsabs=0.0, epsrel=1e-13)
-        total += (x1 - x0) * val
-    return total
+    return _affine_pow_integral(grid, gap[:-1], gap[1:], p)
 
 
 def quad_gap_norm(hull_x, hull_y, step_xs, step_vs, p: float) -> float:
-    """Adaptive-quadrature L^p norm of hull minus step over [0, last jump].
+    """Adaptive-quadrature L^p norm of hull minus step over [step_xs[0], step_xs[-1]].
 
-    The hull is supplied as point values (affine between points), so this
-    route never touches the library's hull or norm code.
+    The hull is supplied as point values, affine between points, and the
+    step function takes the value ``step_vs[j]`` on ``[step_xs[j],
+    step_xs[j + 1])``, so this route never touches the library's hull or
+    norm code.  Between consecutive points of either the gap is affine, and
+    adaptive quadrature integrates its p-th power piece by piece.
     """
     hx = np.asarray(hull_x, dtype=float)
     hy = np.asarray(hull_y, dtype=float)
     sx = np.asarray(step_xs, dtype=float)
     sv = np.asarray(step_vs, dtype=float)
+    xs = np.union1d(hx, sx)
+    xs = xs[(xs >= sx[0]) & (xs <= sx[-1])]
+    hull = np.interp(xs, hx, hy)
+    step = sv[np.searchsorted(sx, xs[:-1], side="right") - 1]
+    gap_lo = np.maximum(hull[:-1] - step, 0.0)
+    gap_hi = np.maximum(hull[1:] - step, 0.0)
+    return _affine_pow_integral(xs, gap_lo, gap_hi, p) ** (1.0 / p)
 
-    def gap(x):
-        h = np.interp(x, hx, hy)
-        i = np.searchsorted(sx, x, side="right")
-        f = 0.0 if i == 0 else sv[i - 1]
-        return max(h - f, 0.0) ** p
 
-    hi = float(sx[-1])
-    pts = sorted(set(hx.tolist()) | set(sx.tolist()))
-    pts = [x for x in pts if 0.0 < x < hi]
-    val, _ = quad(gap, 0.0, hi, points=pts, limit=max(100, 3 * len(pts)))
-    return val ** (1.0 / p)
+def _affine_pow_integral(xs, gap_lo, gap_hi, p: float) -> float:
+    # Sum over the intervals [xs[j], xs[j + 1]] of the integral of the p-th
+    # power of the affine gap running from gap_lo[j] to gap_hi[j], each by
+    # adaptive quadrature on [0, 1] scaled by the interval's length.
+    total = 0.0
+    for x0, x1, g0, g1 in zip(xs[:-1], xs[1:], gap_lo, gap_hi):
+        val, _ = quad(lambda t: (g0 + (g1 - g0) * t) ** p, 0.0, 1.0, epsabs=0.0, epsrel=1e-13)
+        total += (x1 - x0) * val
+    return total
 
 
 # Number of series terms in both forms of Kennedy's CDF; at the switch point

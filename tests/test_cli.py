@@ -587,6 +587,10 @@ def test_cmd_verify_identity_narrow_interval(capsys, tmp_path):
         ["test", "{latin1}", "--simulate", "--reps", "3", "--grid", "4"],
         ["simulate-limit", "--cdf", "{latin1_spec}", "--reps", "3", "--grid", "4"],
         ["test", "{data}", "--simulate", "--reps", "3", "--grid", "4", "--table", "{no_dir}"],
+        ["test", "{data}", "--simulate", "--p", "200", "--reps", "3", "--grid", "4"],
+        ["critvals", "--p", "2", "1e300", "--reps", "3", "--grid", "4", "--out", "{out}"],
+        ["simulate-limit", "--cdf", "{spec}", "--p", "nan", "--reps", "3", "--grid", "4"],
+        ["verify", "--cdf", "{spec}", "--mode", "dominance", "--p=-inf", "--paths", "2"],
     ],
     ids=[
         "all-zero-data", "zero-reps", "grid-1", "zero-draws", "zero-paths",
@@ -594,6 +598,7 @@ def test_cmd_verify_identity_narrow_interval(capsys, tmp_path):
         "critvals-seed", "simulate-limit-seed", "verify-seed", "test-simulate-seed",
         "simulate-limit-nan-knot", "test-cdf-nan-knot", "verify-nan-knot",
         "data-not-utf8", "spec-not-utf8", "test-simulate-unwritable-table",
+        "test-p-200", "critvals-p-1e300", "simulate-limit-p-nan", "verify-p-neg-inf",
     ],
 )
 def test_cmd_input_faults_exit_2(capsys, tmp_path, two_segment_file, argv):

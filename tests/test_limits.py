@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import lcmtest
-from lcmtest import coupling, limits, models
+from lcmtest import coupling, limits, models, pwl
 from lcmtest.streams import substream
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -388,6 +388,14 @@ def test_batched_verifiers_equal_one_path_reference(monkeypatch, spec, p):
         assert got == tuple(map(list, zip(*want)))
 
 
+@pytest.mark.parametrize("budget", [1024, 16384])
+def test_sampled_draws_finite_at_the_largest_p(budget):
+    # The sampled excursions' p-th powers neither overflow nor warn (pytest
+    # makes every RuntimeWarning an error) at p = 64.
+    draws = limits.simulate_draws(limits._UNIT, (pwl.MAX_P,), limits.SimConfig(budget, 256, 7))
+    assert np.all(np.isfinite(draws)) and np.all(draws > 0.0)
+
+
 def test_dominance_rejects_inf():
     iv = models.extract_intervals(TWO_SEGMENT)
     with pytest.raises(ValueError):
@@ -502,5 +510,8 @@ def test_p_key_and_parse():
     assert limits.p_key(2.5) == "2.5"
     assert limits.parse_p("inf") == math.inf
     assert limits.parse_p("2") == 2.0
-    with pytest.raises(ValueError):
-        limits.parse_p("0.5")
+    assert limits.parse_p(" Infinity ") == math.inf
+    assert limits.parse_p("64") == pwl.MAX_P
+    for token in ("0.5", "64.5", "nan", "-inf"):
+        with pytest.raises(ValueError):
+            limits.parse_p(token)

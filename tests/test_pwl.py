@@ -6,7 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lcmtest import coupling, pwl, stats
+from lcmtest import coupling, limits, models, pwl, stats
+from lcmtest.streams import substream
 from oracle_utils import (
     eval_pl_exact,
     exact_hull_values,
@@ -179,6 +180,29 @@ def test_lp_norm_rejects_small_p():
         stats.lp_stat([1.0], 0.5)
     with pytest.raises(ValueError):
         pwl.ramp_pow_integrals([0.0], [1.0], [1.0], 0.5)
+
+
+@pytest.mark.parametrize("p", [0.5, 64.5, 200.0, 1e5, 1e300, math.nan, -math.inf])
+def test_norm_index_rule_at_every_entry_point(p):
+    # One ValueError, naming the range, from every function that takes p,
+    # before any work that a large p would make hang, overflow or underflow.
+    spec = models.PiecewiseAffineCdf.from_knots([(0, 0), (0.5, 0.75), (1, 1)])
+    iv = models.extract_intervals(spec)
+    calls = [
+        lambda: pwl.norm_index(p),
+        lambda: pwl.ramp_pow_integrals([0.0], [1.0], [1.0], p),
+        lambda: stats.lp_stat([0.25, 1.0], p),
+        lambda: stats.exact_gap_pow_integral([0.25, 1.0], p),
+        lambda: limits.parse_p(repr(p)),
+        lambda: limits.simulate_draws(iv, (2.0, p), limits.SimConfig(16, 4)),
+        lambda: limits.limit_draw_general(iv, p, substream(1, 0), 16),
+        lambda: coupling.coupling_lengths(iv, p),
+        lambda: coupling.verify_rescaling_identity(spec, p, [1], 16),
+        lambda: coupling.verify_dominance_coupling(iv, p, [1], 16),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=r"\[1, 64\] or 'inf'"):
+            call()
 
 
 def test_ramp_integral_near_constant_stability():

@@ -31,6 +31,15 @@ def test_lp_stat_sup_single_point():
     assert stats.lp_stat([1.0], math.inf).value == 1.0
 
 
+def test_lp_stat_up_to_the_largest_p():
+    # At n = 10^6 the largest gap is ~1e-3, and its 64th power is still a
+    # normal double: the norms rise with p towards the sup and none is 0.
+    samples = np.random.default_rng(11).random(10**6)
+    values = [stats.lp_stat(samples, p).value for p in (2.0, 8.0, 32.0, pwl.MAX_P, math.inf)]
+    assert values[0] > 0.0
+    assert all(a <= b for a, b in zip(values, values[1:]))
+
+
 def test_lp_stat_sup_is_breakpoint_max():
     samples = [0.2, 0.7, 1.0]
     res = stats.lp_stat(samples, math.inf)
@@ -57,6 +66,15 @@ def test_exact_gap_integral_matches_float(rng):
             exact = float(stats.exact_gap_pow_integral(samples, p))
             got = (stats.lp_stat(samples, float(p)).value / math.sqrt(samples.size)) ** p
             assert got == pytest.approx(exact, rel=1e-12, abs=1e-15)
+
+
+@pytest.mark.parametrize("p", [5, 8, 16])
+def test_exact_gap_integral_matches_closed_form_above_p_4(rng, p):
+    # Above p = 4 the ramp integrals take the closed form, not the power sum.
+    for samples in [rng.random(int(rng.integers(1, 12))) for _ in range(25)]:
+        exact = float(stats.exact_gap_pow_integral(samples, p))
+        got = (stats.lp_stat(samples, float(p)).value / math.sqrt(samples.size)) ** p
+        assert got == pytest.approx(exact, rel=1e-10, abs=0.0)
 
 
 # -- invariants -----------------------------------------------------------------------
