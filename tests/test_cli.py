@@ -545,6 +545,38 @@ def test_cmd_verify_stdout_digest(capsys, tmp_path, mode, p):
     assert hashlib.sha256(kept.encode()).hexdigest() == VERIFY_DIGESTS[(mode, p)]
 
 
+# sha256 of `lcmtest simulate-limit --cdf <FOUR_INTERVALS> --p P --reps 3000
+# --seed 9` stdout, version lines left out as above.
+SIMULATE_LIMIT_DIGESTS = {
+    "1": "dfc12911566dbe1721e5159cb4479330562b478ed0ee3133f3c7fa7dcc8a39cf",
+    "2": "07b5b40864b6a5caefa2356eb88f9201f3306c976f76b2b940254c671120fa20",
+    "2.5": "081e196ea52f7a44603f827d26fb1223cd7001b798aae5177255f6775ef6797d",
+    "inf": "e05cb61ba02fe0989a5d9eb66f0c7064a0ec916c7d938c483d28ed0b181aac34",
+}
+
+
+@pytest.mark.parametrize("p", list(SIMULATE_LIMIT_DIGESTS))
+def test_cmd_simulate_limit_stdout_digest(capsys, tmp_path, p):
+    spec = tmp_path / "four.json"
+    spec.write_text(json.dumps({"type": "piecewise", "knots": FOUR_INTERVALS}))
+    code = cli.main(["simulate-limit", "--cdf", str(spec), "--p", p, "--reps", "3000", "--seed", "9"])
+    out = capsys.readouterr().out
+    assert code == 0
+    kept = "".join(line for line in out.splitlines(keepends=True) if '_version": ' not in line)
+    assert hashlib.sha256(kept.encode()).hexdigest() == SIMULATE_LIMIT_DIGESTS[p]
+
+
+def test_cmd_critvals_entries_digest(capsys, tmp_path):
+    # The table's entries only: its provenance holds the build time.
+    code, doc, _ = run_cli(
+        capsys, "critvals", "--p", "1", "2.5", "inf", "--reps", "3000", "--seed", "5",
+        "--out", str(tmp_path / "t.json"),
+    )
+    assert code == 0
+    digest = hashlib.sha256(json.dumps(doc["entries"]).encode()).hexdigest()
+    assert digest == "be3067d8e472a229554c4e90cedfd4352659a9bfa34bed245cf4dcad002d4e90"
+
+
 def test_cmd_verify_identity_narrow_interval(capsys, tmp_path):
     # An affine interval of width 1e-14 is below one ulp of the grid points
     # around 0.5, so its scaled block grid collapses.
