@@ -16,7 +16,6 @@ from .coupling import (
     coupling_lengths,
     gap_pow_integral,
     lcm_gap_on_grid,
-    pack_intervals,
     sample_wiener,
     uniform_grid,
     verify_dominance_coupling,
@@ -34,7 +33,6 @@ from .limits import (
     estimate_quantiles,
     limit_draw_general,
     p_key,
-    parse_p,
     simulate_draws,
 )
 from .models import (

@@ -22,9 +22,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
-import scipy
 
-from . import __version__, coupling, limits, models, pwl, stats
+from . import coupling, limits, models, pwl, stats
 from .streams import substream
 
 
@@ -289,6 +288,7 @@ def cmd_simulate_limit(args) -> int:
             "grid_size": args.grid,
             "replications": args.reps,
             "master_seed": args.seed,
+            **limits.software_versions(),
             "intervals": iv.as_tuples(),
             "quantiles": {key: {"q": est.quantile, "se": est.se} for key, est in quants.items()},
         }
@@ -317,9 +317,7 @@ def cmd_verify(args) -> int:
         "paths": args.paths,
         "grid_size": args.grid,
         "master_seed": args.seed,
-        "lcmtest_version": __version__,
-        "numpy_version": np.__version__,
-        "scipy_version": scipy.__version__,
+        **limits.software_versions(),
     }
     streams = [substream(args.seed, i) for i in range(args.paths)]
     if args.mode == "identity":
@@ -469,9 +467,9 @@ def _check_scale(args) -> None:
     p = getattr(args, "p", None)
     try:
         if isinstance(p, list):
-            args.p = list(dict.fromkeys(limits.parse_p(tok) for tok in p))
+            args.p = list(dict.fromkeys(pwl.norm_index(tok) for tok in p))
         elif p is not None:
-            args.p = limits.parse_p(p)
+            args.p = pwl.norm_index(p)
     except ValueError as exc:
         raise InputError(str(exc)) from None
     seed = getattr(args, "seed", None)

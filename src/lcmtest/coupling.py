@@ -47,18 +47,6 @@ def uniform_grid(size: int) -> np.ndarray:
     return np.arange(size + 1, dtype=np.float64) / size
 
 
-def merge_grids(required, extra) -> np.ndarray:
-    """Union of grids, dropping ``extra`` points that nearly collide with
-    required ones (required points always survive verbatim)."""
-    required = np.unique(np.asarray(required, dtype=np.float64))
-    extra = np.asarray(extra, dtype=np.float64)
-    idx = np.searchsorted(required, extra)
-    left = required[np.clip(idx - 1, 0, required.size - 1)]
-    right = required[np.clip(idx, 0, required.size - 1)]
-    near = (np.abs(extra - left) <= _GRID_MERGE_TOL) | (np.abs(extra - right) <= _GRID_MERGE_TOL)
-    return np.unique(np.concatenate([required, extra[~near]]))
-
-
 def sample_wiener(grid, streams) -> np.ndarray:
     """Wiener paths at the grid points, one row per stream of ``streams``:
     W(0) = 0, independent Gaussian increments with variance equal to the
@@ -164,28 +152,11 @@ def coupling_lengths(iv: models.IntervalStructure, p: float) -> np.ndarray:
     return lengths
 
 
-def pack_intervals(lengths) -> list[tuple[float, float]]:
-    """Pack disjoint intervals of the given lengths left-to-right from 0.
-
-    Any placement works; packing in index order from the origin keeps runs
-    reproducible.
-    """
-    lengths = np.asarray(lengths, dtype=np.float64)
-    if lengths.ndim != 1 or lengths.size == 0:
-        raise ValueError("need a nonempty 1-d list of lengths")
-    if np.any(lengths <= 0.0):
-        raise ValueError("lengths must be positive")
-    ends = np.cumsum(lengths)
-    if ends[-1] > 1.0 + _LENGTH_TOL:
-        raise ValueError(f"lengths sum to {float(ends[-1])} > 1")
-    starts = np.concatenate(([0.0], ends[:-1]))
-    return [(float(a), float(b)) for a, b in zip(starts, ends)]
-
-
 def _block_grid(knots, widths, grid_size: int) -> tuple[np.ndarray, list[tuple[int, int]]]:
     # The base grid scaled into each block [knots[k], knots[k] + widths[k]],
-    # merged with the base grid itself, and each block's index span.  Block
-    # ends are pinned to the exact knots, so junctions coincide bit-for-bit.
+    # merged with the base points not within _GRID_MERGE_TOL of a block
+    # point, and each block's index span.  Block ends are pinned to the
+    # exact knots, so junctions coincide bit-for-bit.
     base = uniform_grid(grid_size)
     parts = []
     for k, width in enumerate(widths):
@@ -193,7 +164,12 @@ def _block_grid(knots, widths, grid_size: int) -> tuple[np.ndarray, list[tuple[i
         pts[0] = knots[k]
         pts[-1] = knots[k + 1]
         parts.append(pts)
-    master = merge_grids(np.concatenate(parts), base)
+    blocks = np.unique(np.concatenate(parts))
+    idx = np.searchsorted(blocks, base)
+    left = blocks[np.clip(idx - 1, 0, blocks.size - 1)]
+    right = blocks[np.clip(idx, 0, blocks.size - 1)]
+    near = (np.abs(base - left) <= _GRID_MERGE_TOL) | (np.abs(base - right) <= _GRID_MERGE_TOL)
+    master = np.unique(np.concatenate([blocks, base[~near]]))
     ends = np.searchsorted(master, knots).tolist()
     return master, list(zip(ends[:-1], ends[1:]))
 
@@ -298,15 +274,14 @@ def verify_dominance_coupling(
     ``substream(streams[i], 0)``) and a base grid of ``grid_size``
     subintervals.
 
-    Sub-intervals of the coupling lengths are packed into [0, 1]; one
-    standard Wiener path per sub-interval is carved out of a single Wiener
-    path by rescaling.  For every path the aggregated gap norm is at most
-    the full-path gap norm, because each sub-interval majorant sits below
-    the full majorant.
+    Sub-intervals of the coupling lengths are packed into [0, 1] left to
+    right from 0, in interval order; one standard Wiener path per
+    sub-interval is carved out of a single Wiener path by rescaling.  For
+    every path the aggregated gap norm is at most the full-path gap norm,
+    because each sub-interval majorant sits below the full majorant.
     """
     lengths = coupling_lengths(iv, p)
-    packed = pack_intervals(lengths)
-    knots = [a for a, _ in packed] + [packed[-1][1]]
+    knots = np.concatenate(([0.0], np.cumsum(lengths)))
     master, spans = _block_grid(knots, lengths, grid_size)
     blocks = [
         (i0, i1 + 1, _unit_preimage(master[i0 : i1 + 1], a, l), math.sqrt(l), l ** ((p + 2.0) / 2.0))

@@ -241,11 +241,12 @@ def _face_quantiles(ps, u) -> dict[float, np.ndarray]:
 
 
 def _face_lengths(rng, streams: int) -> tuple[np.ndarray, np.ndarray]:
-    # The stick lengths of ``streams`` streams, stream after stream, and how
-    # many each has: uniform stick-breaking of [0, 1] until the stick left is
-    # below _STICK_TAIL.  Each round draws _STICKS uniforms a stream, in
-    # stream order, for the streams still above it; finished rows get zero
-    # columns, which leave their cumprod unchanged.
+    # The stick lengths of ``streams`` streams, stream after stream, and the
+    # offsets ``first``: stream s has faces first[s]:first[s + 1].  Uniform
+    # stick-breaking of [0, 1] until the stick left is below _STICK_TAIL.
+    # Each round draws _STICKS uniforms a stream, in stream order, for the
+    # streams still above it; finished rows get zero columns, which leave
+    # their cumprod unchanged.
     u = np.zeros((streams, 0))
     unfinished = np.arange(streams)
     while unfinished.size:
@@ -256,10 +257,12 @@ def _face_lengths(rng, streams: int) -> tuple[np.ndarray, np.ndarray]:
         unfinished = np.flatnonzero(rest[:, -1] >= _STICK_TAIL)
     counts = np.argmax(rest < _STICK_TAIL, axis=1) + 1
     u[:, 1:] *= rest[:, :-1]
-    return u[np.arange(u.shape[1]) < counts[:, None]], counts
+    first = np.zeros(streams + 1, dtype=np.intp)
+    np.cumsum(counts, out=first[1:])
+    return u[np.arange(u.shape[1]) < counts[:, None]], first
 
 
-def _excursion_pow_integrals(rng, lengths, counts, nk: int, budget: int, ps) -> np.ndarray:
+def _excursion_pow_integrals(rng, lengths, first, nk: int, budget: int, ps) -> np.ndarray:
     # Row j, column s: sum_i l_i^{1+p/2} int e_i^p at ps[j] over stream s's
     # faces, one excursion per face, with the streams nk to a replication.
     # Face i is |3-d Brownian bridge| on m_i = max(4, round(budget l_i))
@@ -271,11 +274,9 @@ def _excursion_pow_integrals(rng, lengths, counts, nk: int, budget: int, ps) -> 
     # int e_i^p = m_i^{-(1+p/2)} times the sum of the ramp integrals of
     # |bridge|.
     m = np.maximum(_MIN_FACE_POINTS, np.rint(budget * lengths)).astype(np.intp)
-    first = np.zeros(counts.size + 1, dtype=np.intp)  # stream s has faces first[s]:first[s + 1]
-    np.cumsum(counts, out=first[1:])
-    rep_first = first[::nk]  # the same for replications
+    rep_first = first[::nk]  # replication r has faces rep_first[r]:rep_first[r + 1]
     rep_ends = np.cumsum(m)[rep_first[1:] - 1]  # points up to each replication's end
-    out = np.empty((len(ps), counts.size))
+    out = np.empty((len(ps), first.size - 1))
     lo = 0
     while lo < rep_ends.size:
         begin = rep_ends[lo - 1] if lo else 0
@@ -327,23 +328,21 @@ def _law_draws(d, h, ps, stream: Stream, rows: int, budget: int) -> np.ndarray:
     if nk == 0:  # no affine interval: every draw is 0
         return out
     rng = generator(stream)
-    lengths, counts = _face_lengths(rng, rows * nk)
-    first = np.zeros(counts.size, dtype=np.intp)
-    np.cumsum(counts[:-1], out=first[1:])
+    lengths, first = _face_lengths(rng, rows * nk)
     u = rng.random(lengths.size)
     faces = _face_quantiles([p for p in ps if p in _FACE_LAWS], u)
     general = [p for p in ps if p not in _FACE_LAWS]
     if general:
-        powers = _excursion_pow_integrals(rng, lengths, counts, nk, budget, general)
+        powers = _excursion_pow_integrals(rng, lengths, first, nk, budget, general)
         sampled = dict(zip(general, powers))
     for j, p in enumerate(ps):
         if math.isinf(p):
-            top = np.maximum.reduceat(np.sqrt(lengths) * faces[p], first)
+            top = np.maximum.reduceat(np.sqrt(lengths) * faces[p], first[:-1])
             for k, x in enumerate(top.reshape(-1, nk).T):
                 out[:, j] = np.maximum(out[:, j], h[k] ** 0.5 * x)
             continue
         if p in _FACE_LAWS:
-            x = np.add.reduceat(lengths ** (1.0 + p / 2.0) * faces[p], first)
+            x = np.add.reduceat(lengths ** (1.0 + p / 2.0) * faces[p], first[:-1])
         else:
             x = sampled[p]
         for k, x_k in enumerate(x.reshape(-1, nk).T):
@@ -383,7 +382,6 @@ class QuantileEstimate:
 
     quantile: float
     se: float
-    rank: int = 0
 
 
 def estimate_quantiles(draws, alphas) -> dict[float, QuantileEstimate]:
@@ -408,7 +406,7 @@ def estimate_quantiles(draws, alphas) -> dict[float, QuantileEstimate]:
         spread = math.sqrt(n * a * (1.0 - a))
         lo = max(1, int(math.floor(rank - spread)))
         hi = min(n, int(math.ceil(rank + spread)))
-        out[a] = QuantileEstimate(float(s[rank - 1]), 0.5 * float(s[hi - 1] - s[lo - 1]), rank)
+        out[a] = QuantileEstimate(float(s[rank - 1]), 0.5 * float(s[hi - 1] - s[lo - 1]))
     return out
 
 
@@ -420,13 +418,6 @@ def p_key(p: float) -> str:
     if p == int(p):
         return str(int(p))
     return repr(p)
-
-
-def parse_p(token) -> float:
-    """Parse a norm index: 'inf' (any case), or a number :func:`pwl.norm_index` accepts."""
-    if isinstance(token, str) and token.strip().lower() in ("inf", "infinity"):
-        return math.inf
-    return pwl.norm_index(token)
 
 
 @dataclass(frozen=True)
@@ -483,6 +474,15 @@ class CriticalValueTable:
     @classmethod
     def load(cls, path) -> "CriticalValueTable":
         return cls.from_dict(json.loads(Path(path).read_text()))
+
+
+def software_versions() -> dict:
+    """The package, numpy and scipy versions, for a report's provenance."""
+    return {
+        "lcmtest_version": __version__,
+        "numpy_version": np.__version__,
+        "scipy_version": scipy.__version__,
+    }
 
 
 #: Replications in one block, the limit engine's unit of randomness: block b
@@ -554,9 +554,7 @@ def build_critical_table(
         "ps": [p_key(p) for p in ps],
         "alphas": [float(a) for a in alphas],
         "built_at": _dt.datetime.now(_dt.timezone.utc).isoformat(),
-        "lcmtest_version": __version__,
-        "numpy_version": np.__version__,
-        "scipy_version": scipy.__version__,
+        **software_versions(),
         "timing": {
             "seconds": done - start,
             "reps_per_s": config.replications / (done - start),

@@ -4,8 +4,8 @@ Three families cover every shape the limit machinery distinguishes: the
 uniform law (one maximal affine interval), the power family ``u**gamma``
 (strictly concave, no affine interval), and piecewise-affine CDFs (any
 finite collection of affine intervals).  :class:`IntervalStructure` records
-the maximal open intervals on which a concave CDF is affine, with each
-interval's width ``d`` and rise ``h``; these drive the limiting laws in
+the maximal open intervals on which a concave CDF is affine and their rises
+``h``; with the widths ``d``, these drive the limiting laws in
 :mod:`lcmtest.limits` and the couplings in :mod:`lcmtest.coupling`.
 """
 
@@ -134,45 +134,40 @@ def quantile(spec: ConcaveCdf, u) -> np.ndarray:
 class IntervalStructure:
     """Maximal open affine intervals of a concave CDF.
 
-    ``(a[k], b[k])`` are the intervals, ``d[k] = b[k] - a[k]`` their widths,
-    ``h[k] = F(b[k]) - F(a[k])`` their rises; ``x_bar`` is where F reaches 1.
+    ``(a[k], b[k])`` are the intervals and ``h[k] = F(b[k]) - F(a[k])``
+    their rises; the widths ``d[k] = b[k] - a[k]`` follow from the ends.
     The collection may be empty (strictly concave F).
     """
 
     a: np.ndarray
     b: np.ndarray
-    d: np.ndarray
     h: np.ndarray
-    x_bar: float
 
     def __post_init__(self):
         a = np.ascontiguousarray(self.a, dtype=np.float64)
         b = np.ascontiguousarray(self.b, dtype=np.float64)
-        d = np.ascontiguousarray(self.d, dtype=np.float64)
         h = np.ascontiguousarray(self.h, dtype=np.float64)
-        if not (a.shape == b.shape == d.shape == h.shape) or a.ndim != 1:
+        if not (a.shape == b.shape == h.shape) or a.ndim != 1:
             raise ValueError("interval arrays must share one shape")
-        xb = float(self.x_bar)
-        if not (0.0 < xb <= 1.0):
-            raise ValueError("x_bar must lie in (0, 1]")
         if a.size:
-            if np.any(b <= a) or np.any(d <= 0.0) or np.any(h <= 0.0):
+            if np.any(b <= a) or np.any(h <= 0.0):
                 raise ValueError("intervals need positive width and rise")
-            if np.any(np.abs((b - a) - d) > _TOL):
-                raise ValueError("d must equal b - a")
             if np.any(a[1:] < b[:-1] - _TOL):
                 raise ValueError("intervals must be sorted and disjoint")
-            if a[0] < -_TOL or b[-1] > xb + _TOL:
-                raise ValueError("intervals must lie inside (0, x_bar)")
-            if d.sum() > xb + _TOL or h.sum() > 1.0 + _TOL:
-                raise ValueError("total width/rise cannot exceed x_bar / 1")
-        for name, arr in (("a", a), ("b", b), ("d", d), ("h", h)):
+            if a[0] < -_TOL or b[-1] > 1.0 + _TOL:
+                raise ValueError("intervals must lie inside [0, 1]")
+            if h.sum() > 1.0 + _TOL:
+                raise ValueError("total rise cannot exceed 1")
+        for name, arr in (("a", a), ("b", b), ("h", h)):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-        object.__setattr__(self, "x_bar", xb)
 
     def __len__(self) -> int:
         return int(self.a.size)
+
+    @property
+    def d(self) -> np.ndarray:
+        return self.b - self.a
 
     @property
     def is_empty(self) -> bool:
@@ -194,13 +189,12 @@ def extract_intervals(spec: ConcaveCdf) -> IntervalStructure:
     """
     if isinstance(spec, UniformCdf) or (isinstance(spec, PowerCdf) and spec.gamma == 1.0):
         one = np.ones(1)
-        return IntervalStructure(np.zeros(1), one, one, one, 1.0)
+        return IntervalStructure(np.zeros(1), one, one)
     if isinstance(spec, PowerCdf):
-        return IntervalStructure(_EMPTY, _EMPTY, _EMPTY, _EMPTY, 1.0)
+        return IntervalStructure(_EMPTY, _EMPTY, _EMPTY)
     if isinstance(spec, PiecewiseAffineCdf):
         xs = np.asarray(spec.xs)
-        ys = np.asarray(spec.ys)
-        return IntervalStructure(xs[:-1], xs[1:], np.diff(xs), np.diff(ys), float(xs[-1]))
+        return IntervalStructure(xs[:-1], xs[1:], np.diff(spec.ys))
     raise TypeError(f"not a concave CDF spec: {spec!r}")
 
 

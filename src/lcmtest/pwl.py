@@ -27,8 +27,9 @@ class GeometryError(ValueError):
 
 
 def norm_index(p) -> float:
-    """The package's one rule for the norm index: ``p`` as a float if it is
-    in [1, ``MAX_P``] or inf; anything else, NaN and -inf too, is a ValueError."""
+    """The package's one rule for the norm index: ``p``, a number or a string
+    ``float`` parses ('2.5', ' Infinity '), as a float if it is in [1,
+    ``MAX_P``] or inf; anything else, NaN and -inf too, is a ValueError."""
     p = float(p)
     if not (1.0 <= p <= MAX_P or p == np.inf):
         raise ValueError(f"norm index must be in [1, {MAX_P:g}] or 'inf' (use 'inf' for larger p), got {p!r}")

@@ -21,7 +21,9 @@ dx`` and the pair density is ``1/(xy)`` on ``x + y < 1``, and on face i the
 gap is an independent excursion of length ``l_i``, whose area ``A`` has
 ``E A = sqrt(pi/8)`` and ``E A^2 = 5/12``, and ``E int e^2 = 1/2``
 (Groeneboom 1983; Balabdaoui & Pitman 2011; Janson 2007, Probab. Surveys 4).
-Nothing here imports ``lcmtest``.
+The moments of every order, of A, of the energy ``Y = int e^2`` and of
+``X_p^p``, come from recursions at the end of this file.  Nothing here
+imports ``lcmtest``.
 """
 
 import math
@@ -234,3 +236,78 @@ def sample_sup_gap(n: int, rng, sticks: int = 48) -> np.ndarray:
         excursion_max = np.interp(rng.random((rows, sticks)), cdf, ys)
         out[start : start + rows] = np.max(np.sqrt(u * before) * excursion_max, axis=1)
     return out
+
+
+# -- Exact moments of the face laws and of X_p --------------------------------------
+
+
+def moments_from_cumulants(kappa) -> list:
+    """E X^k for k = 1 .. len(kappa), from the cumulants ``kappa[n - 1] =
+    kappa_n``: m_k = sum_{n=1}^{k} C(k - 1, n - 1) kappa_n m_{k-n}.  Exact
+    when the cumulants are Fractions."""
+    m = [1]
+    for k in range(1, len(kappa) + 1):
+        m.append(sum(math.comb(k - 1, n - 1) * kappa[n - 1] * m[k - n] for n in range(1, k + 1)))
+    return m[1:]
+
+
+def excursion_area_moments(kmax: int) -> list[float]:
+    """E A^k for k = 1 .. kmax, A the area under a standard Brownian excursion:
+    ``E A^k = 4 sqrt(pi) 2^{-k/2} k! K_k / Gamma((3k - 1)/2)`` with Wright's
+    constants ``K_0 = -1/2``, ``K_k = (3k - 4)/4 K_{k-1} + sum_{j=1}^{k-1}
+    K_j K_{k-j}`` (Janson 2007, Probab. Surveys 4, section 2)."""
+    wright = [Fraction(-1, 2)]
+    for k in range(1, kmax + 1):
+        pairs = sum((wright[j] * wright[k - j] for j in range(1, k)), Fraction(0))
+        wright.append(Fraction(3 * k - 4, 4) * wright[k - 1] + pairs)
+    scale = 4.0 * math.sqrt(math.pi)
+    return [
+        scale * 2.0 ** (-k / 2) * math.factorial(k) * float(wright[k]) / math.gamma((3 * k - 1) / 2)
+        for k in range(1, kmax + 1)
+    ]
+
+
+def _bernoulli(n: int) -> list[Fraction]:
+    # B_0 .. B_n, with B_1 = -1/2: B_m = -1/(m + 1) sum_{j<m} C(m + 1, j) B_j.
+    b = [Fraction(1)]
+    for m in range(1, n + 1):
+        b.append(-sum(math.comb(m + 1, j) * b[j] for j in range(m)) / (m + 1))
+    return b
+
+
+def excursion_energy_moments(kmax: int) -> list[Fraction]:
+    """E Y^k for k = 1 .. kmax, exact, Y = int_0^1 e^2 for a standard
+    Brownian excursion e.  ``log E e^{-sY} = -(3/2) log(sinh x / x)`` with
+    x = sqrt(2s), and ``log(sinh x / x) = sum_n 2^{2n} B_{2n} x^{2n} / (2n
+    (2n)!)``, so the n-th cumulant is ``-(3/2) n! 2^{2n} B_{2n} (-2)^n /
+    (2n (2n)!)``: 1/2, 1/15, ..."""
+    b = _bernoulli(2 * kmax)
+    kappa = [
+        Fraction(-3, 2) * math.factorial(n) * 4**n * b[2 * n] * (-2) ** n / (2 * n * math.factorial(2 * n))
+        for n in range(1, kmax + 1)
+    ]
+    return moments_from_cumulants(kappa)
+
+
+def excursion_pow_mean(p: float) -> float:
+    """E Z_p = E int_0^1 e^p for a standard Brownian excursion e.  At time t,
+    e(t) is sqrt(t(1 - t)) times a chi variable with 3 degrees of freedom,
+    so ``E Z_p = 2^{p/2} Gamma((p + 3)/2) / Gamma(3/2) * B(1 + p/2, 1 + p/2)``."""
+    beta = math.gamma(1.0 + p / 2.0) ** 2 / math.gamma(2.0 + p)
+    return 2.0 ** (p / 2.0) * math.gamma((p + 3.0) / 2.0) / math.gamma(1.5) * beta
+
+
+def stick_breaking_sum_moments(face_moments, a: float) -> list[float]:
+    """E (sum_i l_i^a Z_i)^k for k = 1 .. len(face_moments), with l uniform
+    stick-breaking of [0, 1] and Z_i i.i.d., independent of l, with
+    ``E Z^n = face_moments[n - 1]``.  With a = 1 + p/2 and Z_i = Z_p this is
+    E X_p^{pk}.
+
+    The sticks are the jumps J_i of a gamma subordinator on [0, 1], divided
+    by their total T, which is Exp(1) and independent of the l_i.  So S =
+    sum_i J_i^a Z_i = T^a sum_i l_i^a Z_i, and E S^k = Gamma(ak + 1) times
+    the moment wanted.  S sums over a Poisson process of intensity x^{-1}
+    e^{-x} dx, so its n-th cumulant is Gamma(an) E Z^n.
+    """
+    kappa = [math.gamma(a * n) * float(z) for n, z in enumerate(face_moments, 1)]
+    return [m / math.gamma(a * k + 1.0) for k, m in enumerate(moments_from_cumulants(kappa), 1)]

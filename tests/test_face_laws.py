@@ -99,8 +99,8 @@ def test_sampled_excursions_match_exact_face_laws_in_mean():
     sampled = []
     for b in range(n // 500):
         rng = generator(substream(9191, b))
-        lengths, counts = limits._face_lengths(rng, 500)
-        sampled.append(limits._excursion_pow_integrals(rng, lengths, counts, 1, 1024, (1.0, 2.0)))
+        lengths, first = limits._face_lengths(rng, 500)
+        sampled.append(limits._excursion_pow_integrals(rng, lengths, first, 1, 1024, (1.0, 2.0)))
     x1_sampled, x2sq_sampled = np.concatenate(sampled, axis=1)
     exact = limits.simulate_draws(limits._UNIT, (1.0, 2.0), limits.SimConfig(1024, n, 9292))
     for name, a, b in (

@@ -84,12 +84,11 @@ def test_power_gamma_range():
 def test_intervals_uniform():
     iv = models.extract_intervals(models.UniformCdf())
     assert iv.as_tuples() == [(0.0, 1.0, 1.0, 1.0)]
-    assert iv.x_bar == 1.0
 
 
 def test_intervals_power_is_empty():
     iv = models.extract_intervals(models.PowerCdf(0.5))
-    assert iv.is_empty and iv.x_bar == 1.0
+    assert iv.is_empty and len(iv) == 0 and iv.d.size == 0
 
 
 def test_intervals_power_gamma_one_is_unit():
@@ -105,11 +104,30 @@ def test_intervals_two_segment():
 def test_intervals_sum_exact_for_piecewise():
     spec = models.PiecewiseAffineCdf.from_knots([(0, 0), (0.25, 0.5), (0.4, 0.72), (0.8, 1)])
     iv = models.extract_intervals(spec)
-    assert float(iv.d.sum()) == pytest.approx(iv.x_bar, abs=1e-15)
+    assert float(iv.d.sum()) == pytest.approx(spec.xs[-1], abs=1e-15)
+    assert iv.d.tolist() == np.diff(spec.xs).tolist()
     assert float(iv.h.sum()) == pytest.approx(1.0, abs=1e-15)
 
 
-# -- coupling lengths and packing ---------------------------------------------------
+@pytest.mark.parametrize(
+    "a, b, h",
+    [
+        ([0.0], [0.5, 1.0], [0.5]),
+        ([0.5], [0.5], [0.5]),
+        ([0.0], [0.5], [0.0]),
+        ([0.5, 0.0], [1.0, 0.5], [0.5, 0.5]),
+        ([0.0, 0.4], [0.5, 1.0], [0.5, 0.5]),
+        ([0.5], [1.5], [0.5]),
+        ([0.0, 0.5], [0.5, 1.0], [0.75, 0.5]),
+    ],
+    ids=["shapes", "no-width", "no-rise", "unsorted", "overlapping", "past-1", "rise-over-1"],
+)
+def test_interval_structure_rejects_invalid(a, b, h):
+    with pytest.raises(ValueError):
+        models.IntervalStructure(np.array(a), np.array(b), np.array(h))
+
+
+# -- coupling lengths ---------------------------------------------------------------
 
 
 def test_coupling_lengths_two_segment():
@@ -126,9 +144,7 @@ def test_coupling_lengths_unit_interval():
 
 
 def test_coupling_lengths_depth_equals_rise():
-    iv = models.IntervalStructure(
-        np.array([0.0]), np.array([0.5]), np.array([0.5]), np.array([0.5]), 1.0
-    )
+    iv = models.IntervalStructure(np.array([0.0]), np.array([0.5]), np.array([0.5]))
     assert coupling.coupling_lengths(iv, 2.0)[0] == pytest.approx(0.5, rel=1e-15)
 
 
@@ -136,24 +152,6 @@ def test_coupling_lengths_reject_inf():
     iv = models.extract_intervals(models.UniformCdf())
     with pytest.raises(ValueError):
         coupling.coupling_lengths(iv, math.inf)
-
-
-def test_pack_intervals():
-    packed = coupling.pack_intervals([0.6, 0.3])
-    assert packed[0] == (0.0, 0.6)
-    assert packed[1][0] == 0.6 and packed[1][1] == pytest.approx(0.9, rel=1e-15)
-    assert coupling.pack_intervals([1.0]) == [(0.0, 1.0)]
-    with pytest.raises(ValueError):
-        coupling.pack_intervals([0.7, 0.5])
-
-
-def test_pack_intervals_from_lengths():
-    iv = models.extract_intervals(TWO_SEGMENT)
-    lengths = coupling.coupling_lengths(iv, 2.0)
-    packed = coupling.pack_intervals(lengths)
-    assert packed[0][0] == 0.0
-    assert packed[1][0] == packed[0][1]
-    assert packed[1][1] == pytest.approx(0.9659258, abs=1e-6)
 
 
 @st.composite

@@ -2,9 +2,10 @@
 
 The engine draws the uniform limit ``X_p = ||LCM(W) - W||_p`` with no grid
 hull, so its means sit on the exact moments in ``oracle_utils`` within Monte
-Carlo error (two-sided, 3 se).  The grid route (the gap norm of a sampled
-Wiener path) takes the hull of the grid points, which lies below the hull of
-the whole path, so its mean falls below the exact one.
+Carlo error (two-sided, 3 se): the moments of X_1 and X_2^2 of orders 1 to
+4, and E X_p^p at norm indices the engine samples.  The grid route (the gap
+norm of a sampled Wiener path) takes the hull of the grid points, which lies
+below the hull of the whole path, so its mean falls below the exact one.
 """
 
 import math
@@ -17,8 +18,10 @@ from oracle_utils import (
     KENNEDY_MEAN,
     KENNEDY_SECOND_MOMENT,
     MEAN_X1,
-    SECOND_MOMENT_X1,
-    SECOND_MOMENT_X2,
+    excursion_area_moments,
+    excursion_energy_moments,
+    excursion_pow_mean,
+    stick_breaking_sum_moments,
     sup_gap_quantiles,
 )
 
@@ -36,12 +39,24 @@ def _assert_within_3se(values, exact, name):
 
 
 def test_engine_matches_exact_moments_at_default_budget():
+    # X_1 = sum_i l_i^{3/2} A_i and X_2^2 = sum_i l_i^2 Y_i.
     config = limits.SimConfig(limits.DEFAULT_GRID, 20_000, 8181)
     draws = limits.simulate_draws(UNIFORM, (1.0, 2.0), config)
-    x1, x2 = draws[:, 0], draws[:, 1]
-    _assert_within_3se(x1, MEAN_X1, "E X_1")
-    _assert_within_3se(x1**2, SECOND_MOMENT_X1, "E X_1^2")
-    _assert_within_3se(x2**2, SECOND_MOMENT_X2, "E X_2^2")
+    x1, x2sq = draws[:, 0], draws[:, 1] ** 2
+    exact_x1 = stick_breaking_sum_moments(excursion_area_moments(4), 1.5)
+    exact_x2sq = stick_breaking_sum_moments(excursion_energy_moments(4), 2.0)
+    for k in range(1, 5):
+        _assert_within_3se(x1**k, exact_x1[k - 1], f"E X_1^{k}")
+        _assert_within_3se(x2sq**k, exact_x2sq[k - 1], f"E X_2^{2 * k}")
+
+
+def test_sampled_route_matches_exact_mean_power():
+    # At p outside {1, 2, inf} the engine samples each face's excursion on
+    # about budget * l_i points: E X_p^p = E Z_p / (1 + p/2).
+    ps = (2.5, 3.0)
+    draws = limits.simulate_draws(UNIFORM, ps, limits.SimConfig(1024, 20_000, 8585))
+    for j, p in enumerate(ps):
+        _assert_within_3se(draws[:, j] ** p, excursion_pow_mean(p) / (1.0 + p / 2.0), f"E X_{p}^{p}")
 
 
 def test_kennedy_draws_match_exact_moments():

@@ -3,23 +3,34 @@
 Most check the exact sup-gap oracle that criterion 1 uses as its p = inf
 reference.  They run in about two seconds, so the reference is checked
 without building the full-scale table.  One checks the qhull upper hull
-against the exact chord oracle.
+against the exact chord oracle, and the last ones check the exact moment
+recursions against closed forms and a direct stick-breaking sample.
 """
 
 import math
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from scipy.integrate import quad
+from scipy.special import zeta
 
 from oracle_utils import (
     KENNEDY_SWITCH,
+    MEAN_X1,
+    SECOND_MOMENT_X1,
+    SECOND_MOMENT_X2,
+    excursion_area_moments,
+    excursion_energy_moments,
+    excursion_pow_mean,
     exact_hull_values,
     kennedy_cdf,
     kennedy_cdf_dual,
     kennedy_cdf_theta,
+    moments_from_cumulants,
     qhull_upper_hull,
     sample_sup_gap,
+    stick_breaking_sum_moments,
     sup_gap_cdf,
     sup_gap_quantiles,
 )
@@ -84,3 +95,46 @@ def test_qhull_upper_hull_matches_exact_chord_oracle(rng):
             got = np.interp(px, hx, hy)
             for g, want in zip(got, exact_hull_values(px, py)):
                 assert abs(Fraction(float(g)) - want) <= 1e-15
+
+
+def test_excursion_moment_recursions_match_closed_forms():
+    # E A^k for k = 1 .. 4, as Janson (2007) lists them.
+    want = [math.sqrt(math.pi / 8.0), 5.0 / 12.0, 15.0 * math.sqrt(2.0 * math.pi) / 128.0, 221.0 / 1008.0]
+    np.testing.assert_allclose(excursion_area_moments(4), want, rtol=1e-14)
+    # Y is the sum of int b^2 over three independent Brownian bridges b, and
+    # int b^2 = sum_n N_n^2 / (n pi)^2, so kappa_m(Y) = 3 2^{m-1} (m-1)!
+    # zeta(2m) / pi^{2m}: a route through neither Bernoulli numbers nor the
+    # Laplace transform.
+    kappa = [
+        3.0 * 2.0 ** (m - 1) * math.factorial(m - 1) * zeta(2 * m) / math.pi ** (2 * m)
+        for m in range(1, 7)
+    ]
+    energy = excursion_energy_moments(6)
+    assert energy[:2] == [Fraction(1, 2), Fraction(19, 60)]
+    np.testing.assert_allclose([float(m) for m in energy], moments_from_cumulants(kappa), rtol=1e-13)
+    # E Z_p: the area, the energy, and E |3-d bridge|^4 = 15 (t(1 - t))^2.
+    for p, want in ((1.0, math.sqrt(math.pi / 8.0)), (2.0, 0.5), (4.0, 0.5)):
+        assert excursion_pow_mean(p) == pytest.approx(want, rel=1e-14)
+
+
+def test_stick_breaking_map_matches_pair_density_forms():
+    # The closed forms from the single and pair densities of the sticks.
+    x1 = stick_breaking_sum_moments(excursion_area_moments(2), 1.5)
+    assert x1 == pytest.approx([MEAN_X1, SECOND_MOMENT_X1], rel=1e-14)
+    x2sq = stick_breaking_sum_moments(excursion_energy_moments(1), 2.0)
+    assert x2sq == pytest.approx([SECOND_MOMENT_X2], rel=1e-14)
+
+
+def test_stick_breaking_map_matches_direct_sample():
+    # sum_i l_i^a Z_i with Z_i ~ Exp(1), E Z^n = n!, drawn directly from 48
+    # sticks (the stick left is about e^-48), at a = 1.5 and 2.25.
+    rng = np.random.default_rng(2026)
+    u = rng.random((100_000, 48))
+    sticks = u * np.cumprod(np.concatenate([np.ones((u.shape[0], 1)), 1.0 - u[:, :-1]], axis=1), axis=1)
+    z = rng.exponential(size=u.shape)
+    for a in (1.5, 2.25):
+        s = np.sum(sticks**a * z, axis=1)
+        for k, want in enumerate(stick_breaking_sum_moments([1, 2, 6], a), 1):
+            values = s**k
+            se = values.std(ddof=1) / math.sqrt(values.size)
+            assert abs(values.mean() - want) <= 3.0 * se, (a, k, values.mean(), want, se)

@@ -193,7 +193,7 @@ def test_norm_index_rule_at_every_entry_point(p):
         lambda: pwl.ramp_pow_integrals([0.0], [1.0], [1.0], p),
         lambda: stats.lp_stat([0.25, 1.0], p),
         lambda: stats.exact_gap_pow_integral([0.25, 1.0], p),
-        lambda: limits.parse_p(repr(p)),
+        lambda: pwl.norm_index(repr(p)),
         lambda: limits.simulate_draws(iv, (2.0, p), limits.SimConfig(16, 4)),
         lambda: limits.limit_draw_general(iv, p, substream(1, 0), 16),
         lambda: coupling.coupling_lengths(iv, p),
