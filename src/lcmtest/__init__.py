@@ -14,7 +14,6 @@ from .coupling import (
     CouplingIdentity,
     DominanceCheck,
     coupling_lengths,
-    gap_pow_integral,
     lcm_gap_on_grid,
     sample_wiener,
     uniform_grid,

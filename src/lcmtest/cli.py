@@ -16,6 +16,7 @@ import hashlib
 import io
 import json
 import math
+import os
 import sys
 import warnings
 from fractions import Fraction
@@ -24,7 +25,6 @@ from pathlib import Path
 import numpy as np
 
 from . import coupling, limits, models, pwl, stats
-from .streams import substream
 
 
 class InputError(Exception):
@@ -298,18 +298,16 @@ def cmd_simulate_limit(args) -> int:
 
 def cmd_verify(args) -> int:
     spec = load_spec(args.cdf)
-    if math.isinf(args.p):
-        raise InputError("coupling verification covers finite p only")
-    iv = models.extract_intervals(spec)
-    if iv.is_empty:
-        raise InputError(
-            "identity verification needs a piecewise-affine or uniform CDF; "
-            "a strictly concave CDF has a degenerate limit"
-            if args.mode == "identity"
-            else "nothing to verify: a strictly concave CDF has no affine intervals "
-            "and its dominance is immediate"
-        )
-
+    try:
+        if args.mode == "identity":
+            check = coupling.verify_rescaling_identity(spec, args.p, args.seed, args.paths, args.grid)
+        else:
+            iv = models.extract_intervals(spec)
+            check = coupling.verify_dominance_coupling(iv, args.p, args.seed, args.paths, args.grid)
+    except pwl.GeometryError:
+        raise
+    except ValueError as exc:  # p = inf, no affine interval, an interval too narrow for its grid
+        raise InputError(str(exc)) from None
     report = {
         "mode": args.mode,
         "cdf": models.spec_to_dict(spec),
@@ -319,19 +317,11 @@ def cmd_verify(args) -> int:
         "master_seed": args.seed,
         **limits.software_versions(),
     }
-    streams = [substream(args.seed, i) for i in range(args.paths)]
     if args.mode == "identity":
-        try:
-            gaps = coupling.verify_rescaling_identity(spec, args.p, streams, args.grid).gap
-        except pwl.GeometryError:
-            raise
-        except ValueError as exc:  # an interval too narrow for its grid
-            raise InputError(str(exc)) from None
-        report["max_gap"] = float(gaps.max())
+        report["max_gap"] = float(check.gap.max())
         passed = report["max_gap"] < coupling.COUPLING_TOL
-        spread = {"gap_quantiles": gaps}
+        spread = {"gap_quantiles": check.gap}
     else:
-        check = coupling.verify_dominance_coupling(iv, args.p, streams, args.grid)
         excess = check.lhs - check.rhs
         report["violations"] = int(np.count_nonzero(check.violation))
         report["max_norm_excess"] = float(excess.max())
@@ -498,7 +488,13 @@ def main(argv=None) -> int:
 
 
 def console_main() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:  # stdout's reader went away: exit 128 + SIGPIPE, as a shell reports it
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # so the flush at exit cannot fail
+        code = 141
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -2,9 +2,10 @@
 paths: the one module that knows about grids.  It builds grids, samples
 Wiener paths, takes a sampled path's majorant gap at every grid point, and
 checks the interval rescaling identity and the dominance coupling path by
-path.  Each verifier builds the CDF's intervals and its grids once per call,
-and runs the paths in passes of at most ``_POINTS_PER_PASS`` grid points,
-one matrix with a path per row.
+path.  Each verifier takes a seed and a path count, checks its own inputs,
+builds the CDF's intervals and its grids once per call, and runs the paths
+in passes of at most ``_POINTS_PER_PASS`` grid points, one matrix with a
+path per row.
 """
 
 from __future__ import annotations
@@ -125,12 +126,6 @@ def pow_integral_from_gaps(grid, gaps, p: float):
     return float(out) if out.ndim == 0 else out
 
 
-def gap_pow_integral(grid, values, p: float):
-    """Exact ``integral (LCM(path) - path)**p`` over the grid span, per row
-    for a 2-d ``values``."""
-    return pow_integral_from_gaps(grid, lcm_gap_on_grid(grid, values), p)
-
-
 # -- The couplings ------------------------------------------------------------------
 
 
@@ -144,7 +139,7 @@ def coupling_lengths(iv: models.IntervalStructure, p: float) -> np.ndarray:
     if math.isinf(pwl.norm_index(p)):
         raise ValueError("coupling lengths are undefined for p = inf")
     if iv.is_empty:
-        raise ValueError("interval structure is empty")
+        raise ValueError("nothing to verify: a strictly concave CDF has no affine intervals")
     lengths = np.power(iv.d, 2.0 / (p + 2.0)) * np.power(iv.h, p / (p + 2.0))
     total = float(lengths.sum())
     if total > 1.0 + _LENGTH_TOL:
@@ -182,13 +177,13 @@ def _unit_preimage(u: np.ndarray, start: float, width: float) -> np.ndarray:
     return out
 
 
-def _wiener_passes(master: np.ndarray, streams):
+def _wiener_passes(master: np.ndarray, seed, paths: int):
     # (rows, W) in passes of at most _POINTS_PER_PASS grid points: W holds the
-    # Wiener paths on ``master`` drawn from substream(streams[i], 0), i in rows.
+    # Wiener paths on ``master`` drawn from substream(seed, i, 0), i in rows.
     step = max(1, _POINTS_PER_PASS // master.size)
-    for lo in range(0, len(streams), step):
-        part = streams[lo : lo + step]
-        yield slice(lo, lo + len(part)), sample_wiener(master, [substream(s, 0) for s in part])
+    for lo in range(0, paths, step):
+        rows = range(lo, min(lo + step, paths))
+        yield slice(lo, rows.stop), sample_wiener(master, [substream(seed, i, 0) for i in rows])
 
 
 @dataclass(frozen=True)
@@ -204,20 +199,21 @@ class CouplingIdentity:
 
 
 def verify_rescaling_identity(
-    spec: models.ConcaveCdf, p: float, streams, grid_size: int
+    spec: models.ConcaveCdf, p: float, seed, paths: int, grid_size: int
 ) -> CouplingIdentity:
     """Check, pathwise, that the interval-rescaled Wiener representation
-    reproduces the derivative-route draw, on one Wiener path per stream of
-    ``streams`` (path i drawn from ``substream(streams[i], 0)``) and a base
-    grid of ``grid_size`` subintervals.
+    reproduces the derivative-route draw, on ``paths`` Wiener paths (path i
+    drawn from ``substream(seed, i, 0)``) and a base grid of ``grid_size``
+    subintervals.
 
     ``lhs`` applies interval-local majorants to the composed bridge;
     ``rhs`` rescales the same underlying Wiener path into one standard
     Wiener path per interval and aggregates their gap norms.  The two are
     equal for every path up to float accumulation (``COUPLING_TOL``), not
     merely in distribution.  The grids are built once per call, and each
-    path's entries do not depend on the other streams.  An interval too
-    narrow for distinct grid points in double precision is a ValueError.
+    path's entries do not depend on the number of paths.  A p outside
+    [1, 64], p = inf, a CDF with no affine interval and an interval too
+    narrow for distinct grid points in double precision are ValueErrors.
     """
     if math.isinf(pwl.norm_index(p)):
         raise ValueError("the rescaling identity covers finite p only")
@@ -236,14 +232,14 @@ def verify_rescaling_identity(
             where = f"affine interval ({float(iv.a[k])!r}, {float(iv.b[k])!r})"
             raise ValueError(f"{where} is too narrow for distinct grid points at grid {grid_size}")
         blocks.append((i0, i1 + 1, u_pre, x_blk, iv.h[k] ** -0.5, iv.d[k] * iv.h[k] ** (p / 2.0)))
-    lhs_pow = np.zeros(len(streams))
-    rhs_pow = np.zeros(len(streams))
-    for rows, w in _wiener_passes(master, streams):
+    lhs_pow = np.zeros(paths)
+    rhs_pow = np.zeros(paths)
+    for rows, w in _wiener_passes(master, seed, paths):
         b = w - master * w[:, -1:]  # the Brownian bridge B(u) = W(u) - u W(1)
         for i0, i1, u_pre, x_blk, scale, weight in blocks:
-            lhs_pow[rows] += gap_pow_integral(x_blk, b[:, i0:i1], p)
+            lhs_pow[rows] += pow_integral_from_gaps(x_blk, lcm_gap_on_grid(x_blk, b[:, i0:i1]), p)
             w_k = (w[:, i0:i1] - w[:, i0 : i0 + 1]) * scale
-            rhs_pow[rows] += weight * gap_pow_integral(u_pre, w_k, p)
+            rhs_pow[rows] += weight * pow_integral_from_gaps(u_pre, lcm_gap_on_grid(u_pre, w_k), p)
     return CouplingIdentity(pwl._roots(lhs_pow, p), pwl._roots(rhs_pow, p))
 
 
@@ -267,12 +263,11 @@ class DominanceCheck:
 
 
 def verify_dominance_coupling(
-    iv: models.IntervalStructure, p: float, streams, grid_size: int
+    iv: models.IntervalStructure, p: float, seed, paths: int, grid_size: int
 ) -> DominanceCheck:
     """Check, pathwise, the coupling that makes the uniform law dominant,
-    on one Wiener path per stream of ``streams`` (path i drawn from
-    ``substream(streams[i], 0)``) and a base grid of ``grid_size``
-    subintervals.
+    on ``paths`` Wiener paths (path i drawn from ``substream(seed, i, 0)``)
+    and a base grid of ``grid_size`` subintervals.
 
     Sub-intervals of the coupling lengths are packed into [0, 1] left to
     right from 0, in interval order; one standard Wiener path per
@@ -287,10 +282,10 @@ def verify_dominance_coupling(
         (i0, i1 + 1, _unit_preimage(master[i0 : i1 + 1], a, l), math.sqrt(l), l ** ((p + 2.0) / 2.0))
         for (i0, i1), a, l in zip(spans, knots, lengths)
     ]
-    lhs_pow = np.zeros(len(streams))
-    rhs_pow = np.zeros(len(streams))
-    hull_excess = np.zeros(len(streams))
-    for rows, w in _wiener_passes(master, streams):
+    lhs_pow = np.zeros(paths)
+    rhs_pow = np.zeros(paths)
+    hull_excess = np.zeros(paths)
+    for rows, w in _wiener_passes(master, seed, paths):
         full_gap = lcm_gap_on_grid(master, w)
         rhs_pow[rows] = pow_integral_from_gaps(master, full_gap, p)
         for i0, i1, u_pre, root, weight in blocks:

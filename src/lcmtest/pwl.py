@@ -159,5 +159,7 @@ def ramp_pow_integrals(v_lo, v_hi, lengths, p: float) -> np.ndarray:
 
 def _roots(powers: np.ndarray, p: float) -> np.ndarray:
     # p-th roots one entry at a time, as Python floats: numpy's array ** need
-    # not round like scalar pow.
+    # not round like scalar pow.  At p = 1 the root is the identity.
+    if p == 1.0:
+        return powers
     return np.array([x ** (1.0 / p) for x in powers.tolist()])

@@ -5,7 +5,7 @@ A stream token is an integer seed, a ``numpy.random.SeedSequence``, or a
 child's numbers depend only on its key, not on which other children were
 derived or in what order: the limit engine draws block b of a simulation
 from ``substream(master_seed, b)``, and the coupling verifiers draw path i
-from ``substream(streams[i], 0)``.
+from ``substream(seed, i, 0)``.
 """
 
 from __future__ import annotations

@@ -22,14 +22,18 @@ gap is an independent excursion of length ``l_i``, whose area ``A`` has
 ``E A = sqrt(pi/8)`` and ``E A^2 = 5/12``, and ``E int e^2 = 1/2``
 (Groeneboom 1983; Balabdaoui & Pitman 2011; Janson 2007, Probab. Surveys 4).
 The moments of every order, of A, of the energy ``Y = int e^2`` and of
-``X_p^p``, come from recursions at the end of this file.  Nothing here
-imports ``lcmtest``.
+``X_p^p``, come from recursions at the end of this file.  The CDFs of A and
+Y come from adaptive quadrature: of the Airy density series for A, and of
+the Gil-Pelaez inversion integral of Y's characteristic function for Y.
+Nothing here imports ``lcmtest``.
 """
 
+import cmath
 import math
 from fractions import Fraction
 
 import numpy as np
+from scipy import special
 from scipy.integrate import quad
 from scipy.optimize import brentq
 from scipy.spatial import ConvexHull, QhullError
@@ -311,3 +315,60 @@ def stick_breaking_sum_moments(face_moments, a: float) -> list[float]:
     """
     kappa = [math.gamma(a * n) * float(z) for n, z in enumerate(face_moments, 1)]
     return [m / math.gamma(a * k + 1.0) for k, m in enumerate(moments_from_cumulants(kappa), 1)]
+
+
+# -- CDFs of the face laws ----------------------------------------------------------
+
+#: |a_j| for the first 30 zeros a_j of Ai.  For x <= 3 the area density's
+#: terms past the 18th have v_j > 60, so they add less than e^-60.
+_AIRY_ZEROS = np.abs(special.ai_zeros(30)[0])
+
+
+def area_density(x: float) -> float:
+    """Density of the area A under a standard Brownian excursion, for
+    0 < x <= 3: ``2 sqrt(6) / x^2 sum_j v_j^{2/3} e^{-v_j} U(-5/6, 4/3;
+    v_j)`` with ``v_j = 2 |a_j|^3 / (27 x^2)`` (Takacs 1991; Janson 2007,
+    Probab. Surveys 4).  Above 3 the law has mass under 1e-20."""
+    v = 2.0 * _AIRY_ZEROS**3 / (27.0 * x * x)
+    terms = v ** (2.0 / 3.0) * np.exp(-v) * special.hyperu(-5.0 / 6.0, 4.0 / 3.0, v)
+    return 2.0 * math.sqrt(6.0) / (x * x) * float(terms.sum())
+
+
+def area_cdf(x) -> np.ndarray:
+    """P(A <= x) for each x in (0, 3]: the density integrated by adaptive
+    quadrature from 0, one piece between each sorted point and the next."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    order = np.argsort(x)
+    edges = np.concatenate(([0.0], x[order]))
+    pieces = [
+        quad(area_density, lo, hi, epsabs=1e-15, epsrel=1e-12)[0] for lo, hi in zip(edges[:-1], edges[1:])
+    ]
+    out = np.empty_like(x)
+    out[order] = np.cumsum(pieces)
+    return out
+
+
+def _energy_char(t: float) -> complex:
+    # E e^{itY} = (x / sinh x)^{3/2}, x = sqrt(-2it), through
+    # log(x / sinh x) = log 2x - x - log(1 - e^{-2x}): analytic for Re x > 0
+    # and 0 as x -> 0, so it is the branch continuous from t = 0.
+    x = cmath.sqrt(-2j * t)
+    return cmath.exp(1.5 * (cmath.log(2.0 * x) - x - cmath.log(1.0 - cmath.exp(-2.0 * x))))
+
+
+def energy_cdf(y) -> np.ndarray:
+    """P(Y <= y) for each y > 0, Y = int_0^1 e^2 the energy of a standard
+    Brownian excursion, by Gil-Pelaez inversion: ``F(y) = 1/2 - (1/pi)
+    int_0^inf Im(e^{-ity} E e^{itY}) / t dt``, integrated by adaptive
+    quadrature in u = sqrt(t).  |E e^{itY}| falls like e^{-1.5 u}, so
+    stopping at u = 30 leaves out less than 1e-17."""
+
+    def integrand(u: float, y: float) -> float:
+        t = u * u
+        return 2.0 * (cmath.exp(-1j * t * y) * _energy_char(t)).imag / u
+
+    out = []
+    for v in np.atleast_1d(np.asarray(y, dtype=float)).tolist():
+        integral = quad(integrand, 0.0, 30.0, args=(v,), limit=1000, epsabs=1e-14, epsrel=1e-12)[0]
+        out.append(0.5 - integral / math.pi)
+    return np.array(out)

@@ -95,10 +95,9 @@ def test_criterion_1_table_reproduction(full_table):
 
 
 def test_criterion_2_rescaling_identity_pathwise():
-    streams = [substream(101, i) for i in range(1000)]
     worst = 0.0
     for p in (1.0, 2.0, 3.0):
-        gaps = lt.verify_rescaling_identity(TWO_SEGMENT, p, streams, grid_size=256).gap
+        gaps = lt.verify_rescaling_identity(TWO_SEGMENT, p, 101, 1000, grid_size=256).gap
         worst = max(worst, float(gaps.max()))
     _report(
         2,
@@ -110,12 +109,11 @@ def test_criterion_2_rescaling_identity_pathwise():
 
 def test_criterion_3_dominance_coupling_pathwise():
     iv = lt.extract_intervals(TWO_SEGMENT)
-    streams = [substream(202, i) for i in range(10_000)]
     violations = 0
     worst_norm = -math.inf
     worst_hull = -math.inf
     for p in (1.0, 2.0):
-        check = lt.verify_dominance_coupling(iv, p, streams, grid_size=256)
+        check = lt.verify_dominance_coupling(iv, p, 202, 10_000, grid_size=256)
         worst_norm = max(worst_norm, float((check.lhs - check.rhs).max()))
         worst_hull = max(worst_hull, float(check.hull_excess.max()))
         violations += int(np.count_nonzero(check.violation))

@@ -1,6 +1,10 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +13,6 @@ from scipy.optimize import brentq
 
 import lcmtest
 from lcmtest import cli, coupling, limits, models
-from lcmtest.streams import substream
 from oracle_utils import sup_gap_cdf
 
 
@@ -54,6 +57,22 @@ def test_counterexample_reports_exact_values(capsys):
     assert [case["value_squared_exact"] for case in doc["cases"]] == ["1/6", "1/6"]
     assert [case["reported_rounded"] for case in doc["cases"]] == [0.37, 0.29]
     assert "0.37" in doc["note"] or doc["cases"][0]["reported_rounded"] == 0.37
+
+
+def test_console_main_closed_stdout_exits_141():
+    # The read end is closed before the child has imported anything, so its
+    # first write to stdout fails.  It prints nothing and exits as a shell
+    # reports a reader that went away, 128 + SIGPIPE, not 1 with a traceback.
+    src = str(Path(lcmtest.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "lcmtest.cli", "counterexample"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 141 and err == b""
 
 
 # -- test command ---------------------------------------------------------------------
@@ -463,8 +482,7 @@ def test_cmd_verify_quantiles_are_path_values(capsys, two_segment_file):
     )
     assert code == 0
     iv = models.extract_intervals(models.spec_from_dict(doc["cdf"]))
-    streams = [substream(5, i) for i in range(10)]
-    check = coupling.verify_dominance_coupling(iv, 2.0, streams, 32)
+    check = coupling.verify_dominance_coupling(iv, 2.0, 5, 10, 32)
     spread = {"norm_excess_quantiles": check.lhs - check.rhs, "hull_excess_quantiles": check.hull_excess}
     for key, values in spread.items():
         ranked = sorted(values.tolist())
@@ -502,8 +520,8 @@ def test_cmd_verify_exit_code_on_violation(capsys, two_segment_file, monkeypatch
     monkeypatch.setattr(
         coupling,
         "verify_dominance_coupling",
-        lambda iv, p, streams, grid: coupling.DominanceCheck(
-            lhs=np.ones(len(streams)), rhs=np.full(len(streams), 0.5), hull_excess=np.zeros(len(streams))
+        lambda iv, p, seed, paths, grid: coupling.DominanceCheck(
+            lhs=np.ones(paths), rhs=np.full(paths, 0.5), hull_excess=np.zeros(paths)
         ),
     )
     code, doc, _ = run_cli(

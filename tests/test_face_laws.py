@@ -5,8 +5,10 @@ tabulated inverse CDF: the area A of a standard Brownian excursion (the
 Airy law, from its density series), its energy Y = int e^2 (by Talbot
 inversion of its Laplace transform) and its maximum K (Kennedy's law).  The
 tables are checked against exact moments, which come from other
-mathematics, and the draws against the engine's sampled-excursion route,
-which shares neither the Airy series nor the inversion.
+mathematics, and point by point against the CDF oracles of
+``oracle_utils``, which integrate by adaptive quadrature; the draws are
+checked against the engine's sampled-excursion route, which shares neither
+the Airy series nor the inversion.
 """
 
 import math
@@ -17,6 +19,7 @@ from scipy.integrate import trapezoid
 
 from lcmtest import limits
 from lcmtest.streams import generator, substream
+from oracle_utils import area_cdf, energy_cdf, kennedy_cdf
 
 
 def _drawn_moments(cdf, xs):
@@ -53,6 +56,24 @@ def test_energy_table_matches_exact_moments():
     mean, second = _drawn_moments(cdf, ys)
     assert abs(mean - 0.5) < 1e-10
     assert abs(second - mean**2 - 1.0 / 15.0) < 1e-6
+
+
+@pytest.mark.parametrize(
+    "table, oracle, tol",
+    [
+        # The trapezoid rule's error between the ends, ~4e-7; its moments
+        # are far better, since the density vanishes to all orders there.
+        (limits._area_table, area_cdf, 1e-6),
+        (limits._energy_table, energy_cdf, 1e-11),
+        (limits._kennedy_table, kennedy_cdf, 1e-14),
+    ],
+    ids=["area", "energy", "kennedy"],
+)
+def test_face_law_tables_match_cdf_oracles(table, oracle, tol):
+    # At 40 interior grid points, spread evenly over the table.
+    cdf, xs = table()
+    idx = np.linspace(1, xs.size - 2, 40).round().astype(int)
+    assert np.abs(cdf[idx] - oracle(xs[idx])).max() <= tol
 
 
 def test_face_quantiles_ordered_on_a_fine_grid():

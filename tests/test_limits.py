@@ -61,7 +61,7 @@ def _gap_norm(grid, values, p: float) -> float:
     # L^p norm of the majorant gap of a sampled path, p = inf for the sup.
     if math.isinf(p):
         return float(coupling.lcm_gap_on_grid(grid, values).max())
-    return coupling.gap_pow_integral(grid, values, p) ** (1 / p)
+    return coupling.pow_integral_from_gaps(grid, coupling.lcm_gap_on_grid(grid, values), p) ** (1 / p)
 
 
 def test_gap_norm_affine_path_is_zero():
@@ -112,23 +112,22 @@ def test_limit_draw_general_at_inf_is_a_row_of_simulate_draws():
 
 
 def test_derivative_route_uniform_matches_uniform_draw():
-    # The identity verifier's Wiener path is drawn from substream(stream, 0)
-    # on the uniform grid; under the uniform law its lhs is that path's gap norm.
+    # The identity verifier draws path i from substream(seed, i, 0) on the
+    # uniform grid; under the uniform law its lhs is that path's gap norm.
     grid = coupling.uniform_grid(128)
     w = coupling.sample_wiener(grid, [substream(11, i, 0) for i in range(20)])
-    streams = [substream(11, i) for i in range(20)]
-    lhs = coupling.verify_rescaling_identity(models.UniformCdf(), 2.0, streams, 128).lhs
+    lhs = coupling.verify_rescaling_identity(models.UniformCdf(), 2.0, 11, 20, 128).lhs
     for row, b in zip(w, lhs.tolist()):
-        assert coupling.gap_pow_integral(grid, row, 2.0) ** (1 / 2.0) == b
+        assert _gap_norm(grid, row, 2.0) == b
 
 
 def test_derivative_route_rejects_strictly_concave():
     with pytest.raises(ValueError):
-        coupling.verify_rescaling_identity(models.PowerCdf(0.5), 2.0, [1], 64)
+        coupling.verify_rescaling_identity(models.PowerCdf(0.5), 2.0, 1, 1, 64)
 
 
 def test_derivative_route_matches_rescaled_representation():
-    check = coupling.verify_rescaling_identity(TWO_SEGMENT, 2.0, [substream(21, i) for i in range(50)], 128)
+    check = coupling.verify_rescaling_identity(TWO_SEGMENT, 2.0, 21, 50, 128)
     assert check.gap.size == 50 and check.gap.max() < 1e-9
 
 
@@ -277,28 +276,26 @@ def test_simulate_draws_reports_progress():
 
 
 def test_rescaling_identity_uniform_gap_is_exactly_zero():
-    streams = [substream(5, i) for i in range(50)]
-    check = coupling.verify_rescaling_identity(models.UniformCdf(), 3.0, streams, 128)
+    check = coupling.verify_rescaling_identity(models.UniformCdf(), 3.0, 5, 50, 128)
     assert np.all(check.gap == 0.0)
 
 
 @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
 def test_rescaling_identity_two_segment(p):
-    check = coupling.verify_rescaling_identity(TWO_SEGMENT, p, [substream(6, i) for i in range(100)], 128)
+    check = coupling.verify_rescaling_identity(TWO_SEGMENT, p, 6, 100, 128)
     assert check.gap.max() < 1e-9
 
 
 def test_rescaling_identity_short_support():
     # Support ending before 1: the composed bridge vanishes beyond it, and
     # the identity still holds pathwise.
-    streams = [substream(8, i) for i in range(100)]
-    check = coupling.verify_rescaling_identity(SHORT_SUPPORT, 2.0, streams, 128)
+    check = coupling.verify_rescaling_identity(SHORT_SUPPORT, 2.0, 8, 100, 128)
     assert check.gap.max() < 1e-9
 
 
 def test_dominance_unit_interval_is_equality():
     iv = models.extract_intervals(models.UniformCdf())
-    check = coupling.verify_dominance_coupling(iv, 2.0, [substream(9, i) for i in range(20)], 128)
+    check = coupling.verify_dominance_coupling(iv, 2.0, 9, 20, 128)
     assert np.array_equal(check.lhs, check.rhs)
     assert np.all(check.hull_excess == 0.0)
     assert not check.violation.any()
@@ -307,7 +304,7 @@ def test_dominance_unit_interval_is_equality():
 @pytest.mark.parametrize("p", [1.0, 2.0])
 def test_dominance_two_segment(p):
     iv = models.extract_intervals(TWO_SEGMENT)
-    check = coupling.verify_dominance_coupling(iv, p, [substream(10, i) for i in range(300)], 128)
+    check = coupling.verify_dominance_coupling(iv, p, 10, 300, 128)
     assert not check.violation.any()
     assert np.all(check.lhs >= 0.0) and np.all(check.rhs >= 0.0)
 
@@ -366,8 +363,8 @@ def test_batched_verifiers_equal_one_path_reference(monkeypatch, spec, p):
     passes = []
     wiener_passes = coupling._wiener_passes
 
-    def counted(master, streams):
-        for rows, w in wiener_passes(master, streams):
+    def counted(master, seed, paths):
+        for rows, w in wiener_passes(master, seed, paths):
             passes.append(rows)
             yield rows, w
 
@@ -376,12 +373,12 @@ def test_batched_verifiers_equal_one_path_reference(monkeypatch, spec, p):
     streams = [substream(606, i) for i in range(40)]
     for grid in (64, 256):
         passes.clear()
-        got = coupling.verify_rescaling_identity(spec, p, streams, grid)
+        got = coupling.verify_rescaling_identity(spec, p, 606, 40, grid)
         assert len(passes) >= 2
         want = [_identity_one_path(spec, p, s, grid) for s in streams]
         assert (got.lhs.tolist(), got.rhs.tolist()) == tuple(map(list, zip(*want)))
         passes.clear()
-        got = coupling.verify_dominance_coupling(iv, p, streams, grid)
+        got = coupling.verify_dominance_coupling(iv, p, 606, 40, grid)
         assert len(passes) >= 2
         want = [_dominance_one_path(iv, p, s, grid) for s in streams]
         got = (got.lhs.tolist(), got.rhs.tolist(), got.hull_excess.tolist())
@@ -399,7 +396,7 @@ def test_sampled_draws_finite_at_the_largest_p(budget):
 def test_dominance_rejects_inf():
     iv = models.extract_intervals(TWO_SEGMENT)
     with pytest.raises(ValueError):
-        coupling.verify_dominance_coupling(iv, math.inf, [1], 64)
+        coupling.verify_dominance_coupling(iv, math.inf, 1, 1, 64)
 
 
 # -- quantiles ------------------------------------------------------------------------

@@ -79,6 +79,6 @@ def test_grid_route_falls_below_exact_mean():
     x1 = []  # ||gap||_1, no root needed
     for lo in range(0, 4000, 250):
         paths = coupling.sample_wiener(grid, [substream(8484, i) for i in range(lo, lo + 250)])
-        x1.extend(coupling.gap_pow_integral(grid, paths, 1.0).tolist())
+        x1.extend(coupling.pow_integral_from_gaps(grid, coupling.lcm_gap_on_grid(grid, paths), 1.0).tolist())
     mean, se = _mean_and_se(x1)
     assert mean + 3.0 * se < MEAN_X1, (mean, se, MEAN_X1)

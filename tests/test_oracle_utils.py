@@ -4,7 +4,8 @@ Most check the exact sup-gap oracle that criterion 1 uses as its p = inf
 reference.  They run in about two seconds, so the reference is checked
 without building the full-scale table.  One checks the qhull upper hull
 against the exact chord oracle, and the last ones check the exact moment
-recursions against closed forms and a direct stick-breaking sample.
+recursions against closed forms and a direct stick-breaking sample, and
+the face laws' CDF oracles against those moments.
 """
 
 import math
@@ -12,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from scipy.integrate import fixed_quad, quad
 from scipy.special import zeta
 
 from oracle_utils import (
@@ -20,6 +21,9 @@ from oracle_utils import (
     MEAN_X1,
     SECOND_MOMENT_X1,
     SECOND_MOMENT_X2,
+    area_cdf,
+    area_density,
+    energy_cdf,
     excursion_area_moments,
     excursion_energy_moments,
     excursion_pow_mean,
@@ -138,3 +142,26 @@ def test_stick_breaking_map_matches_direct_sample():
             values = s**k
             se = values.std(ddof=1) / math.sqrt(values.size)
             assert abs(values.mean() - want) <= 3.0 * se, (a, k, values.mean(), want, se)
+
+
+def test_area_oracle_matches_exact_moments():
+    # The law has mass under 1e-20 above 3.
+    mass, mean, second = (
+        quad(lambda x: x**k * area_density(x), 0.0, 3.0, limit=200, epsabs=1e-15, epsrel=1e-13)[0]
+        for k in range(3)
+    )
+    assert abs(mass - 1.0) < 1e-11 and abs(area_cdf(3.0)[0] - 1.0) < 1e-11
+    want = excursion_area_moments(2)
+    assert abs(mean - want[0]) < 1e-10 and abs(second - want[1]) < 1e-10
+
+
+def test_energy_oracle_matches_exact_moments():
+    # E Y = int (1 - F) and E Y^2 = int 2y (1 - F) over [0, 8], past which
+    # 1 - F is below 1e-16, by 12-point Gauss-Legendre on each of four pieces.
+    edges = (0.0, 0.3, 1.0, 3.0, 8.0)
+    mean = second = 0.0
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        mean += fixed_quad(lambda y: 1.0 - energy_cdf(y), lo, hi, n=12)[0]
+        second += fixed_quad(lambda y: 2.0 * y * (1.0 - energy_cdf(y)), lo, hi, n=12)[0]
+    want = excursion_energy_moments(2)
+    assert abs(mean - float(want[0])) < 1e-8 and abs(second - float(want[1])) < 1e-8

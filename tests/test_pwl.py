@@ -197,8 +197,8 @@ def test_norm_index_rule_at_every_entry_point(p):
         lambda: limits.simulate_draws(iv, (2.0, p), limits.SimConfig(16, 4)),
         lambda: limits.limit_draw_general(iv, p, substream(1, 0), 16),
         lambda: coupling.coupling_lengths(iv, p),
-        lambda: coupling.verify_rescaling_identity(spec, p, [1], 16),
-        lambda: coupling.verify_dominance_coupling(iv, p, [1], 16),
+        lambda: coupling.verify_rescaling_identity(spec, p, 1, 1, 16),
+        lambda: coupling.verify_dominance_coupling(iv, p, 1, 1, 16),
     ]
     for call in calls:
         with pytest.raises(ValueError, match=r"\[1, 64\] or 'inf'"):
@@ -316,7 +316,7 @@ def test_gap_pow_integral_matches_lp_norm(rng):
     values = np.cumsum(rng.standard_normal(129)) * 0.1
     for p in (1.0, 2.0, 3.0, 2.5):
         want = qhull_gap_pow_integral(grid, values, p)
-        got = coupling.gap_pow_integral(grid, values, p)
+        got = coupling.pow_integral_from_gaps(grid, coupling.lcm_gap_on_grid(grid, values), p)
         assert got == pytest.approx(want, rel=1e-10, abs=1e-15)
 
 
