@@ -263,9 +263,9 @@ def _face_lengths(rng, streams: int) -> tuple[np.ndarray, np.ndarray]:
     return u[np.arange(u.shape[1]) < counts[:, None]], first
 
 
-def _excursion_pow_integrals(rng, lengths, first, nk: int, budget: int, ps) -> np.ndarray:
-    # Row j, column s: sum_i l_i^{1+p/2} int e_i^p at ps[j] over stream s's
-    # faces, one excursion per face, with the streams nk to a replication.
+def _excursion_pow_integrals(rng, lengths, rep_first, budget: int, ps) -> np.ndarray:
+    # Row j, column i: face i's term l_i^{1+p/2} int e_i^p at ps[j], one
+    # excursion per face; replication r has faces rep_first[r]:rep_first[r + 1].
     # Face i is |3-d Brownian bridge| on m_i = max(4, round(budget l_i))
     # steps.  Each replication draws its normals as one (3, sum of its m_i)
     # array, in replication order, and cumsums its own walk, so no value
@@ -275,40 +275,31 @@ def _excursion_pow_integrals(rng, lengths, first, nk: int, budget: int, ps) -> n
     # int e_i^p = m_i^{-(1+p/2)} times the sum of the ramp integrals of
     # |bridge|.
     m = np.maximum(_MIN_FACE_POINTS, np.rint(budget * lengths)).astype(np.intp)
-    rep_first = first[::nk]  # replication r has faces rep_first[r]:rep_first[r + 1]
-    rep_ends = np.cumsum(m)[rep_first[1:] - 1]  # points up to each replication's end
-    out = np.empty((len(ps), first.size - 1))
+    counts = np.add.reduceat(m, rep_first[:-1])  # points of each replication
+    out = np.empty((len(ps), m.size))
     lo = 0
-    while lo < rep_ends.size:
-        begin = rep_ends[lo - 1] if lo else 0
-        hi = max(lo + 1, int(np.searchsorted(rep_ends, begin + _POINTS_PER_PASS, side="right")))
+    while lo < counts.size:
+        fits = int(np.searchsorted(np.cumsum(counts[lo:]), _POINTS_PER_PASS, side="right"))
+        hi = lo + max(1, fits)
         faces = slice(rep_first[lo], rep_first[hi])
         mf = m[faces]
         starts = np.zeros(mf.size, dtype=np.intp)
         np.cumsum(mf[:-1], out=starts[1:])
-        ends = rep_ends[lo:hi] - begin
-        widths = np.diff(ends, prepend=0)
-        spans = list(zip((ends - widths).tolist(), widths.tolist()))
-        total = int(ends[-1])
-        z = np.empty((3, total))
-        for c, w in spans:
-            z[:, c : c + w] = rng.standard_normal((3, w))
+        widths = counts[lo:hi].tolist()
+        z = np.concatenate([rng.standard_normal((3, w)) for w in widths], axis=1)
         mean = np.add.reduceat(z, starts, axis=1)
         mean /= mf
         z -= np.repeat(mean, mf, axis=1)
-        for c, w in spans:
-            walk = z[:, c : c + w]
+        for walk in np.split(z, np.cumsum(widths[:-1]), axis=1):
             np.cumsum(walk, axis=1, out=walk)
-        r = np.zeros(total + 1)  # every face starts and ends at 0
+        r = np.zeros(z.shape[1] + 1)  # every face starts and ends at 0
         np.sqrt(np.einsum("ij,ij->j", z, z), out=r[1:])
         r[starts] = 0.0
-        r[total] = 0.0
+        r[-1] = 0.0
         steps = lengths[faces] / mf
-        streams = slice(lo * nk, hi * nk)
-        stream_first = first[streams] - first[lo * nk]
         for j, p in enumerate(ps):
             per_face = np.add.reduceat(pwl.ramp_pow_integrals(r[:-1], r[1:], 1.0, p), starts)
-            out[j, streams] = np.add.reduceat(steps ** (1.0 + p / 2.0) * per_face, stream_first)
+            out[j, faces] = steps ** (1.0 + p / 2.0) * per_face
         lo = hi
     return out
 
@@ -323,7 +314,9 @@ def _law_draws(d, h, ps, stream: Stream, rows: int, budget: int) -> np.ndarray:
     # order: every stream's sticks, one uniform per face, which every norm
     # index in _FACE_LAWS maps through its face law, then (for any other p)
     # the excursions' normals, so a column does not depend on which other
-    # norm indices are asked for.
+    # norm indices are asked for.  Either way each face gives one term,
+    # l_i^{1+p/2} Z_p,i or sqrt(l_i) K_i, and a stream's X_p^p or X_inf is
+    # the sum or the max of its faces' terms.
     nk = len(d)
     out = np.zeros((rows, len(ps)))
     if nk == 0:  # no affine interval: every draw is 0
@@ -331,24 +324,20 @@ def _law_draws(d, h, ps, stream: Stream, rows: int, budget: int) -> np.ndarray:
     rng = generator(stream)
     lengths, first = _face_lengths(rng, rows * nk)
     u = rng.random(lengths.size)
-    faces = _face_quantiles([p for p in ps if p in _FACE_LAWS], u)
+    terms = _face_quantiles([p for p in ps if p in _FACE_LAWS], u)
+    for p, values in terms.items():
+        values *= np.sqrt(lengths) if math.isinf(p) else lengths ** (1.0 + p / 2.0)
     general = [p for p in ps if p not in _FACE_LAWS]
     if general:
-        powers = _excursion_pow_integrals(rng, lengths, first, nk, budget, general)
-        sampled = dict(zip(general, powers))
+        terms.update(zip(general, _excursion_pow_integrals(rng, lengths, first[::nk], budget, general)))
     for j, p in enumerate(ps):
-        if math.isinf(p):
-            top = np.maximum.reduceat(np.sqrt(lengths) * faces[p], first[:-1])
-            for k, x in enumerate(top.reshape(-1, nk).T):
-                out[:, j] = np.maximum(out[:, j], h[k] ** 0.5 * x)
-            continue
-        if p in _FACE_LAWS:
-            x = np.add.reduceat(lengths ** (1.0 + p / 2.0) * faces[p], first[:-1])
-        else:
-            x = sampled[p]
-        for k, x_k in enumerate(x.reshape(-1, nk).T):
-            out[:, j] += d[k] * h[k] ** (p / 2.0) * x_k
-        out[:, j] = pwl._roots(out[:, j], p)
+        op = np.maximum if math.isinf(p) else np.add
+        x = op.reduceat(terms[p], first[:-1]).reshape(-1, nk)
+        for k in range(nk):
+            w = h[k] ** 0.5 if math.isinf(p) else d[k] * h[k] ** (p / 2.0)
+            op(out[:, j], w * x[:, k], out=out[:, j])
+        if not math.isinf(p):
+            out[:, j] = pwl._roots(out[:, j], p)
     return out
 
 

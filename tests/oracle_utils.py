@@ -196,23 +196,28 @@ def kennedy_cdf(y) -> np.ndarray:
     return out
 
 
-def sup_gap_cdf(x: float, steps: int = 1000) -> float:
-    """P(sup(LCM(B) - B) <= x) for a Brownian bridge B on [0, 1].
+def sup_gap_cdf(x, steps: int = 1000):
+    """P(sup(LCM(B) - B) <= x) for a Brownian bridge B on [0, 1], for a
+    number x (a float comes back) or for every value of an array x at once.
 
     With ``phi(t)`` the probability that every stick of a stick-breaking of
     [0, t] passes, ``t phi(t) = int_0^t K(x / sqrt(s)) phi(t - s) ds`` (the
     first stick has length s, uniform on [0, t]), and the answer is
     ``phi(1)``.  Solved on ``steps`` trapezoid steps; the s = 0 end has
-    ``K = 1`` and its half weight moves to the left side.
+    ``K = 1`` and its half weight moves to the left side.  Row i of ``back``
+    holds x_i's phi backwards, ``back[i, steps - j] = phi(j / steps)``, so
+    each step's convolution is a product of two forward slices.
     """
+    xs = np.asarray(x, dtype=float)
     h = 1.0 / steps
-    k = kennedy_cdf(x / np.sqrt(h * np.arange(1, steps + 1)))
-    phi = np.empty(steps + 1)
-    phi[0] = 1.0
+    root_s = np.sqrt(h * np.arange(1, steps + 1))
+    k = np.array([kennedy_cdf(xi / root_s) for xi in xs.ravel()]).reshape(-1, steps)
+    back = np.empty((k.shape[0], steps + 1))
+    back[:, steps] = 1.0
     for j in range(1, steps + 1):
-        inner = float(np.dot(k[: j - 1], phi[j - 1 : 0 : -1]))
-        phi[j] = (inner + 0.5 * k[j - 1]) / (j - 0.5)
-    return float(phi[steps])
+        inner = np.einsum("ij,ij->i", k[:, : j - 1], back[:, steps - j + 1 : steps])
+        back[:, steps - j] = (inner + 0.5 * k[:, j - 1]) / (j - 0.5)
+    return float(back[0, 0]) if xs.ndim == 0 else back[:, 0].reshape(xs.shape)
 
 
 def sup_gap_quantiles(alphas, steps: int = 1000) -> dict[float, float]:

@@ -113,15 +113,17 @@ def test_shared_sort_inversion_equals_interp(u):
 
 
 def test_sampled_excursions_match_exact_face_laws_in_mean():
-    # The sampled-excursion route at budget 1024, called directly, against
-    # the exact face laws on independent streams: the means of X_1 and
-    # X_2^2 agree within 3 combined se.
+    # The sampled-excursion route at budget 1024, called directly with one
+    # stream a replication and its face terms summed per stream, against the
+    # exact face laws on independent streams: the means of X_1 and X_2^2
+    # agree within 3 combined se.
     n = 20_000
     sampled = []
     for b in range(n // 500):
         rng = generator(substream(9191, b))
         lengths, first = limits._face_lengths(rng, 500)
-        sampled.append(limits._excursion_pow_integrals(rng, lengths, first, 1, 1024, (1.0, 2.0)))
+        terms = limits._excursion_pow_integrals(rng, lengths, first, 1024, (1.0, 2.0))
+        sampled.append(np.add.reduceat(terms, first[:-1], axis=1))
     x1_sampled, x2sq_sampled = np.concatenate(sampled, axis=1)
     exact = limits.simulate_draws(limits._UNIT, (1.0, 2.0), limits.SimConfig(1024, n, 9292))
     for name, a, b in (

@@ -59,9 +59,33 @@ def test_kennedy_moments():
     assert abs(second - math.pi**2 / 6.0) < 1e-9
 
 
+def _sup_gap_cdf_one(x: float, steps: int = 1000) -> float:
+    # The Volterra solve for one x, one np.dot a step: the reference for the
+    # solve over an array of x.
+    h = 1.0 / steps
+    k = kennedy_cdf(x / np.sqrt(h * np.arange(1, steps + 1)))
+    phi = np.empty(steps + 1)
+    phi[0] = 1.0
+    for j in range(1, steps + 1):
+        inner = float(np.dot(k[: j - 1], phi[j - 1 : 0 : -1]))
+        phi[j] = (inner + 0.5 * k[j - 1]) / (j - 0.5)
+    return float(phi[steps])
+
+
+def test_sup_gap_cdf_over_an_array_equals_the_one_x_solve():
+    # Only the order of each step's sum differs, so the two agree to a few
+    # ulps; a number in gives a float out.
+    xs = np.array([[0.3, 0.9, 1.3], [1.68, 2.4, 3.5]])
+    got = sup_gap_cdf(xs, 400)
+    want = np.array([[_sup_gap_cdf_one(x, 400) for x in row] for row in xs])
+    assert got.shape == xs.shape and np.max(np.abs(got - want)) <= 4e-15
+    assert isinstance(sup_gap_cdf(1.68), float)
+    assert abs(sup_gap_cdf(1.68) - _sup_gap_cdf_one(1.68)) <= 4e-15
+
+
 def test_sup_gap_cdf_is_a_nondecreasing_cdf():
     xs = np.linspace(0.3, 3.5, 65)
-    values = np.array([sup_gap_cdf(x) for x in xs])
+    values = sup_gap_cdf(xs)
     assert np.all(np.diff(values) >= 0.0)
     assert values[0] < 1e-6 and values[-1] > 1.0 - 1e-6
 
