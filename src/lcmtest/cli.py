@@ -206,8 +206,15 @@ def _critical_values_for_test(args, alphas):
     source = {"mode": "uniform-table"}
     if args.cdf is not None:
         spec = load_spec(args.cdf)
+        iv = models.extract_intervals(spec)
+        if iv.is_empty:
+            # Every critical value would be 0, so every sample would be rejected.
+            raise InputError(
+                f"{args.cdf}: strictly concave CDF: the limit is degenerate at zero; "
+                "test against the uniform table (--table or --simulate)"
+            )
         source = {"mode": "cdf-limit", "cdf": models.spec_to_dict(spec)}
-        table = _limit_table(args, (args.p,), alphas, models.extract_intervals(spec))
+        table = _limit_table(args, (args.p,), alphas, iv)
     elif args.table is not None and Path(args.table).is_file():
         try:
             table = limits.CriticalValueTable.load(args.table)

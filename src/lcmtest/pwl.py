@@ -12,7 +12,7 @@ ramp, integrated in closed form by :func:`ramp_pow_integrals`.
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import isotonic_regression
+from scipy.optimize._pava_pybind import pava as _pava_kernel
 
 #: Absolute slack for internal majorization checks.  The geometry is exact up
 #: to float rounding, so anything past this indicates a bug, not noise.
@@ -81,11 +81,30 @@ def hull_vertices(px, py) -> np.ndarray:
     px = np.asarray(px, dtype=np.float64)
     py = np.asarray(py, dtype=np.float64)
     dx = np.ldexp(np.diff(px), 600)
-    idx = isotonic_regression(np.diff(py) / dx, weights=dx, increasing=False).blocks
+    rev = (np.diff(py) / dx)[::-1].copy()
+    starts = _pava(rev, dx[::-1])
+    idx = starts[-1] - starts[::-1]
     slopes = np.diff(py[idx]) / np.ldexp(np.diff(px[idx]), 600)
     if np.all(np.diff(slopes) < 0.0):
         return idx
     return _strictly_concave(px, py, idx)
+
+
+def _pava(rev, w_rev) -> np.ndarray:
+    """Weighted antitonic regression of a row given in reverse, by scipy's
+    compiled pool-adjacent-violators kernel.
+
+    ``rev`` is the row reversed, a C-contiguous float64 array, and the kernel
+    fits it in place: afterwards ``rev[::-1]`` is the row's decreasing fit.
+    ``w_rev`` is the weights reversed; the kernel overwrites its weight
+    argument with pooled weights, so it gets a fresh copy.  Returns the block
+    starts in ``rev``, ending with its length.  scipy's public isotonic
+    regression function makes this same call after its argument checks, so
+    fits and blocks are the same bits, without the wrapper's cost.
+    """
+    starts = np.full(rev.size + 1, -1, dtype=np.intp)
+    _, _, starts, blocks = _pava_kernel(rev, w_rev.copy(), starts)
+    return starts[: blocks + 1]
 
 
 def _strictly_concave(px, py, idx) -> np.ndarray:

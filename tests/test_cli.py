@@ -318,6 +318,17 @@ def test_cmd_test_against_cdf_limit(capsys, data_file, two_segment_file, p):
     assert doc["table"]["engine"] == limits.ENGINE
 
 
+def test_cmd_test_cdf_rejects_strictly_concave(capsys, data_file, power_file):
+    # Its limit is degenerate at 0: every critical value would be 0 and every
+    # sample rejected.  One error line, and no simulation starts.
+    code, doc, err = run_cli(
+        capsys, "test", str(data_file), "--cdf", str(power_file), "--reps", "50", "--grid", "16",
+    )
+    assert code == 2 and doc is None
+    (line,) = err.splitlines()
+    assert line.startswith("error:") and "degenerate" in line and "uniform table" in line
+
+
 @pytest.mark.parametrize("source", [["--simulate"], ["--cdf", "{spec}"]], ids=["simulate", "cdf"])
 def test_cmd_test_report_is_the_same_from_run_to_run(capsys, data_file, two_segment_file, source):
     # Wall-clock keys (built_at, timing) stay in table files, out of the report.

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import isotonic_regression
 
 from lcmtest import coupling, limits, models, pwl, stats
 from lcmtest.streams import substream
@@ -285,6 +286,50 @@ def test_lp_norm_matches_quadrature(rng):
             want = quad_gap_norm(px[idx], py[idx], px, py, p)
             got = stats.lp_stat(samples, p).value / math.sqrt(n)
             assert got == pytest.approx(want, rel=NORM_RTOL)
+
+
+# -- the PAVA kernel ------------------------------------------------------------------
+
+
+def _pava_rows(rng):
+    # (slopes, weights): random rows of length 1 to 400; exactly equal
+    # adjacent slopes and ties; and ECDF segment slopes with the spacings
+    # scaled by 2**600, as hull_vertices passes them.
+    for n in range(1, 401):
+        yield rng.standard_normal(n), rng.random(n) + 1e-3
+    for n in (1, 2, 5, 40, 320):
+        yield np.repeat(rng.standard_normal(n), 2), rng.random(2 * n) + 1e-3
+        yield np.round(rng.standard_normal(n), 1), np.ones(n)
+        yield np.full(n, 0.25), rng.random(n) + 1e-3
+    for n in (1, 2, 30, 400):
+        for samples in (rng.random(n), np.round(rng.random(n), 2), rng.random(n) * 1e-300):
+            px, py = pwl.ecdf_corners(samples)
+            dx = np.ldexp(np.diff(px), 600)
+            yield np.diff(py) / dx, dx
+
+
+def test_pava_matches_isotonic_regression():
+    for slopes, weights in _pava_rows(np.random.default_rng(2201)):
+        want = isotonic_regression(slopes, weights=weights, increasing=False)
+        rev, w_rev = slopes[::-1].copy(), weights[::-1].copy()
+        starts = pwl._pava(rev, w_rev)
+        assert np.array_equal(rev[::-1], want.x)
+        assert np.array_equal(starts[-1] - starts[::-1], want.blocks)
+        assert np.array_equal(w_rev[::-1], weights)  # the kernel pools a copy
+
+
+def test_gap_on_grid_batch_equals_row_by_row():
+    # Concave rows, which skip the PAVA, between bent ones, on an uneven grid:
+    # a weight or block buffer leaking from one row into the next shows here.
+    rng = np.random.default_rng(2202)
+    grid = np.unique(np.concatenate(([0.0, 1.0], rng.random(319))))
+    rows = [np.cumsum(rng.standard_normal(grid.size)) * 0.1 for _ in range(6)]
+    rows += [np.sqrt(grid), 0.5 - 2.0 * grid, np.log1p(grid)]
+    batch = np.stack([rows[i] for i in rng.permutation(len(rows))])
+    want = np.stack([coupling.lcm_gap_on_grid(grid, row) for row in batch])
+    got = coupling.lcm_gap_on_grid(grid, batch)
+    assert np.array_equal(got, want)
+    assert np.count_nonzero(got.any(axis=1)) == 6
 
 
 # -- fast grid route -----------------------------------------------------------------
