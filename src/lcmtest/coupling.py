@@ -102,12 +102,10 @@ def lcm_gap_on_grid(grid, values) -> np.ndarray:
         yb = yc[bent]
         hull = np.empty_like(yb)
         hull[:, 0] = yb[:, 0]
-        # One reversed copy of the bent rows' slopes; PAVA fits each row in place.
-        rev = s[bent, ::-1]
-        dx_rev = dx[::-1]
-        for row in rev:
-            pwl._pava(row, dx_rev)
-        np.cumsum(rev[:, ::-1] * dx, axis=1, out=hull[:, 1:])
+        fitted = np.empty((bent.size, dx.size))
+        for j, r in enumerate(bent.tolist()):
+            fitted[j] = pwl._pava(s[r], dx)[0]
+        np.cumsum(fitted * dx, axis=1, out=hull[:, 1:])
         hull -= yb
         worst = hull.min(axis=1)
         low = worst < -1e-9 * np.maximum(1.0, np.max(np.abs(yb), axis=1))

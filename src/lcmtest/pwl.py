@@ -68,11 +68,12 @@ def ecdf_corners(samples) -> tuple[np.ndarray, np.ndarray]:
 def hull_vertices(px, py) -> np.ndarray:
     """Indices of the points on the upper concave hull, first and last included.
 
-    ``px`` must be strictly increasing.  Blocks of pooled slopes are the
-    hull's segments and their ends its vertices; equal adjacent slopes pool,
-    so collinear points drop out.  Scaling the spacings by 2**600 is exact
-    and keeps slopes over subnormal spacings finite; as infinities they
-    would compare equal and pool.
+    ``px`` and ``py`` are nonempty 1-d arrays of equal length, and ``px`` is
+    strictly increasing; anything else is a ValueError.  Blocks of pooled
+    slopes are the hull's segments and their ends its vertices; equal
+    adjacent slopes pool, so collinear points drop out.  Scaling the spacings
+    by 2**600 is exact and keeps slopes over subnormal spacings finite; as
+    infinities they would compare equal and pool.
 
     Pooled means are rounded, so two blocks on one line can miss pooling;
     the slopes between the chosen vertices themselves are checked, and a
@@ -80,31 +81,40 @@ def hull_vertices(px, py) -> np.ndarray:
     """
     px = np.asarray(px, dtype=np.float64)
     py = np.asarray(py, dtype=np.float64)
+    if px.ndim != 1 or px.size == 0 or px.shape != py.shape:
+        raise ValueError("px and py must be nonempty 1-d arrays of equal length")
     dx = np.ldexp(np.diff(px), 600)
-    rev = (np.diff(py) / dx)[::-1].copy()
-    starts = _pava(rev, dx[::-1])
-    idx = starts[-1] - starts[::-1]
+    if not np.all(dx > 0.0):
+        raise ValueError("px must be strictly increasing")
+    idx = _pava(np.diff(py) / dx, dx)[1]
     slopes = np.diff(py[idx]) / np.ldexp(np.diff(px[idx]), 600)
     if np.all(np.diff(slopes) < 0.0):
         return idx
     return _strictly_concave(px, py, idx)
 
 
-def _pava(rev, w_rev) -> np.ndarray:
-    """Weighted antitonic regression of a row given in reverse, by scipy's
-    compiled pool-adjacent-violators kernel.
+def _pava(y, w) -> tuple[np.ndarray, np.ndarray]:
+    """Weighted antitonic regression of ``y`` by pool-adjacent-violators:
+    the decreasing fit and its block boundaries, as scipy's public isotonic
+    regression function gives them with ``increasing=False``.
 
-    ``rev`` is the row reversed, a C-contiguous float64 array, and the kernel
-    fits it in place: afterwards ``rev[::-1]`` is the row's decreasing fit.
-    ``w_rev`` is the weights reversed; the kernel overwrites its weight
-    argument with pooled weights, so it gets a fresh copy.  Returns the block
-    starts in ``rev``, ending with its length.  scipy's public isotonic
-    regression function makes this same call after its argument checks, so
-    fits and blocks are the same bits, without the wrapper's cost.
+    ``y`` and ``w`` must be 1-d arrays of equal length, else ValueError: the
+    compiled kernel indexes ``w`` by the length of ``y``.  The weights must be
+    positive; both callers pass spacings they have checked are.  The
+    kernel fits a decreasing row as the increasing fit of its reverse and
+    overwrites its weight argument with pooled weights, so it gets reversed
+    copies of both.  It is the same call, on the same arrays, that scipy's
+    public function makes after its checks, so the fit and blocks are the
+    same bits, without the wrapper's cost.
     """
-    starts = np.full(rev.size + 1, -1, dtype=np.intp)
-    _, _, starts, blocks = _pava_kernel(rev, w_rev.copy(), starts)
-    return starts[: blocks + 1]
+    y = np.asarray(y, dtype=np.float64)
+    w = np.asarray(w, dtype=np.float64)
+    if y.ndim != 1 or y.shape != w.shape:
+        raise ValueError("PAVA needs 1-d values and weights of equal length")
+    starts = np.full(y.size + 1, -1, dtype=np.intp)
+    fit, _, starts, b = _pava_kernel(y[::-1].copy(), w[::-1].copy(), starts)
+    # starts[: b + 1] runs from 0 to the row's length.
+    return fit[::-1], y.size - starts[b::-1]
 
 
 def _strictly_concave(px, py, idx) -> np.ndarray:

@@ -311,11 +311,36 @@ def _pava_rows(rng):
 def test_pava_matches_isotonic_regression():
     for slopes, weights in _pava_rows(np.random.default_rng(2201)):
         want = isotonic_regression(slopes, weights=weights, increasing=False)
-        rev, w_rev = slopes[::-1].copy(), weights[::-1].copy()
-        starts = pwl._pava(rev, w_rev)
-        assert np.array_equal(rev[::-1], want.x)
-        assert np.array_equal(starts[-1] - starts[::-1], want.blocks)
-        assert np.array_equal(w_rev[::-1], weights)  # the kernel pools a copy
+        y, w = slopes.copy(), weights.copy()
+        fit, blocks = pwl._pava(y, w)
+        assert np.array_equal(fit, want.x)
+        assert np.array_equal(blocks, want.blocks)
+        # The kernel fits and pools copies; the caller's arrays stay as they were.
+        assert np.array_equal(y, slopes) and np.array_equal(w, weights)
+
+
+@pytest.mark.parametrize("y, w", [([0.0, 1.0], [1.0]), ([0.0], [1.0, 1.0]), ([[0.0, 1.0]], [[1.0, 1.0]])])
+def test_pava_rejects_mismatched_shapes(y, w):
+    # The kernel would read, and write, past the end of a short weight buffer.
+    with pytest.raises(ValueError, match="equal length"):
+        pwl._pava(y, w)
+
+
+@pytest.mark.parametrize(
+    "px, py, match",
+    [
+        ([0.0, 1.0], [0.0, 0.5, 1.0], "equal length"),
+        ([0.0, 0.5, 1.0], [0.0, 1.0], "equal length"),
+        ([[0.0, 1.0]], [[0.0, 1.0]], "equal length"),
+        ([], [], "nonempty"),
+        ([0.0, 0.5, 0.5, 1.0], [0.0, 0.25, 0.75, 1.0], "strictly increasing"),
+        ([0.0, 0.6, 0.5, 1.0], [0.0, 0.25, 0.75, 1.0], "strictly increasing"),
+        ([0.0, np.nan, 1.0], [0.0, 0.5, 1.0], "strictly increasing"),
+    ],
+)
+def test_hull_vertices_rejects_bad_corners(px, py, match):
+    with pytest.raises(ValueError, match=match):
+        pwl.hull_vertices(px, py)
 
 
 def test_gap_on_grid_batch_equals_row_by_row():
