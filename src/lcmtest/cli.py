@@ -5,7 +5,8 @@ values, simulate the limit law of a given concave CDF, run the pathwise
 coupling verifications, and print the exact two-point worked example.
 
 Reports are JSON on stdout; human-readable logs go to stderr.  Exit codes:
-0 success, 1 verification failure, 2 input error.
+0 success, 1 verification failure, 2 input error or a scale too large for
+memory.
 """
 
 from __future__ import annotations
@@ -167,6 +168,17 @@ def _table_hash(table: limits.CriticalValueTable) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
+def _check_writable(path: str) -> None:
+    # Refuses an output path that is a directory, or whose directory is
+    # missing, before the simulation runs, not after; other write faults
+    # surface in _save_table.
+    parent = Path(path).parent
+    if not parent.is_dir():
+        raise InputError(f"cannot write {path}: no directory {parent}")
+    if Path(path).is_dir():
+        raise InputError(f"cannot write {path}: it is a directory")
+
+
 def _save_table(table: limits.CriticalValueTable, path: str) -> None:
     try:
         table.save(path)
@@ -230,6 +242,8 @@ def _critical_values_for_test(args, alphas):
             )
         _log(f"loaded critical values from {args.table}")
     elif args.simulate:
+        if args.table is not None:
+            _check_writable(args.table)
         table = _limit_table(args, (args.p,), alphas)
         if args.table is not None:
             _save_table(table, args.table)
@@ -274,6 +288,7 @@ def cmd_test(args) -> int:
 
 def cmd_critvals(args) -> int:
     alphas = [float(a) for a in args.alpha]
+    _check_writable(args.out)
     table = _limit_table(args, args.p, alphas)
     _save_table(table, args.out)
     _emit(table.to_dict())
@@ -491,6 +506,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except InputError as exc:
         _log(f"error: {exc}")
+        return 2
+    except MemoryError as exc:
+        detail = f" ({exc})" if str(exc) else ""
+        _log(f"error: not enough memory at this scale{detail}; lower --grid, --reps or --paths")
         return 2
 
 

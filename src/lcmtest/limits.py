@@ -52,7 +52,6 @@ from pathlib import Path
 
 import numpy as np
 import scipy
-from scipy import special
 
 from . import __version__, models, pwl
 from .streams import Stream, generator, substream
@@ -139,6 +138,10 @@ def _airy_area_density(x) -> np.ndarray:
     v_j)`` with ``v_j = 2 |a_j|^3 / (27 x^2)`` and a_j the zeros of Ai
     (Takacs 1991; Janson 2007, Probab. Surveys 4).  Terms with v_j >= 60
     are below 1e-24 and left out; 200 zeros cover x up to ~20."""
+    # Imported here: only the first build of the area table needs it, and it
+    # adds ~50 ms to every start.
+    from scipy import special
+
     x = np.atleast_1d(np.asarray(x, dtype=np.float64))
     v = 2.0 * np.abs(special.ai_zeros(200)[0])[:, None] ** 3 / (27.0 * x**2)
     keep = v < 60.0

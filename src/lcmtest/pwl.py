@@ -11,8 +11,30 @@ ramp, integrated in closed form by :func:`ramp_pow_integrals`.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+from pathlib import Path
+
 import numpy as np
-from scipy.optimize._pava_pybind import pava as _pava_kernel
+import scipy
+
+
+def _load_pava_kernel():
+    # scipy's compiled PAVA kernel, loaded from its file without running
+    # scipy/optimize/__init__.py, which imports scipy.linalg, scipy.sparse and
+    # the solvers, ~0.45 s this package never uses.  The module is not put in
+    # sys.modules, so a later `import scipy.optimize` sets its _pava_pybind
+    # attribute as usual; CPython's extension cache hands it this same module.
+    name = "scipy.optimize._pava_pybind"
+    spec = importlib.machinery.PathFinder.find_spec(name, [str(Path(scipy.__file__).parent / "optimize")])
+    if spec is None:
+        raise ImportError(f"{name} not found in scipy {scipy.__version__}")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.pava
+
+
+_pava_kernel = _load_pava_kernel()
 
 #: Absolute slack for internal majorization checks.  The geometry is exact up
 #: to float rounding, so anything past this indicates a bug, not noise.

@@ -652,6 +652,8 @@ def test_cmd_verify_identity_narrow_interval(capsys, tmp_path):
         ["critvals", "--p", "2", "1e300", "--reps", "3", "--grid", "4", "--out", "{out}"],
         ["simulate-limit", "--cdf", "{spec}", "--p", "nan", "--reps", "3", "--grid", "4"],
         ["verify", "--cdf", "{spec}", "--mode", "dominance", "--p=-inf", "--paths", "2"],
+        ["critvals", "--reps", "3", "--grid", "4", "--out", "{no_dir}"],
+        ["critvals", "--reps", "3", "--grid", "4", "--out", "{out_dir}"],
     ],
     ids=[
         "all-zero-data", "zero-reps", "grid-1", "zero-draws", "zero-paths",
@@ -660,6 +662,7 @@ def test_cmd_verify_identity_narrow_interval(capsys, tmp_path):
         "simulate-limit-nan-knot", "test-cdf-nan-knot", "verify-nan-knot",
         "data-not-utf8", "spec-not-utf8", "test-simulate-unwritable-table",
         "test-p-200", "critvals-p-1e300", "simulate-limit-p-nan", "verify-p-neg-inf",
+        "critvals-unwritable-out", "critvals-out-is-dir",
     ],
 )
 def test_cmd_input_faults_exit_2(capsys, tmp_path, two_segment_file, argv):
@@ -676,10 +679,33 @@ def test_cmd_input_faults_exit_2(capsys, tmp_path, two_segment_file, argv):
     paths = {
         "zeros": zeros, "data": data, "out": tmp_path / "table.json", "spec": two_segment_file,
         "nan_spec": nan_spec, "latin1": latin1, "latin1_spec": latin1_spec,
-        "no_dir": tmp_path / "nope" / "t.json",
+        "no_dir": tmp_path / "nope" / "t.json", "out_dir": tmp_path,
     }
     code = cli.main([tok.format(**paths) for tok in argv])
     out = capsys.readouterr()
     assert code == 2
     assert "error:" in out.err
     assert out.out == ""
+    # Refused before any simulation runs, so no simulation or progress line.
+    assert "simulating" not in out.err and "limit draws" not in out.err
+
+
+# Sizes of 10^15 or more: numpy refuses each array (petabytes) before it
+# allocates anything.
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--cdf", "{spec}", "--mode", "identity", "--paths", "2", "--grid", "1000000000000000"],
+        ["verify", "--cdf", "{spec}", "--mode", "dominance", "--paths", "1000000000000000", "--grid", "16"],
+        ["critvals", "--p", "2.5", "--reps", "1", "--grid", "1000000000000000", "--out", "{out}"],
+        ["critvals", "--reps", "1000000000000000", "--out", "{out}"],
+        ["simulate-limit", "--cdf", "{spec}", "--p", "3", "--reps", "1", "--grid", "1000000000000000"],
+    ],
+    ids=["verify-grid", "verify-paths", "critvals-grid", "critvals-reps", "simulate-limit-grid"],
+)
+def test_scale_past_memory_exits_2(capsys, tmp_path, two_segment_file, argv):
+    out = tmp_path / "t.json"
+    code, doc, err = run_cli(capsys, *[tok.format(spec=two_segment_file, out=out) for tok in argv])
+    assert code == 2 and doc is None and not out.exists()
+    assert err.splitlines()[-1].startswith("error: not enough memory")
+    assert "--grid, --reps or --paths" in err
