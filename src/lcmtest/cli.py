@@ -14,10 +14,10 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
-import io
 import json
 import math
 import os
+import re
 import sys
 import warnings
 from fractions import Fraction
@@ -64,15 +64,18 @@ def _comments_are_whole_lines(text: str) -> bool:
     return True
 
 
-def _parse_plain(text: str) -> np.ndarray | None:
-    # One numpy pass over a file of bare numbers, one per line, dropping
-    # '#' comments.  None unless the result is a nonempty single column of
-    # finite values in [0, 1]; every other file goes to the line loop, which
-    # owns the error messages.
+def _parse_plain(path: str, **csv_args) -> np.ndarray | None:
+    # One numpy pass over the file, read in chunks in C from its absolute path
+    # (a relative one may parse as a URL), '#' comments dropped.  None unless
+    # the result is a nonempty single column of finite values in [0, 1]; every
+    # other file, and any name numpy would decompress, goes to the line loop,
+    # which owns the error messages.
+    if path.endswith((".gz", ".bz2", ".xz", ".lzma")):
+        return None
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         try:
-            arr = np.loadtxt(io.StringIO(text), ndmin=2, comments="#")
+            arr = np.loadtxt(str(Path(path).absolute()), ndmin=2, comments="#", encoding="utf-8-sig", **csv_args)
         except ValueError:
             return None
     # NaN fails both comparisons, so the range check also rejects non-finite values.
@@ -97,23 +100,23 @@ def read_samples(path: str, column: str | None = None) -> np.ndarray:
     """Read observations from a text file (one number per line, '#' comments)
     or from a CSV column given by name or 0-based index.
 
-    A text file whose '#' all start whole-line comments is parsed by numpy
-    in one pass, comments dropped; the Python row loop, shared with CSV
-    files, takes over whenever that pass fails or finds a value the loop
-    would reject, so both routes accept the same files with the same values
-    and messages.
+    numpy reads the file from its path, in chunks in C, when every '#' in it
+    starts a whole-line comment and, for a CSV column, the file has no quote
+    and no line break but '\n'.  The Python row loop takes over whenever that
+    pass fails or finds a value the loop would reject, so both routes accept
+    the same files with the same values and messages.
     """
     text = _read_text(path, "data")
     values: list[float] = []
+    fast = text.strip() and _comments_are_whole_lines(text)
     if column is None:
-        if text.strip() and _comments_are_whole_lines(text):
-            arr = _parse_plain(text)
+        if fast:
+            arr = _parse_plain(path)
             if arr is not None:
                 return arr
         # One column whose rows are the lines, read by the CSV loop below.
         rows, idx, start = [[line] for line in text.splitlines()], 0, 0
     else:
-        rows = list(csv.reader(text.splitlines()))
         try:
             idx = int(column)
             name = None
@@ -122,6 +125,20 @@ def read_samples(path: str, column: str | None = None) -> np.ndarray:
             name = column
         if idx is not None and idx < 0:
             raise InputError(f"--column index must be non-negative, got {idx}")
+        if fast and not re.search('["\0\x0b\x0c\x1c-\x1e\x85\u2028\u2029]', text):
+            # With no quote, NUL or line break of str.splitlines but '\n', numpy
+            # splits rows as csv.reader does; it skips the loop's header row.
+            first = [h.strip() for h in next(csv.reader([text.partition("\n")[0]]))]
+            col, skip = (first.index(name), 1) if name in first else (idx, 0)
+            if name is None and idx < len(first):
+                try:
+                    float(first[idx])
+                except ValueError:
+                    skip = 1
+            arr = None if col is None else _parse_plain(path, delimiter=",", usecols=col, skiprows=skip)
+            if arr is not None:
+                return arr
+        rows = list(csv.reader(text.splitlines()))
         start = 0
         if name is not None:
             if not rows:

@@ -9,6 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 import lcmtest
@@ -204,6 +206,14 @@ PARSE_CASES = {
     "comment-then-pair": ("# x\n0.5\n0.1 0.2\n", ":3: not a number: '0.1 0.2'"),
     "byte-order-mark": ("\ufeff0.25\n0.5\n", [0.25, 0.5]),
     "byte-order-mark-comment": ("\ufeff# h\n0.5\n", [0.5]),
+    # Line endings and file ends, which numpy's file reader decodes itself.
+    "crlf": ("0.25\r\n0.5\r\n", [0.25, 0.5]),
+    "crlf-range": ("0.25\r\n1.5\r\n", ":2: value 1.5 outside [0, 1]"),
+    "lone-cr": ("0.25\r0.5\r", [0.25, 0.5]),
+    "lone-cr-garbage": ("0.25\rabc\r", ":2: not a number: 'abc'"),
+    "no-final-newline": ("0.25\n0.5", [0.25, 0.5]),
+    "byte-order-mark-crlf": ("\ufeff0.25\r\n0.5\r\n", [0.25, 0.5]),
+    "trailing-blank-lines": ("0.25\n0.5\n\n\n", [0.25, 0.5]),
 }
 
 
@@ -224,11 +234,101 @@ def test_read_samples_contract(capsys, tmp_path, case):
 def test_read_samples_drops_whole_line_comments_in_one_pass(tmp_path, monkeypatch):
     calls = []
     parse = cli._parse_plain
-    monkeypatch.setattr(cli, "_parse_plain", lambda text: calls.append(text) or parse(text))
+    monkeypatch.setattr(cli, "_parse_plain", lambda path, **kw: calls.append(path) or parse(path, **kw))
     path = tmp_path / "data.txt"
     path.write_text("# header\n0.25\n  # note\n0.75\n")
     assert np.array_equal(cli.read_samples(str(path)), [0.25, 0.75])
-    assert len(calls) == 1
+    assert calls == [str(path)]
+
+
+def _forbid_row_loop(monkeypatch):
+    # The row loop checks each value it reads with _check_value; numpy's
+    # file route never calls it.
+    def refuse(*args):
+        raise AssertionError("read by the row loop")
+
+    monkeypatch.setattr(cli, "_check_value", refuse)
+
+
+# Files numpy reads whole from the path: (text, --column, values).
+FAST_ROUTE_CASES = {
+    "plain": ("0.25\n0.5\n", None, [0.25, 0.5]),
+    "header-comment": ("# header\n0.25\n0.5\n", None, [0.25, 0.5]),
+    "crlf": ("# header\r\n0.25\r\n0.5\r\n", None, [0.25, 0.5]),
+    "byte-order-mark": ("\ufeff0.25\n0.5\n", None, [0.25, 0.5]),
+    "csv-named": ("id,pval\n1,0.25\n2,0.5\n", "pval", [0.25, 0.5]),
+    "csv-index": ("a,0.25\nb,0.5\n", "1", [0.25, 0.5]),
+    "csv-index-unnamed-header": ("id,pval\n1,0.25\n2,0.5\n", "1", [0.25, 0.5]),
+    "csv-crlf-comment": ("\ufeffpval\r\n# from a spreadsheet\r\n0.25\r\n0.5\r\n", "pval", [0.25, 0.5]),
+}
+
+
+@pytest.mark.parametrize("case", FAST_ROUTE_CASES, ids=list(FAST_ROUTE_CASES))
+def test_read_samples_takes_numpy_file_route(tmp_path, monkeypatch, case):
+    text, column, want = FAST_ROUTE_CASES[case]
+    path = tmp_path / "data.csv"
+    path.write_bytes(text.encode("utf-8"))
+    _forbid_row_loop(monkeypatch)
+    assert np.array_equal(cli.read_samples(str(path), column), want)
+
+
+@pytest.mark.parametrize(
+    "name,text,column",
+    [
+        ("data.csv", 'id,pval\n1,"0.25"\n', "pval"),
+        ("data.csv", "0.25,x # note\n", "0"),
+        ("data.txt.gz", "0.25\n0.5\n", None),
+    ],
+    ids=["quoted-cell", "inline-comment", "compressed-suffix"],
+)
+def test_read_samples_falls_back_to_row_loop(tmp_path, monkeypatch, name, text, column):
+    # numpy would split a quoted cell or drop an inline comment unlike the
+    # loop, and would decompress a file named *.gz.
+    path = tmp_path / name
+    path.write_text(text)
+    _forbid_row_loop(monkeypatch)
+    with pytest.raises(AssertionError, match="row loop"):
+        cli.read_samples(str(path), column)
+
+
+# Small files of numbers, blank lines, whole-line and inline '#' comments,
+# in one or two comma-separated columns, with '\n' or CRLF line ends and
+# with or without a byte-order mark.
+_CELLS = ["0.25", "0.5", "1", "0", "-0", "1e-3", " 0.75 ", "", "1.5", "nan", "abc", "pval", "0.5 # c", '"0.5"']
+_LINES = st.one_of(
+    st.lists(st.sampled_from(_CELLS + ["0.125"] * 6), min_size=1, max_size=3).map(",".join),
+    st.sampled_from(["", "  ", "# note", "  # indented", "#,pval"]),
+)
+
+
+@given(
+    lines=st.lists(_LINES, max_size=8),
+    eol=st.sampled_from(["\n", "\r\n"]),
+    bom=st.booleans(),
+    final_eol=st.booleans(),
+    column=st.sampled_from([None, "0", "1", "pval"]),
+)
+@settings(max_examples=400, deadline=None)
+def test_read_samples_matches_row_loop(tmp_path_factory, lines, eol, bom, final_eol, column):
+    text = ("\ufeff" if bom else "") + eol.join(lines) + (eol if final_eol else "")
+    path = tmp_path_factory.getbasetemp() / "property.csv"
+    path.write_bytes(text.encode("utf-8"))
+
+    def outcome():
+        try:
+            return cli.read_samples(str(path), column)
+        except cli.InputError as exc:
+            return f"error: {exc}"
+
+    fast = outcome()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_parse_plain", lambda path, **kw: None)
+        loop = outcome()
+    if isinstance(loop, str):
+        assert fast == loop
+    else:
+        assert isinstance(fast, np.ndarray) and np.array_equal(fast, loop)
+        assert fast.tobytes() == loop.tobytes()
 
 
 def test_read_samples_round_trips_doubles(tmp_path, rng):
@@ -254,6 +354,19 @@ CSV_CASES = {
     "out-of-range": ("0.25\n1.5\n", "0", "{path}:2: value 1.5 outside [0, 1]"),
     "negative-index": ("0.25,0.5\n0.75\n", "-1", "--column index must be non-negative, got -1"),
     "byte-order-mark": ("\ufeffpval,id\n0.25,1\n0.5,2\n", "pval", [0.25, 0.5]),
+    # Line endings, file ends and cells as numpy's file reader sees them.
+    "crlf": ("id,pval\r\n1,0.25\r\n2,0.5\r\n", "pval", [0.25, 0.5]),
+    "lone-cr": ("id,pval\r1,0.25\r2,0.5\r", "pval", [0.25, 0.5]),
+    "no-final-newline": ("id,pval\n1,0.25\n2,0.5", "pval", [0.25, 0.5]),
+    "byte-order-mark-crlf": ("\ufeffpval,id\r\n0.25,1\r\n0.5,2\r\n", "pval", [0.25, 0.5]),
+    "trailing-blank-lines": ("pval\n0.25\n0.5\n\n\n", "pval", [0.25, 0.5]),
+    "padded-cells": (" id , pval \n1, 0.25 \n2,\t0.5\n", "pval", [0.25, 0.5]),
+    "padded-blank-cell": ("pval\n0.25\n  \n0.5\n", "pval", [0.25, 0.5]),
+    "quoted-cell": ('id,pval\n1,"0.25"\n2,0.5\n', "pval", [0.25, 0.5]),
+    "quoted-comma": ('id,pval\n"1,5",0.25\n2,0.5\n', "pval", [0.25, 0.5]),
+    "index-unnamed-header": ("id,pval\n1,0.25\n2,0.5\n", "1", [0.25, 0.5]),
+    "index-short-header": ("id\n1,0.25\n", "1", "{path}:1: row has no column 1"),
+    "index-header-then-garbage": ("id,pval\n1,abc\n", "1", "{path}:2: not a number: 'abc'"),
 }
 
 
