@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import io
 import json
 import math
 import os
@@ -84,15 +85,92 @@ def _parse_plain(path: str, **csv_args) -> np.ndarray | None:
     return arr[:, 0]
 
 
-def _read_text(path: str, what: str) -> str:
-    # A UTF-8 input file's text, without the byte-order mark some editors
-    # and spreadsheets write first; a file that is missing, unreadable or
-    # not UTF-8 is an input error.
+#: Bytes a file of plain decimals may hold, and those among them that send a
+#: line to float(): a sign or an exponent, which the mantissa parse reads as 0.
+_DECIMAL_BYTES = b"0123456789.\n"
+_FLOAT_BYTES = b"eE+-"
+_ZEROED_MARKS = bytes.maketrans(_FLOAT_BYTES, b"0000")
+#: 10**f for f <= 22, each an exact double.
+_POW10 = 10.0 ** np.arange(23)
+#: Relative slack on the two-product correction: a line whose rounding it can
+#: change is near a midpoint between doubles and goes to float().
+_MIDPOINT_TOL = 2.0**-40
+#: Bytes per chunk, cut at a line end: 10^6 repr lines parse in 0.165 s at
+#: 256 KiB and in 0.183 s at 1 MiB (medians of 11, 2 cores).
+_CHUNK = 1 << 18
+
+
+def _parse_decimal_lines(data: bytes) -> np.ndarray | None:
+    # The values of a file of one decimal per line, each the double float()
+    # gives, or None.  A line is an integer mantissa m over 10**f: for m <
+    # 2**53, m / 10**f is one correctly rounded division (Clinger's fast
+    # path); below 2**62 the quotient gets a correction from its exact
+    # remainder (Dekker's two-product).  Lines with a sign or an exponent,
+    # longer lines and near-midpoint ones go to float().  None for a line
+    # without one dot, for a chunk with more than an eighth of its lines left
+    # to float(), or for a value outside [0, 1].
+    start = 3 if data.startswith(b"\xef\xbb\xbf") else 0
+    whole = np.frombuffer(data, np.uint8)
+    out = np.empty(sum(np.count_nonzero(whole[i : i + _CHUNK] == 10) for i in range(start, len(data), _CHUNK)) + 1)
+    k = 0
+    while start < len(data):
+        end = len(data) if len(data) - start <= _CHUNK else data.rfind(b"\n", start, start + _CHUNK) + 1
+        chunk = data[start:end].rstrip(b"\n") + b"\n"
+        signs = chunk.translate(None, _DECIMAL_BYTES)
+        start, b = end, np.frombuffer(chunk, np.uint8)
+        nl, dots = np.flatnonzero(b == 10), np.flatnonzero(b == 46)
+        one_dot = dots.size == nl.size and np.all(dots < nl) and np.all(dots[1:] > nl[:-1])
+        if signs.translate(None, _FLOAT_BYTES) or not one_dot:
+            return None
+        m, f = np.fromstring(chunk.translate(_ZEROED_MARKS, b"."), np.uint64, sep="\n"), nl - dots - 1
+        if m.size != nl.size:
+            return None
+        redo = (f > 22) | (m >= 1 << 62)  # numpy saturates an overflow at 2**64 - 1
+        m[redo] = 0
+        p = _POW10[np.minimum(f, 22)]
+        x, big = m / p, m >= 1 << 53
+        if big.any():
+            # Dekker's two-product on Veltkamp halves: prod + err == x * p,
+            # so the remainder hi - x * p == (hi - prod) - err exactly.
+            hi, prod = m.astype(np.float64), x * p
+            xt, pt = x * 134217729.0, p * 134217729.0
+            xh, ph = xt - (xt - x), pt - (pt - p)
+            err = ((xh * ph - prod) + xh * (p - ph) + (x - xh) * ph) + (x - xh) * (p - ph)
+            c = ((hi - prod) - err + (m - hi.astype(np.uint64)).view(np.int64)) / p
+            redo |= big & (x + c * (1.0 + _MIDPOINT_TOL) != x + c * (1.0 - _MIDPOINT_TOL))
+            x = np.where(big, x + c, x)
+        if signs:
+            redo[np.searchsorted(nl, np.flatnonzero((b > 57) | (b - np.uint8(43) < 3)))] = True
+        redo = np.flatnonzero(redo)
+        if redo.size > nl.size // 8:
+            return None
+        try:
+            x[redo] = [float(chunk[i:j]) for i, j in zip(np.append(-1, nl)[redo] + 1, nl[redo])]
+        except ValueError:
+            return None
+        out[k : k + x.size] = x
+        k += x.size
+    out = out[:k]
+    return out if k and np.all((out >= 0.0) & (out <= 1.0)) else None
+
+
+def _read_bytes(path: str, what: str) -> bytes:
+    # A file that is missing or unreadable is an input error.
     if not Path(path).is_file():
         raise InputError(f"{what} file not found: {path}")
     try:
-        return Path(path).read_text(encoding="utf-8-sig")
-    except (OSError, UnicodeDecodeError) as exc:
+        return Path(path).read_bytes()
+    except OSError as exc:
+        raise InputError(f"{path}: cannot read {what} file: {exc}") from None
+
+
+def _decode(data: bytes, path: str, what: str) -> str:
+    # A UTF-8 file's text as Path.read_text gives it, with universal newlines
+    # and without the byte-order mark some editors and spreadsheets write
+    # first; bytes that are not UTF-8 are an input error.
+    try:
+        return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig").read()
+    except UnicodeDecodeError as exc:
         raise InputError(f"{path}: cannot read {what} file: {exc}") from None
 
 
@@ -100,13 +178,22 @@ def read_samples(path: str, column: str | None = None) -> np.ndarray:
     """Read observations from a text file (one number per line, '#' comments)
     or from a CSV column given by name or 0-based index.
 
-    numpy reads the file from its path, in chunks in C, when every '#' in it
-    starts a whole-line comment and, for a CSV column, the file has no quote
-    and no line break but '\n'.  The Python row loop takes over whenever that
-    pass fails or finds a value the loop would reject, so both routes accept
-    the same files with the same values and messages.
+    A plain file of one decimal with one dot on each line, '\n' line ends and
+    no other bytes but signs and exponents is read from its bytes as integer
+    mantissas and converted exactly (:func:`_parse_decimal_lines`).  Any other
+    file, or one that route declines, numpy reads from its path, in chunks in
+    C, when every '#' in it starts a whole-line comment and, for a CSV column,
+    the file has no quote and no line break but '\n'.  The Python row loop
+    takes over whenever that pass fails or finds a value the loop would
+    reject, so all routes accept the same files with the same values and
+    messages.
     """
-    text = _read_text(path, "data")
+    data = _read_bytes(path, "data")
+    if column is None:
+        arr = _parse_decimal_lines(data)
+        if arr is not None:
+            return arr
+    text = _decode(data, path, "data")
     values: list[float] = []
     fast = text.strip() and _comments_are_whole_lines(text)
     if column is None:
@@ -170,7 +257,7 @@ def read_samples(path: str, column: str | None = None) -> np.ndarray:
 
 def load_spec(path: str) -> models.ConcaveCdf:
     try:
-        data = json.loads(_read_text(path, "spec"))
+        data = json.loads(_decode(_read_bytes(path, "spec"), path, "spec"))
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: invalid JSON: {exc}") from None
     try:

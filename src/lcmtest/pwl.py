@@ -161,8 +161,11 @@ def corner_gaps(px, py, idx) -> tuple[np.ndarray, np.ndarray]:
     the interval, so the gap is an affine ramp from ``v_lo[j]`` to
     ``v_hi[j]``.  A gap below ``-MAJORIZATION_TOL`` raises
     :class:`GeometryError`; smaller negative dust is clamped to zero.
+    The abscissae are scaled by 2**600, as in :func:`hull_vertices`, so a
+    slope over a subnormal spacing stays finite.
     """
-    hull = np.interp(px, px[idx], py[idx])
+    sx = np.ldexp(px, 600)
+    hull = np.interp(sx, sx[idx], py[idx])
     v_lo = hull[:-1] - py[:-1]
     v_hi = hull[1:] - py[:-1]
     worst = min(float(v_lo.min()), float(v_hi.min()))

@@ -1,9 +1,11 @@
+import decimal
 import hashlib
 import json
 import math
 import os
 import subprocess
 import sys
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -214,6 +216,10 @@ PARSE_CASES = {
     "no-final-newline": ("0.25\n0.5", [0.25, 0.5]),
     "byte-order-mark-crlf": ("\ufeff0.25\r\n0.5\r\n", [0.25, 0.5]),
     "trailing-blank-lines": ("0.25\n0.5\n\n\n", [0.25, 0.5]),
+    # As many dots as lines, but not one on each, and a dot with no digit.
+    "two-dots": ("0.1.2\n5\n", ":1: not a number: '0.1.2'"),
+    "two-dots-late": ("0\n0.0.0\n", ":2: not a number: '0.0.0'"),
+    "lone-dot": ("0.5\n.\n", ":2: not a number: '.'"),
 }
 
 
@@ -277,13 +283,14 @@ def test_read_samples_takes_numpy_file_route(tmp_path, monkeypatch, case):
     [
         ("data.csv", 'id,pval\n1,"0.25"\n', "pval"),
         ("data.csv", "0.25,x # note\n", "0"),
-        ("data.txt.gz", "0.25\n0.5\n", None),
+        ("data.txt.gz", "# header\n0.25\n0.5\n", None),
     ],
     ids=["quoted-cell", "inline-comment", "compressed-suffix"],
 )
 def test_read_samples_falls_back_to_row_loop(tmp_path, monkeypatch, name, text, column):
     # numpy would split a quoted cell or drop an inline comment unlike the
-    # loop, and would decompress a file named *.gz.
+    # loop, and would decompress a file named *.gz.  The '#' line keeps the
+    # last file off the decimal route, which reads bytes and decompresses nothing.
     path = tmp_path / name
     path.write_text(text)
     _forbid_row_loop(monkeypatch)
@@ -295,6 +302,8 @@ def test_read_samples_falls_back_to_row_loop(tmp_path, monkeypatch, name, text, 
 # in one or two comma-separated columns, with '\n' or CRLF line ends and
 # with or without a byte-order mark.
 _CELLS = ["0.25", "0.5", "1", "0", "-0", "1e-3", " 0.75 ", "", "1.5", "nan", "abc", "pval", "0.5 # c", '"0.5"']
+# Long decimals (past 2**53, past 2**62 and past 22 places) and exponents.
+_CELLS += ["0.30000000000000004", "0.9999999999999999999", "0.12345678901234567890123", "2.5e-05", "5E-1", "+.5"]
 _LINES = st.one_of(
     st.lists(st.sampled_from(_CELLS + ["0.125"] * 6), min_size=1, max_size=3).map(",".join),
     st.sampled_from(["", "  ", "# note", "  # indented", "#,pval"]),
@@ -322,6 +331,7 @@ def test_read_samples_matches_row_loop(tmp_path_factory, lines, eol, bom, final_
 
     fast = outcome()
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_parse_decimal_lines", lambda data: None)
         mp.setattr(cli, "_parse_plain", lambda path, **kw: None)
         loop = outcome()
     if isinstance(loop, str):
@@ -337,6 +347,141 @@ def test_read_samples_round_trips_doubles(tmp_path, rng):
     path = tmp_path / "data.txt"
     path.write_text("\n".join(lines) + "\n")
     assert np.array_equal(cli.read_samples(str(path)), [float(tok) for tok in lines])
+
+
+# -- the decimal route: integer mantissas, exact conversion ---------------------------
+
+
+def _forbid_other_routes(monkeypatch):
+    # A file the decimal route takes reaches neither numpy's file route nor
+    # the row loop.
+    _forbid_row_loop(monkeypatch)
+    monkeypatch.setattr(cli, "_parse_plain", lambda path, **kw: pytest.fail("read by numpy's file route"))
+
+
+def _midpoint_lines(rng, digits):
+    # The midpoint between a double and the next one up, cut to `digits`
+    # significant digits: within 10**-digits of the value where rounding flips.
+    lines = []
+    with decimal.localcontext(prec=80):
+        for a in (rng.random(2000) * 10.0 ** -rng.integers(0, 4, 2000)).tolist():
+            head, frac = f"{(Decimal(a) + Decimal(math.nextafter(a, 2.0))) / 2:f}".split(".")
+            lead = len(frac) - len(frac.lstrip("0"))
+            lines.append(f"{head}.{frac[: lead + digits]}")
+    return lines
+
+
+def _exactness_lines(case):
+    rng = np.random.default_rng(2501)
+    if case == "repr":
+        # One value in 40 below 1e-4, which repr writes with an exponent.
+        values = rng.random(4000)
+        values[::40] *= 1e-6
+        return [repr(v) for v in values.tolist()] + ["0.0", "1.0"]
+    if case.startswith("%"):
+        return [case % v for v in rng.random(2000)]
+    if case.startswith("midpoint"):
+        return _midpoint_lines(rng, int(case.split("-")[1]))
+    # Leading zeros, a leading or trailing dot, signs; or bare integers.
+    odd = ["00.5", "000.000125", ".75", "+.5", "-0.0", "0.", "1.0000", "0.000000000000000000001"]
+    return (odd if case == "odd-lines" else ["0", "1", "-0"]) + [repr(v) for v in rng.random(200).tolist()]
+
+
+# Whether the decimal route takes the file: up to 18 digits it does; past
+# that, most mantissas reach 2**62, and a line without a dot is not its
+# shape, so the file goes to numpy's route.
+EXACTNESS_CASES = {
+    "repr": True,
+    **{f"%.{d}f": d <= 18 for d in range(16, 23)},
+    **{f"midpoint-{d}": d <= 18 for d in range(15, 20)},
+    "odd-lines": True,
+    "bare-integers": False,
+}
+
+
+@pytest.mark.parametrize("case", EXACTNESS_CASES, ids=list(EXACTNESS_CASES))
+def test_read_samples_is_exact(tmp_path, monkeypatch, case):
+    lines = _exactness_lines(case)
+    want = np.array([float(tok) for tok in lines]).tobytes()
+    data = ("\n".join(lines) + "\n").encode()
+    arr = cli._parse_decimal_lines(data)
+    assert (arr is not None) == EXACTNESS_CASES[case]
+    if arr is not None:
+        assert arr.tobytes() == want
+        _forbid_other_routes(monkeypatch)
+    path = tmp_path / "data.txt"
+    path.write_bytes(data)
+    assert cli.read_samples(str(path)).tobytes() == want
+
+
+def test_near_midpoint_lines_go_to_float(tmp_path, monkeypatch):
+    # Widening the slack from 2**-40 to 2**10 makes every line whose mantissa
+    # needs the two-product correction count as near a midpoint.
+    values = np.random.default_rng(2502).random(100).tolist()
+    big = [repr(v) for v in values if int(repr(v).replace(".", "")) >= 2**53][:8]
+    lines = big + ["0.125"] * 120
+    path = tmp_path / "data.txt"
+    path.write_text("\n".join(lines) + "\n")
+    seen = []
+    monkeypatch.setattr(cli, "_MIDPOINT_TOL", 2.0**10)
+    monkeypatch.setattr(cli, "float", lambda tok: seen.append(tok) or float(tok), raising=False)
+    _forbid_other_routes(monkeypatch)
+    assert cli.read_samples(str(path)).tobytes() == np.array([float(tok) for tok in lines]).tobytes()
+    assert len(big) == 8 and seen == [tok.encode() for tok in big]
+
+
+def test_numpy_saturates_an_overflowing_mantissa():
+    # The decimal route relies on it: a mantissa past 2**64 - 1 reads as
+    # 2**64 - 1, which its m < 2**62 test sends to float().
+    got = np.fromstring(b"18446744073709551615\n18446744073709551616\n99999999999999999999999\n", np.uint64, sep="\n")
+    assert got.tolist() == [2**64 - 1] * 3
+
+
+# Files the decimal route reads whole: (name, text).
+DECIMAL_ROUTE_CASES = {
+    "repr-exponent-bom": ("data.txt", "\ufeff0.25\n2.5e-05\n" + "0.125\n" * 16 + "0.7350738721058192\n"),
+    "no-final-newline": ("data.txt", "0.25\n0.5"),
+    "trailing-blank-lines": ("data.txt", "0.25\n0.5\n\n\n"),
+    # Bytes are read as they are, so a name numpy would decompress is safe.
+    "compressed-suffix": ("data.txt.gz", "0.25\n0.5\n"),
+}
+
+
+@pytest.mark.parametrize("case", DECIMAL_ROUTE_CASES, ids=list(DECIMAL_ROUTE_CASES))
+def test_read_samples_takes_decimal_route(tmp_path, monkeypatch, case):
+    name, text = DECIMAL_ROUTE_CASES[case]
+    path = tmp_path / name
+    path.write_bytes(text.encode("utf-8"))
+    _forbid_other_routes(monkeypatch)
+    want = np.array([float(tok) for tok in text.lstrip("\ufeff").split()])
+    assert cli.read_samples(str(path)).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "text,want",
+    [
+        ("0.25\r\n0.5\r\n", [0.25, 0.5]),
+        (" 0.25\n0.5\n", [0.25, 0.5]),
+        ("0.25\t\n", [0.25]),
+        ("# h\n0.25\n", [0.25]),
+        ("1_0e-1\n", [1.0]),
+        ("0.25\n\n0.5\n", [0.25, 0.5]),
+        ("0\n1\n0.5\n", [0.0, 1.0, 0.5]),
+        ("0.5\n1e-05\n", [0.5, 1e-05]),
+        # A chunk of nothing but line ends, which numpy would read as a 0.
+        ("0.5\n" + "\n" * (1 << 19), [0.5]),
+    ],
+    ids=["crlf", "space", "tab", "comment", "underscore", "blank-line", "bare-integers", "exponent-no-dot", "blank-chunk"],
+)
+def test_read_samples_leaves_other_files_to_numpy_and_the_loop(tmp_path, monkeypatch, text, want):
+    calls = []
+    parse = cli._parse_plain
+    monkeypatch.setattr(cli, "_parse_plain", lambda path, **kw: calls.append(path) or parse(path, **kw))
+    path = tmp_path / "data.txt"
+    path.write_bytes(text.encode("utf-8"))
+    assert cli._parse_decimal_lines(path.read_bytes()) is None
+    assert np.array_equal(cli.read_samples(str(path)), want)
+    assert calls == [str(path)]
 
 
 # Each CSV file's outcome for a --column: the array read_samples returns, or

@@ -68,6 +68,31 @@ def test_exact_gap_integral_matches_float(rng):
             assert got == pytest.approx(exact, rel=1e-12, abs=1e-15)
 
 
+def test_lp_stat_over_a_subnormal_spacing():
+    # 1/54 at p = 2; a slope over the spacing 5e-324 overflowed when the
+    # hull was interpolated on unscaled abscissae.
+    samples = [5e-324, 1e-323, 0.5]
+    assert stats.exact_gap_pow_integral(samples, 2) == Fraction(1, 54)
+    for p, want in ((1.0, math.sqrt(3) / 12), (2.0, math.sqrt(3 / 54)), (np.inf, 1 / math.sqrt(3))):
+        assert stats.lp_stat(samples, p).value == pytest.approx(want, rel=1e-14)
+
+
+@given(
+    st.lists(st.integers(0, 40), min_size=1, max_size=20),
+    st.sampled_from([5e-324, 1e-323, 2.5e-310, 1e-300]),
+    st.lists(st.floats(1e-3, 1.0), min_size=1, max_size=5),
+)
+@settings(max_examples=150, deadline=None)
+def test_lp_stat_matches_exact_at_subnormal_spacings(steps, scale, far):
+    # Observations spaced by multiples of a subnormal or tiny step, with
+    # observations far from them that keep the integral a normal double.
+    samples = np.concatenate((np.asarray(steps, dtype=float) * scale, far))
+    for p in (1, 2):
+        exact = float(stats.exact_gap_pow_integral(samples, p))
+        got = (stats.lp_stat(samples, float(p)).value / math.sqrt(samples.size)) ** p
+        assert got == pytest.approx(exact, rel=1e-12, abs=1e-300)
+
+
 @pytest.mark.parametrize("p", [5, 8, 16])
 def test_exact_gap_integral_matches_closed_form_above_p_4(rng, p):
     # Above p = 4 the ramp integrals take the closed form, not the power sum.
