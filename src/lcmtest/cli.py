@@ -18,7 +18,6 @@ import io
 import json
 import math
 import os
-import re
 import sys
 import warnings
 from fractions import Fraction
@@ -50,46 +49,13 @@ def _check_value(v: float, where: str) -> float:
     return v
 
 
-def _comments_are_whole_lines(text: str) -> bool:
-    # True when every '#' sits in a line that starts with '#' after leading
-    # whitespace and holds no line break of str.splitlines other than its
-    # '\n': numpy then drops exactly the lines the line loop skips.
-    pos = text.find("#")
-    while pos != -1:
-        start = text.rfind("\n", 0, pos) + 1
-        end = text.find("\n", pos)
-        end = len(text) if end == -1 else end
-        if text[start:pos].strip() or len(text[start:end].splitlines()) > 1:
-            return False
-        pos = text.find("#", end)
-    return True
-
-
-def _parse_plain(path: str, **csv_args) -> np.ndarray | None:
-    # One numpy pass over the file, read in chunks in C from its absolute path
-    # (a relative one may parse as a URL), '#' comments dropped.  None unless
-    # the result is a nonempty single column of finite values in [0, 1]; every
-    # other file, and any name numpy would decompress, goes to the line loop,
-    # which owns the error messages.
-    if path.endswith((".gz", ".bz2", ".xz", ".lzma")):
-        return None
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        try:
-            arr = np.loadtxt(str(Path(path).absolute()), ndmin=2, comments="#", encoding="utf-8-sig", **csv_args)
-        except ValueError:
-            return None
-    # NaN fails both comparisons, so the range check also rejects non-finite values.
-    if arr.shape[1] != 1 or arr.size == 0 or not np.all((arr >= 0.0) & (arr <= 1.0)):
-        return None
-    return arr[:, 0]
-
-
 #: Bytes a file of plain decimals may hold, and those among them that send a
 #: line to float(): a sign or an exponent, which the mantissa parse reads as 0.
 _DECIMAL_BYTES = b"0123456789.\n"
 _FLOAT_BYTES = b"eE+-"
 _ZEROED_MARKS = bytes.maketrans(_FLOAT_BYTES, b"0000")
+#: The line breaks of str.splitlines other than CR and LF, in ASCII and past it.
+_BREAK_BYTES, _BREAK_CHARS = b"\x0b\x0c\x1c\x1d\x1e", "\x85\u2028\u2029"
 #: 10**f for f <= 22, each an exact double.
 _POW10 = 10.0 ** np.arange(23)
 #: Relative slack on the two-product correction: a line whose rounding it can
@@ -100,58 +66,186 @@ _MIDPOINT_TOL = 2.0**-40
 _CHUNK = 1 << 18
 
 
-def _parse_decimal_lines(data: bytes) -> np.ndarray | None:
-    # The values of a file of one decimal per line, each the double float()
-    # gives, or None.  A line is an integer mantissa m over 10**f: for m <
-    # 2**53, m / 10**f is one correctly rounded division (Clinger's fast
-    # path); below 2**62 the quotient gets a correction from its exact
-    # remainder (Dekker's two-product).  Lines with a sign or an exponent,
-    # longer lines and near-midpoint ones go to float().  None for a line
-    # without one dot, for a chunk with more than an eighth of its lines left
-    # to float(), or for a value outside [0, 1].
-    start = 3 if data.startswith(b"\xef\xbb\xbf") else 0
-    whole = np.frombuffer(data, np.uint8)
-    out = np.empty(sum(np.count_nonzero(whole[i : i + _CHUNK] == 10) for i in range(start, len(data), _CHUNK)) + 1)
-    k = 0
+def _lf(data: bytes) -> bytes:
+    # CRLF and lone CR to LF, as str.splitlines breaks lines.
+    return data.replace(b"\r\n", b"\n").replace(b"\r", b"\n") if b"\r" in data else data
+
+
+def _plain_utf8(data: bytes, odd: bytes, extra: bytes = b"") -> bool:
+    # Whether data, whose bytes outside _DECIMAL_BYTES are odd, is UTF-8 that
+    # str.splitlines breaks at LF alone, without a byte of extra.
+    try:
+        return len(odd.translate(None, _BREAK_BYTES + extra)) == len(odd) and (
+            odd.isascii() or not any(c in data.decode() for c in _BREAK_CHARS)
+        )
+    except UnicodeDecodeError:
+        return False
+
+
+def _drop_skipped_lines(chunk: bytes, blank: bool) -> bytes | None:
+    # The LF-ended lines of chunk without those whose first byte past spaces
+    # and tabs is '#' or, if blank, LF; None unless the dropped lines are
+    # _plain_utf8, since the row loop decodes them and splits them at any
+    # line break.
+    b = np.frombuffer(chunk, np.uint8)
+    ends = np.flatnonzero(b == 10)
+    starts = np.append(0, ends[:-1] + 1)
+    ink = np.flatnonzero((b != 32) & (b != 9))
+    head = b[ink[np.searchsorted(ink, starts)]]
+    keep = np.repeat((head != 35) & ((head != 10) | (not blank)), ends - starts + 1)
+    gone = b[~keep].tobytes()
+    return b[keep].tobytes() if _plain_utf8(gone, gone) else None
+
+
+def _column_cells(chunk: bytes, odd: bytes, col: int) -> bytes | None:
+    # Cell col of each LF-ended line of a CSV chunk, one a line, without the
+    # whole-line comments; odd is the chunk's bytes outside _DECIMAL_BYTES.
+    # csv.reader cuts a line at its commas unless it holds a quote or NUL,
+    # which it reads apart.  None for those, for bytes not _plain_utf8, for
+    # any other '#' and for a line, not empty, without the column.
+    if not _plain_utf8(chunk, odd, b'"\0'):
+        return None
+    if b"#" in odd:
+        chunk = _drop_skipped_lines(chunk, blank=False)
+        if chunk is None or b"#" in chunk:
+            return None
+    # Line k ends at cut[ends[k]]; its cells start past cut[before[k]], ...
+    b = np.frombuffer(chunk, np.uint8)
+    cut = np.append(-1, np.flatnonzero((b == 10) | (b == 44)))
+    ends = np.flatnonzero(b[cut[1:]] == 10) + 1
+    before = np.append(0, ends)[:-1]
+    if np.any((ends - before <= col) & (cut[ends] > cut[before] + 1)):
+        return None
+    lo, hi = cut[np.minimum(before + col, ends - 1)] + 1, cut[np.minimum(before + col + 1, ends)]
+    # Each cell with the byte past it, which becomes its LF.
+    bounds = np.column_stack([lo, hi + 1]).ravel()
+    cells = b[np.repeat(np.arange(bounds.size + 1) % 2 == 1, np.diff(bounds, prepend=0, append=b.size))]
+    cells[np.cumsum(hi + 1 - lo) - 1] = 10
+    return cells.tobytes()
+
+
+def _mantissas(chunk: bytes, b: np.ndarray, nl: np.ndarray, odd: bytes) -> tuple[np.ndarray, np.ndarray]:
+    # The values of a chunk's lines, which end at nl, and the lines left to
+    # float(), as _parse_decimal_lines reads them.  ValueError for a line
+    # with two dots or no number.
+    dots = np.flatnonzero(b == 46)
+    if dots.size == nl.size and np.all(dots < nl) and np.all(dots[1:] > nl[:-1]):
+        f = nl - dots - 1
+    else:
+        line = np.searchsorted(nl, dots)
+        if np.any(line[1:] == line[:-1]):
+            raise ValueError("two dots on a line")
+        f = np.zeros_like(nl)
+        f[line] = nl[line] - dots - 1
+    m = np.fromstring(chunk.translate(_ZEROED_MARKS, b"."), np.uint64, sep="\n")
+    if m.size != nl.size or chunk == b".\n":  # numpy reads b"\n" as one 0
+        raise ValueError("a line without one number")
+    redo = (f > 22) | (m >= 1 << 62)  # numpy saturates an overflow at 2**64 - 1
+    m[redo] = 0
+    p = _POW10[np.minimum(f, 22)]
+    x, big = m / p, m >= 1 << 53
+    if big.any():
+        # Dekker's two-product on Veltkamp halves: prod + err == x * p,
+        # so the remainder hi - x * p == (hi - prod) - err exactly.
+        hi, prod = m.astype(np.float64), x * p
+        xt, pt = x * 134217729.0, p * 134217729.0
+        xh, ph = xt - (xt - x), pt - (pt - p)
+        err = ((xh * ph - prod) + xh * (p - ph) + (x - xh) * ph) + (x - xh) * (p - ph)
+        c = ((hi - prod) - err + (m - hi.astype(np.uint64)).view(np.int64)) / p
+        redo |= big & (x + c * (1.0 + _MIDPOINT_TOL) != x + c * (1.0 - _MIDPOINT_TOL))
+        x = np.where(big, x + c, x)
+    if odd:
+        marks = (b > 57) | (b - np.uint8(43) < 3)
+        if odd.translate(None, _FLOAT_BYTES):
+            marks |= (b == 32) | (b == 9)
+        redo[np.searchsorted(nl, np.flatnonzero(marks))] = True
+    return x, np.flatnonzero(redo)
+
+
+def _parse_decimal_lines(data: bytes, col: int | None = None) -> np.ndarray | None:
+    # The values of one number a line (of CSV column col, if given), each the
+    # double float() gives, or None.  In chunks cut at line ends: CR line
+    # ends become LF from the first chunk that holds a CR, and blank lines
+    # and whole-line comments are dropped.  A line is an integer mantissa m
+    # over 10**f (f = 0 without a dot): for m < 2**53, m / 10**f is one
+    # correctly rounded division (Clinger's fast path); below 2**62 the
+    # quotient gets a correction from its exact remainder (Dekker's
+    # two-product).  Lines with a sign, an exponent or padding, longer lines
+    # and near-midpoint ones go to float().  Past an eighth of such lines, a
+    # chunk and those after it go whole to numpy's float parse, the dtoa
+    # float() runs, unless padded: numpy's separator matches any whitespace.
+    # None for a bad line or a value outside [0, 1]; a decline in chunk k
+    # costs k chunks.
+    start, parts, floats = 0, [], False
     while start < len(data):
-        end = len(data) if len(data) - start <= _CHUNK else data.rfind(b"\n", start, start + _CHUNK) + 1
-        chunk = data[start:end].rstrip(b"\n") + b"\n"
-        signs = chunk.translate(None, _DECIMAL_BYTES)
-        start, b = end, np.frombuffer(chunk, np.uint8)
-        nl, dots = np.flatnonzero(b == 10), np.flatnonzero(b == 46)
-        one_dot = dots.size == nl.size and np.all(dots < nl) and np.all(dots[1:] > nl[:-1])
-        if signs.translate(None, _FLOAT_BYTES) or not one_dot:
-            return None
-        m, f = np.fromstring(chunk.translate(_ZEROED_MARKS, b"."), np.uint64, sep="\n"), nl - dots - 1
-        if m.size != nl.size:
-            return None
-        redo = (f > 22) | (m >= 1 << 62)  # numpy saturates an overflow at 2**64 - 1
-        m[redo] = 0
-        p = _POW10[np.minimum(f, 22)]
-        x, big = m / p, m >= 1 << 53
-        if big.any():
-            # Dekker's two-product on Veltkamp halves: prod + err == x * p,
-            # so the remainder hi - x * p == (hi - prod) - err exactly.
-            hi, prod = m.astype(np.float64), x * p
-            xt, pt = x * 134217729.0, p * 134217729.0
-            xh, ph = xt - (xt - x), pt - (pt - p)
-            err = ((xh * ph - prod) + xh * (p - ph) + (x - xh) * ph) + (x - xh) * (p - ph)
-            c = ((hi - prod) - err + (m - hi.astype(np.uint64)).view(np.int64)) / p
-            redo |= big & (x + c * (1.0 + _MIDPOINT_TOL) != x + c * (1.0 - _MIDPOINT_TOL))
-            x = np.where(big, x + c, x)
-        if signs:
-            redo[np.searchsorted(nl, np.flatnonzero((b > 57) | (b - np.uint8(43) < 3)))] = True
-        redo = np.flatnonzero(redo)
-        if redo.size > nl.size // 8:
-            return None
+        end = len(data) if len(data) - start <= _CHUNK else data.rfind(b"\n", start, start + _CHUNK) + 1 or len(data)
+        chunk = data[start:end] if data[end - 1] == 10 else data[start:end] + b"\n"
+        odd = chunk.translate(None, _DECIMAL_BYTES)
+        if b"\r" in odd:
+            data, start = _lf(data[start:]), 0
+            continue
+        start = end
+        if col is not None:
+            chunk = _column_cells(chunk, odd, col)
+            if chunk is None:
+                return None
+            odd = chunk.translate(None, _DECIMAL_BYTES)
+        b = np.frombuffer(chunk, np.uint8)
+        nl = np.flatnonzero(b == 10)
+        if odd.translate(None, _FLOAT_BYTES) or np.any(np.diff(nl, prepend=-1) == 1):
+            chunk = _drop_skipped_lines(chunk, blank=True)
+            if chunk is None:
+                return None
+            odd, b = chunk.translate(None, _DECIMAL_BYTES), np.frombuffer(chunk, np.uint8)
+            nl = np.flatnonzero(b == 10)
+            if odd.translate(None, _FLOAT_BYTES + b" \t"):
+                return None
+        unpadded = not odd.translate(None, _FLOAT_BYTES)
         try:
-            x[redo] = [float(chunk[i:j]) for i, j in zip(np.append(-1, nl)[redo] + 1, nl[redo])]
-        except ValueError:
+            if not (floats and unpadded):
+                x, redo = _mantissas(chunk, b, nl, odd)
+                floats = unpadded and redo.size > nl.size // 8
+                if not floats:
+                    x[redo] = [float(chunk[i:j]) for i, j in zip(np.append(-1, nl)[redo] + 1, nl[redo])]
+            if floats:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error", DeprecationWarning)  # numpy 1.x warns where it stops
+                    x = np.fromstring(chunk, np.float64, sep="\n")
+        except (ValueError, DeprecationWarning):
             return None
-        out[k : k + x.size] = x
-        k += x.size
-    out = out[:k]
-    return out if k and np.all((out >= 0.0) & (out <= 1.0)) else None
+        if x.size != nl.size or not np.all((x >= 0.0) & (x <= 1.0)):
+            return None
+        parts.append(x)
+    out = np.concatenate(parts) if parts else np.empty(0)
+    return out if out.size else None
+
+
+def _header(first: list[str], idx: int | None, name: str | None) -> tuple[int | None, int]:
+    # The column's index in a CSV file whose first row is first (None for a
+    # name not there), and 1 if that row is a header: a named column's, or an
+    # index's whose cell there is not a number.
+    if name is not None:
+        header = [h.strip() for h in first]
+        return (header.index(name), 1) if name in header else (None, 1)
+    try:
+        float(first[idx])
+    except ValueError:
+        return idx, 1
+    except IndexError:
+        pass
+    return idx, 0
+
+
+def _parse_csv_column(data: bytes, idx: int | None, name: str | None) -> np.ndarray | None:
+    # A CSV column's values, or None.  The header comes from the first line
+    # alone, and goes with the comments if it is one.
+    data = _lf(data)
+    line = data.partition(b"\n")[0]
+    col, skip = _header(next(csv.reader([line.decode()])), idx, name) if _plain_utf8(line, line, b'"\0') else (None, 0)
+    if col is None:
+        return None
+    skip = skip and not line.lstrip(b" \t").startswith(b"#")
+    return _parse_decimal_lines(data[len(line) + 1 :] if skip else data, col)
 
 
 def _read_bytes(path: str, what: str) -> bytes:
@@ -178,63 +272,37 @@ def read_samples(path: str, column: str | None = None) -> np.ndarray:
     """Read observations from a text file (one number per line, '#' comments)
     or from a CSV column given by name or 0-based index.
 
-    A plain file of one decimal with one dot on each line, '\n' line ends and
-    no other bytes but signs and exponents is read from its bytes as integer
-    mantissas and converted exactly (:func:`_parse_decimal_lines`).  Any other
-    file, or one that route declines, numpy reads from its path, in chunks in
-    C, when every '#' in it starts a whole-line comment and, for a CSV column,
-    the file has no quote and no line break but '\n'.  The Python row loop
-    takes over whenever that pass fails or finds a value the loop would
-    reject, so all routes accept the same files with the same values and
-    messages.
+    The file is read once, as bytes.  Its lines, or a CSV column's cells, are
+    parsed in chunks as integer mantissas and converted exactly
+    (:func:`_parse_decimal_lines`).  Any file that route declines, the Python
+    row loop reads from the decoded text, so both accept the same files with
+    the same values and messages.
     """
     data = _read_bytes(path, "data")
+    body, idx, name = data.removeprefix(b"\xef\xbb\xbf"), 0, None
     if column is None:
-        arr = _parse_decimal_lines(data)
-        if arr is not None:
-            return arr
-    text = _decode(data, path, "data")
-    values: list[float] = []
-    fast = text.strip() and _comments_are_whole_lines(text)
-    if column is None:
-        if fast:
-            arr = _parse_plain(path)
-            if arr is not None:
-                return arr
-        # One column whose rows are the lines, read by the CSV loop below.
-        rows, idx, start = [[line] for line in text.splitlines()], 0, 0
+        arr = _parse_decimal_lines(body)
     else:
         try:
             idx = int(column)
-            name = None
         except ValueError:
-            idx = None
-            name = column
+            idx, name = None, column
         if idx is not None and idx < 0:
             raise InputError(f"--column index must be non-negative, got {idx}")
-        if fast and not re.search('["\0\x0b\x0c\x1c-\x1e\x85\u2028\u2029]', text):
-            # With no quote, NUL or line break of str.splitlines but '\n', numpy
-            # splits rows as csv.reader does; it skips the loop's header row.
-            first = [h.strip() for h in next(csv.reader([text.partition("\n")[0]]))]
-            col, skip = (first.index(name), 1) if name in first else (idx, 0)
-            if name is None and idx < len(first):
-                try:
-                    float(first[idx])
-                except ValueError:
-                    skip = 1
-            arr = None if col is None else _parse_plain(path, delimiter=",", usecols=col, skiprows=skip)
-            if arr is not None:
-                return arr
+        arr = _parse_csv_column(body, idx=idx, name=name)
+    if arr is not None:
+        return arr
+    text = _decode(data, path, "data")
+    if column is None:
+        rows, start = [[line] for line in text.splitlines()], 0
+    else:
         rows = list(csv.reader(text.splitlines()))
-        start = 0
-        if name is not None:
-            if not rows:
-                raise InputError(f"{path}: empty CSV file")
-            header = [h.strip() for h in rows[0]]
-            if name not in header:
-                raise InputError(f"{path}: no column named {name!r} (have {header})")
-            idx = header.index(name)
-            start = 1
+        if name is not None and not rows:
+            raise InputError(f"{path}: empty CSV file")
+        idx, start = _header(rows[0] if rows else [], idx, name)
+        if idx is None:
+            raise InputError(f"{path}: no column named {name!r} (have {[h.strip() for h in rows[0]]})")
+    values = []
     for ln, row in enumerate(rows[start:], start + 1):
         if not row or (row[0].strip().startswith("#")):
             continue
@@ -246,8 +314,6 @@ def read_samples(path: str, column: str | None = None) -> np.ndarray:
         try:
             v = float(tok)
         except ValueError:
-            if ln == 1 and column is not None:
-                continue  # unnamed header row in index mode
             raise InputError(f"{path}:{ln}: not a number: {tok!r}") from None
         values.append(_check_value(v, f"{path}:{ln}"))
     if not values:

@@ -238,25 +238,29 @@ def test_read_samples_contract(capsys, tmp_path, case):
 
 
 def test_read_samples_drops_whole_line_comments_in_one_pass(tmp_path, monkeypatch):
+    # The front end drops the comment lines, an indented one too, in one call
+    # on the file's only chunk, and the decimal route reads the rest.
     calls = []
-    parse = cli._parse_plain
-    monkeypatch.setattr(cli, "_parse_plain", lambda path, **kw: calls.append(path) or parse(path, **kw))
+    drop = cli._drop_skipped_lines
+    monkeypatch.setattr(cli, "_drop_skipped_lines", lambda data, **kw: calls.append(data) or drop(data, **kw))
+    _forbid_row_loop(monkeypatch)
     path = tmp_path / "data.txt"
     path.write_text("# header\n0.25\n  # note\n0.75\n")
     assert np.array_equal(cli.read_samples(str(path)), [0.25, 0.75])
-    assert calls == [str(path)]
+    assert calls == [path.read_bytes()]
 
 
 def _forbid_row_loop(monkeypatch):
-    # The row loop checks each value it reads with _check_value; numpy's
-    # file route never calls it.
+    # The row loop checks each value it reads with _check_value; the decimal
+    # route never calls it.
     def refuse(*args):
         raise AssertionError("read by the row loop")
 
     monkeypatch.setattr(cli, "_check_value", refuse)
 
 
-# Files numpy reads whole from the path: (text, --column, values).
+# Files the decimal route reads without the row loop, a CSV column as the
+# cells cut out of its lines: (text, --column, values).
 FAST_ROUTE_CASES = {
     "plain": ("0.25\n0.5\n", None, [0.25, 0.5]),
     "header-comment": ("# header\n0.25\n0.5\n", None, [0.25, 0.5]),
@@ -266,6 +270,7 @@ FAST_ROUTE_CASES = {
     "csv-index": ("a,0.25\nb,0.5\n", "1", [0.25, 0.5]),
     "csv-index-unnamed-header": ("id,pval\n1,0.25\n2,0.5\n", "1", [0.25, 0.5]),
     "csv-crlf-comment": ("\ufeffpval\r\n# from a spreadsheet\r\n0.25\r\n0.5\r\n", "pval", [0.25, 0.5]),
+    "csv-indented-comment": ("id,pval\n1,0.25\n  # note\n2,0.5\n", "pval", [0.25, 0.5]),
 }
 
 
@@ -283,14 +288,16 @@ def test_read_samples_takes_numpy_file_route(tmp_path, monkeypatch, case):
     [
         ("data.csv", 'id,pval\n1,"0.25"\n', "pval"),
         ("data.csv", "0.25,x # note\n", "0"),
-        ("data.txt.gz", "# header\n0.25\n0.5\n", None),
+        ("data.txt", "1_0e-1\n", None),
+        ("data.txt", "0.25\n# a\u2028 0.5\n", None),
     ],
-    ids=["quoted-cell", "inline-comment", "compressed-suffix"],
+    ids=["quoted-cell", "inline-comment", "underscore", "line-break-in-comment"],
 )
 def test_read_samples_falls_back_to_row_loop(tmp_path, monkeypatch, name, text, column):
-    # numpy would split a quoted cell or drop an inline comment unlike the
-    # loop, and would decompress a file named *.gz.  The '#' line keeps the
-    # last file off the decimal route, which reads bytes and decompresses nothing.
+    # csv.reader reads a quoted cell whole and the loop reads an inline
+    # comment as part of its cell; the decimal route reads no byte but
+    # digits, '.', signs, exponents and padding outside comments, and drops
+    # no comment that str.splitlines would break in two.
     path = tmp_path / name
     path.write_text(text)
     _forbid_row_loop(monkeypatch)
@@ -332,7 +339,7 @@ def test_read_samples_matches_row_loop(tmp_path_factory, lines, eol, bom, final_
     fast = outcome()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cli, "_parse_decimal_lines", lambda data: None)
-        mp.setattr(cli, "_parse_plain", lambda path, **kw: None)
+        mp.setattr(cli, "_parse_csv_column", lambda path, **kw: None)
         loop = outcome()
     if isinstance(loop, str):
         assert fast == loop
@@ -353,10 +360,10 @@ def test_read_samples_round_trips_doubles(tmp_path, rng):
 
 
 def _forbid_other_routes(monkeypatch):
-    # A file the decimal route takes reaches neither numpy's file route nor
-    # the row loop.
+    # A file the decimal route takes never reaches the row loop, its one
+    # fallback, nor is it decoded as text for it.
     _forbid_row_loop(monkeypatch)
-    monkeypatch.setattr(cli, "_parse_plain", lambda path, **kw: pytest.fail("read by numpy's file route"))
+    monkeypatch.setattr(cli, "_decode", lambda *args: pytest.fail("decoded for the row loop"))
 
 
 def _midpoint_lines(rng, digits):
@@ -387,28 +394,26 @@ def _exactness_lines(case):
     return (odd if case == "odd-lines" else ["0", "1", "-0"]) + [repr(v) for v in rng.random(200).tolist()]
 
 
-# Whether the decimal route takes the file: up to 18 digits it does; past
-# that, most mantissas reach 2**62, and a line without a dot is not its
-# shape, so the file goes to numpy's route.
-EXACTNESS_CASES = {
-    "repr": True,
-    **{f"%.{d}f": d <= 18 for d in range(16, 23)},
-    **{f"midpoint-{d}": d <= 18 for d in range(15, 20)},
-    "odd-lines": True,
-    "bare-integers": False,
-}
+# The decimal route takes every case: up to 18 digits as mantissas; past
+# that, most mantissas reach 2**62, and numpy's float parse reads the chunk.
+EXACTNESS_CASES = [
+    "repr",
+    *(f"%.{d}f" for d in range(16, 23)),
+    *(f"midpoint-{d}" for d in range(15, 20)),
+    "odd-lines",
+    "bare-integers",
+]
 
 
-@pytest.mark.parametrize("case", EXACTNESS_CASES, ids=list(EXACTNESS_CASES))
+@pytest.mark.parametrize("case", EXACTNESS_CASES, ids=EXACTNESS_CASES)
 def test_read_samples_is_exact(tmp_path, monkeypatch, case):
     lines = _exactness_lines(case)
     want = np.array([float(tok) for tok in lines]).tobytes()
     data = ("\n".join(lines) + "\n").encode()
     arr = cli._parse_decimal_lines(data)
-    assert (arr is not None) == EXACTNESS_CASES[case]
-    if arr is not None:
-        assert arr.tobytes() == want
-        _forbid_other_routes(monkeypatch)
+    assert arr is not None
+    assert arr.tobytes() == want
+    _forbid_other_routes(monkeypatch)
     path = tmp_path / "data.txt"
     path.write_bytes(data)
     assert cli.read_samples(str(path)).tobytes() == want
@@ -444,6 +449,19 @@ DECIMAL_ROUTE_CASES = {
     "trailing-blank-lines": ("data.txt", "0.25\n0.5\n\n\n"),
     # Bytes are read as they are, so a name numpy would decompress is safe.
     "compressed-suffix": ("data.txt.gz", "0.25\n0.5\n"),
+    "compressed-suffix-comment": ("data.txt.gz", "# header\n0.25\n0.5\n"),
+    "crlf": ("data.txt", "0.25\r\n0.5\r\n"),
+    # A CR first seen past the first chunk.
+    "crlf-late": ("data.txt", "0.25\n" * 60000 + "0.5\r\n0.75\r0.125\n"),
+    "space": ("data.txt", " 0.25\n0.5\n"),
+    "tab": ("data.txt", "0.25\t\n"),
+    "comment": ("data.txt", "# h\n0.25\n"),
+    "comment-past-ascii": ("data.txt", "# café\n0.25\n"),
+    "blank-line": ("data.txt", "0.25\n\n0.5\n"),
+    "bare-integers": ("data.txt", "0\n1\n0.5\n"),
+    "exponent-no-dot": ("data.txt", "0.5\n1e-05\n"),
+    # A chunk of nothing but line ends, which numpy would read as a 0.
+    "blank-chunk": ("data.txt", "0.5\n" + "\n" * (1 << 19)),
 }
 
 
@@ -453,35 +471,59 @@ def test_read_samples_takes_decimal_route(tmp_path, monkeypatch, case):
     path = tmp_path / name
     path.write_bytes(text.encode("utf-8"))
     _forbid_other_routes(monkeypatch)
-    want = np.array([float(tok) for tok in text.lstrip("\ufeff").split()])
+    lines = map(str.strip, text.lstrip("\ufeff").splitlines())
+    want = np.array([float(line) for line in lines if line and not line.startswith("#")])
     assert cli.read_samples(str(path)).tobytes() == want.tobytes()
 
 
+_FLOAT_CHUNK = [f"{v:.20f}" for v in np.random.default_rng(2503).random(100)]
+
+
 @pytest.mark.parametrize(
-    "text,want",
+    "lines,want",
     [
-        ("0.25\r\n0.5\r\n", [0.25, 0.5]),
-        (" 0.25\n0.5\n", [0.25, 0.5]),
-        ("0.25\t\n", [0.25]),
-        ("# h\n0.25\n", [0.25]),
-        ("1_0e-1\n", [1.0]),
-        ("0.25\n\n0.5\n", [0.25, 0.5]),
-        ("0\n1\n0.5\n", [0.0, 1.0, 0.5]),
-        ("0.5\n1e-05\n", [0.5, 1e-05]),
-        # A chunk of nothing but line ends, which numpy would read as a 0.
-        ("0.5\n" + "\n" * (1 << 19), [0.5]),
+        # A chunk of %.20f lines goes whole to numpy's float parse, whose
+        # separator would read '0.1 0.2' as two values.
+        (_FLOAT_CHUNK[:40] + ["0.1 0.2"] + _FLOAT_CHUNK[41:], ":41: not a number: '0.1 0.2'"),
+        # numpy reads a mantissa chunk without a digit as one 0.
+        (["."], ":1: not a number: '.'"),
     ],
-    ids=["crlf", "space", "tab", "comment", "underscore", "blank-line", "bare-integers", "exponent-no-dot", "blank-chunk"],
+    ids=["two-numbers-in-float-chunk", "lone-dot-file"],
 )
-def test_read_samples_leaves_other_files_to_numpy_and_the_loop(tmp_path, monkeypatch, text, want):
-    calls = []
-    parse = cli._parse_plain
-    monkeypatch.setattr(cli, "_parse_plain", lambda path, **kw: calls.append(path) or parse(path, **kw))
+def test_decimal_route_leaves_bad_lines_to_the_loop(capsys, tmp_path, lines, want):
     path = tmp_path / "data.txt"
-    path.write_bytes(text.encode("utf-8"))
-    assert cli._parse_decimal_lines(path.read_bytes()) is None
-    assert np.array_equal(cli.read_samples(str(path)), want)
-    assert calls == [str(path)]
+    path.write_text("\n".join(lines) + "\n")
+    code = cli.main(["test", str(path), "--simulate", "--reps", "10", "--grid", "16"])
+    out = capsys.readouterr()
+    assert code == 2 and out.err == f"error: {path}{want}\n"
+
+
+@pytest.mark.parametrize(
+    "name,text,column",
+    [
+        ("data.txt", "0.25\n0.5\n", None),
+        ("data.txt", "# header\r\n0.25\r\n0.5\r\n", None),
+        ("data.csv", "id,pval\n1,0.25\n2,0.5\n", "pval"),
+    ],
+    ids=["plain", "header-crlf", "csv-column"],
+)
+def test_read_samples_reads_the_file_once(tmp_path, monkeypatch, name, text, column):
+    # Path.read_bytes is the file's one read; np.loadtxt fails if any route
+    # hands it a path to read again.
+    reads = []
+    read_bytes = Path.read_bytes
+    monkeypatch.setattr(Path, "read_bytes", lambda self: reads.append(self) or read_bytes(self))
+    loadtxt = np.loadtxt
+
+    def from_bytes_only(fname, *args, **kwargs):
+        assert not isinstance(fname, (str, Path)), "np.loadtxt given a path"
+        return loadtxt(fname, *args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", from_bytes_only)
+    path = tmp_path / name
+    path.write_bytes(text.encode())
+    assert np.array_equal(cli.read_samples(str(path), column), [0.25, 0.5])
+    assert reads == [path]
 
 
 # Each CSV file's outcome for a --column: the array read_samples returns, or
