@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -37,8 +38,7 @@ def _log(msg: str) -> None:
 
 
 def _emit(doc: dict) -> None:
-    json.dump(doc, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    sys.stdout.write(json.dumps(doc, indent=2) + "\n")
 
 
 def _check_value(v: float, where: str) -> float:
@@ -349,12 +349,13 @@ def _check_writable(path: str) -> None:
         raise InputError(f"cannot write {path}: it is a directory")
 
 
-def _save_table(table: limits.CriticalValueTable, path: str) -> None:
+def _save_table(table: limits.CriticalValueTable, path: str) -> str:
     try:
-        table.save(path)
+        text = table.save(path)
     except OSError as exc:
         raise InputError(f"cannot write {path}: {exc}") from None
     _log(f"wrote {path}")
+    return text
 
 
 def _progress_logger(label: str):
@@ -460,8 +461,7 @@ def cmd_critvals(args) -> int:
     alphas = [float(a) for a in args.alpha]
     _check_writable(args.out)
     table = _limit_table(args, args.p, alphas)
-    _save_table(table, args.out)
-    _emit(table.to_dict())
+    sys.stdout.write(_save_table(table, args.out))
     return 0
 
 
@@ -562,7 +562,9 @@ def cmd_counterexample(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    # Built once per process; every default is immutable, so calls share no state.
     ap = argparse.ArgumentParser(
         prog="lcmtest",
         description=(
@@ -584,7 +586,7 @@ def build_parser() -> argparse.ArgumentParser:
     t = sub.add_parser("test", help="run the concavity test on a data file")
     t.add_argument("data", help="text file with one value per line, or CSV with --column")
     t.add_argument("--p", default="2", help=f"norm index {p_range} (default 2)")
-    t.add_argument("--alpha", nargs="+", type=float, default=[0.05], help="test levels")
+    t.add_argument("--alpha", nargs="+", type=float, default=(0.05,), help="test levels")
     t.add_argument("--column", default=None, help="CSV column name or 0-based index")
     t.add_argument("--table", default=None, help="critical-value cache (JSON); created with --simulate")
     t.add_argument("--simulate", action="store_true", help="simulate critical values when no table exists")
@@ -596,8 +598,8 @@ def build_parser() -> argparse.ArgumentParser:
     t.set_defaults(func=cmd_test)
 
     c = sub.add_parser("critvals", help="simulate and cache critical values")
-    c.add_argument("--p", nargs="+", default=["1", "2", "inf"], help=f"norm indices, each {p_range}")
-    c.add_argument("--alpha", nargs="+", type=float, default=[0.01, 0.05, 0.10], help="levels")
+    c.add_argument("--p", nargs="+", default=("1", "2", "inf"), help=f"norm indices, each {p_range}")
+    c.add_argument("--alpha", nargs="+", type=float, default=(0.01, 0.05, 0.10), help="levels")
     c.add_argument("--grid", type=int, default=limits.DEFAULT_GRID, help=budget_help)
     c.add_argument("--reps", type=int, default=limits.DEFAULT_REPLICATIONS)
     c.add_argument("--seed", type=int, default=limits.DEFAULT_SEED, help=seed_help)
@@ -610,7 +612,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--p", default="2", help=f"norm index {p_range} (default 2)")
     s.add_argument("--reps", type=int, default=20000)
     s.add_argument("--seed", type=int, default=limits.DEFAULT_SEED, help=seed_help)
-    s.add_argument("--alphas", nargs="+", type=float, default=[0.01, 0.05, 0.10, 0.50])
+    s.add_argument("--alphas", nargs="+", type=float, default=(0.01, 0.05, 0.10, 0.50))
     s.add_argument("--grid", type=int, default=limits.DEFAULT_GRID, help=budget_help)
     s.set_defaults(func=cmd_simulate_limit)
 
@@ -648,7 +650,7 @@ def _check_scale(args) -> None:
             raise InputError(f"--{flag} must be at least 1, got {value}")
     p = getattr(args, "p", None)
     try:
-        if isinstance(p, list):
+        if isinstance(p, (list, tuple)):
             args.p = list(dict.fromkeys(pwl.norm_index(tok) for tok in p))
         elif p is not None:
             args.p = pwl.norm_index(p)

@@ -102,10 +102,7 @@ def lcm_gap_on_grid(grid, values) -> np.ndarray:
         yb = yc[bent]
         hull = np.empty_like(yb)
         hull[:, 0] = yb[:, 0]
-        fitted = np.empty((bent.size, dx.size))
-        for j, r in enumerate(bent.tolist()):
-            fitted[j] = pwl._pava(s[r], dx)[0]
-        np.cumsum(fitted * dx, axis=1, out=hull[:, 1:])
+        np.cumsum(pwl._pava(s[bent], dx)[0] * dx, axis=1, out=hull[:, 1:])
         hull -= yb
         worst = hull.min(axis=1)
         low = worst < -1e-9 * np.maximum(1.0, np.max(np.abs(yb), axis=1))

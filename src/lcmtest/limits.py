@@ -461,8 +461,11 @@ class CriticalValueTable:
             )
         return cls(entries, dict(data.get("provenance", {})))
 
-    def save(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2) + "\n")
+    def save(self, path) -> str:
+        """Write the table to ``path`` as indented JSON; returns the text."""
+        text = json.dumps(self.to_dict(), indent=2) + "\n"
+        Path(path).write_text(text)
+        return text
 
     @classmethod
     def load(cls, path) -> "CriticalValueTable":

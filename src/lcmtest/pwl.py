@@ -115,28 +115,31 @@ def hull_vertices(px, py) -> np.ndarray:
     return _strictly_concave(px, py, idx)
 
 
-def _pava(y, w) -> tuple[np.ndarray, np.ndarray]:
+def _pava(y, w) -> tuple[np.ndarray, np.ndarray | None]:
     """Weighted antitonic regression of ``y`` by pool-adjacent-violators:
     the decreasing fit and its block boundaries, as scipy's public isotonic
     regression function gives them with ``increasing=False``.
 
-    ``y`` and ``w`` must be 1-d arrays of equal length, else ValueError: the
-    compiled kernel indexes ``w`` by the length of ``y``.  The weights must be
-    positive; both callers pass spacings they have checked are.  The
-    kernel fits a decreasing row as the increasing fit of its reverse and
-    overwrites its weight argument with pooled weights, so it gets reversed
-    copies of both.  It is the same call, on the same arrays, that scipy's
-    public function makes after its checks, so the fit and blocks are the
-    same bits, without the wrapper's cost.
+    ``y`` is one row, or a 2-d array of rows each fitted alone (blocks None).
+    ``w`` must be 1-d and as long as a row, else ValueError: the compiled
+    kernel indexes it by the row's length.  The weights must be positive;
+    both callers pass spacings they have checked are.  The kernel fits a
+    decreasing row as the increasing fit of its reverse and overwrites its
+    weight argument with pooled weights, so it gets reversed copies of both.
+    It is the same call, on the same arrays, that scipy's public function
+    makes after its checks, so each row's fit and blocks are the same bits.
     """
     y = np.asarray(y, dtype=np.float64)
     w = np.asarray(w, dtype=np.float64)
-    if y.ndim != 1 or y.shape != w.shape:
-        raise ValueError("PAVA needs 1-d values and weights of equal length")
-    starts = np.full(y.size + 1, -1, dtype=np.intp)
-    fit, _, starts, b = _pava_kernel(y[::-1].copy(), w[::-1].copy(), starts)
-    # starts[: b + 1] runs from 0 to the row's length.
-    return fit[::-1], y.size - starts[b::-1]
+    if y.ndim not in (1, 2) or w.shape != y.shape[-1:]:
+        raise ValueError("PAVA needs 1-d weights of equal length to the values' rows")
+    fit = np.atleast_2d(y)[:, ::-1].copy()
+    pooled = np.broadcast_to(w[::-1], fit.shape).copy()
+    starts = np.full(w.size + 1, -1, dtype=np.intp)
+    for j in range(fit.shape[0]):  # the kernel writes each start before it reads it
+        fit[j], _, blocks, b = _pava_kernel(fit[j], pooled[j], starts)
+    # blocks[: b + 1] runs from 0 to the row's length.
+    return fit.reshape(y.shape)[..., ::-1], (y.size - blocks[b::-1] if y.ndim == 1 else None)
 
 
 def _strictly_concave(px, py, idx) -> np.ndarray:

@@ -672,6 +672,41 @@ def test_cmd_critvals_unwritable_path(capsys, tmp_path):
     assert "cannot write" in err
 
 
+def test_cmd_critvals_out_file_is_its_stdout(capsys, tmp_path):
+    out = tmp_path / "t.json"
+    assert cli.main(["critvals", "--reps", "20", "--grid", "16", "--out", str(out)]) == 0
+    assert out.read_bytes() == capsys.readouterr().out.encode()
+
+
+def test_cmd_test_table_file_equals_critvals_table(capsys, data_file, tmp_path):
+    scale = ["--p", "2", "--alpha", "0.05", "0.1", "--grid", "64", "--reps", "300", "--seed", "3"]
+    cache = tmp_path / "cache.json"
+    code, _, _ = run_cli(capsys, "test", str(data_file), *scale, "--simulate", "--table", str(cache))
+    assert code == 0
+    code, table, _ = run_cli(capsys, "critvals", *scale, "--out", str(tmp_path / "t.json"))
+    assert code == 0
+    assert json.loads(cache.read_text())["entries"] == table["entries"]
+
+
+# -- one parser per process ---------------------------------------------------------------
+
+
+def test_parser_is_built_once_and_carries_no_state(capsys, data_file, tmp_path):
+    assert cli.build_parser() is cli.build_parser()
+    scale = ["--reps", "20", "--grid", "16"]
+    code, doc, _ = run_cli(capsys, "critvals", "--p", "2.5", "--alpha", "0.2", *scale,
+                           "--out", str(tmp_path / "a.json"))
+    assert code == 0 and doc["provenance"]["ps"] == ["2.5"]
+    code, doc, _ = run_cli(capsys, "critvals", *scale, "--out", str(tmp_path / "b.json"))
+    assert code == 0
+    assert doc["provenance"]["ps"] == ["1", "2", "inf"]
+    assert doc["provenance"]["alphas"] == [0.01, 0.05, 0.10]
+    code, doc, _ = run_cli(capsys, "test", str(data_file), "--alpha", "0.2", "0.2", "--simulate", *scale)
+    assert code == 0 and doc["alphas"] == [0.2]
+    code, doc, _ = run_cli(capsys, "test", str(data_file), "--simulate", *scale)
+    assert code == 0 and doc["alphas"] == [0.05]
+
+
 # -- simulate-limit -----------------------------------------------------------------------
 
 

@@ -319,6 +319,40 @@ def test_pava_matches_isotonic_regression():
         assert np.array_equal(y, slopes) and np.array_equal(w, weights)
 
 
+_PAVA_VALUE = st.sampled_from([-1.0, 0.0, 0.25, 3.0]) | st.floats(-1e3, 1e3, allow_subnormal=False)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(1, 40).flatmap(
+        lambda n: st.tuples(
+            st.lists(st.lists(_PAVA_VALUE, min_size=n, max_size=n), max_size=6),
+            st.lists(st.floats(1e-3, 1e3), min_size=n, max_size=n),
+            _PAVA_VALUE,
+        )
+    )
+)
+def test_pava_of_rows_equals_one_call_per_row(case):
+    # Rows with ties (few distinct values) and a constant row; each row of a
+    # 2-d fit is the 1-d fit of that row, to the bit.
+    rows, weights, level = case
+    w = np.array(weights)
+    y = np.array(rows + [[level] * w.size]).reshape(-1, w.size)
+    before = y.copy()
+    fit, blocks = pwl._pava(y, w)
+    assert blocks is None and fit.shape == y.shape
+    assert np.array_equal(y, before)
+    for row, got in zip(y, fit):
+        assert got.tobytes() == pwl._pava(row, w)[0].tobytes()
+
+
+@pytest.mark.parametrize("shape, w", [((3, 4), np.ones(3)), ((3, 4), np.ones(5)), ((3, 4), np.ones((3, 4))),
+                                      ((2, 3, 4), np.ones(4))])
+def test_pava_rejects_weights_unlike_a_row(shape, w):
+    with pytest.raises(ValueError, match="equal length"):
+        pwl._pava(np.zeros(shape), w)
+
+
 @pytest.mark.parametrize("y, w", [([0.0, 1.0], [1.0]), ([0.0], [1.0, 1.0]), ([[0.0, 1.0]], [[1.0, 1.0]])])
 def test_pava_rejects_mismatched_shapes(y, w):
     # The kernel would read, and write, past the end of a short weight buffer.
