@@ -81,36 +81,40 @@ def lcm_gap_on_grid(grid, values) -> np.ndarray:
     row alone would give.
     """
     grid = as_sorted_array(grid, "grid")
-    values = np.ascontiguousarray(values, dtype=np.float64)
+    values = np.asarray(values, dtype=np.float64)
     if values.ndim not in (1, 2) or values.shape[-1] != grid.size:
         raise ValueError("grid and values differ in length")
     if grid.size < 2:
         raise ValueError("need at least two grid points")
 
-    rows = values.reshape(-1, grid.size)
+    rows = values.reshape(-1, grid.size)  # a view is read where it lies, not copied
     chord_slope = (rows[:, -1] - rows[:, 0]) / (grid[-1] - grid[0])
-    yc = (rows - rows[:, :1]) - (grid - grid[0]) * chord_slope[:, None]
+    yc = rows - rows[:, :1]
+    hull = (grid - grid[0]) * chord_slope[:, None]  # the chord, then the rises, then the hull
+    yc -= hull
     dx = np.diff(grid)
-    s = np.diff(yc, axis=1) / dx
-    # Concave up to slope dust: the path is its own majorant.  The tolerance
-    # scales with the original slopes (canonical + chord), so an affine path
-    # whose rounded values wiggle at the last bit still maps to a zero gap.
-    slope_dust = _SLOPE_TOL * (1.0 + np.abs(chord_slope) + np.max(np.abs(s), axis=1))
-    bent = np.flatnonzero(~np.all(np.diff(s, axis=1) <= slope_dust[:, None], axis=1))
-    gap = np.zeros_like(yc)
-    if bent.size:
-        yb = yc[bent]
-        hull = np.empty_like(yb)
-        hull[:, 0] = yb[:, 0]
-        np.cumsum(pwl._pava(s[bent], dx)[0] * dx, axis=1, out=hull[:, 1:])
-        hull -= yb
-        worst = hull.min(axis=1)
-        low = worst < -1e-9 * np.maximum(1.0, np.max(np.abs(yb), axis=1))
-        if low.any():
-            raise pwl.GeometryError(f"hull fell below the path by {-float(worst[low].min()):.3e}")
-        np.maximum(hull, 0.0, out=hull)
-        gap[bent] = hull
-    return gap.reshape(values.shape)
+    s = np.diff(yc, axis=1)
+    s /= dx
+    # Concave up to slope dust: the path is its own majorant.  The tolerance scales with the
+    # original slopes (canonical + chord), so an affine path whose rounded values wiggle at the
+    # last bit still maps to a zero gap.  A NaN bends its row; a two-point grid bends none.
+    slope_dust = _SLOPE_TOL * (1.0 + np.abs(chord_slope) + np.maximum(s.max(axis=1), -s.min(axis=1)))
+    rise = np.subtract(s[:, 1:], s[:, :-1], out=hull[:, 2:])
+    bent = ~(rise.max(axis=1, initial=-np.inf) <= slope_dust) & (grid.size > 2)
+    if not bent.all():  # rows are independent, so the bent ones alone give the same gaps
+        gap = np.zeros(rows.shape)
+        gap[bent] = lcm_gap_on_grid(grid, rows[bent])
+        return gap.reshape(values.shape)
+    hull[:, 0] = yc[:, 0]  # every Wiener path is bent: this array becomes the gap
+    fit = pwl._pava(s, dx)[0]
+    np.cumsum(np.multiply(fit, dx, out=fit), axis=1, out=hull[:, 1:])
+    hull -= yc
+    worst = hull.min(axis=1)
+    low = worst < -1e-9 * np.maximum(1.0, np.maximum(yc.max(axis=1), -yc.min(axis=1)))
+    if low.any():
+        raise pwl.GeometryError(f"hull fell below the path by {-float(worst[low].min()):.3e}")
+    np.maximum(hull, 0.0, out=hull)
+    return hull.reshape(values.shape)
 
 
 def pow_integral_from_gaps(grid, gaps, p: float):
@@ -231,10 +235,12 @@ def verify_rescaling_identity(
     lhs_pow = np.zeros(paths)
     rhs_pow = np.zeros(paths)
     for rows, w in _wiener_passes(master, seed, paths):
-        b = w - master * w[:, -1:]  # the Brownian bridge B(u) = W(u) - u W(1)
+        b = master * w[:, -1:]
+        np.subtract(w, b, out=b)  # the Brownian bridge B(u) = W(u) - u W(1)
         for i0, i1, u_pre, x_blk, scale, weight in blocks:
             lhs_pow[rows] += pow_integral_from_gaps(x_blk, lcm_gap_on_grid(x_blk, b[:, i0:i1]), p)
-            w_k = (w[:, i0:i1] - w[:, i0 : i0 + 1]) * scale
+            w_k = w[:, i0:i1] - w[:, i0 : i0 + 1]
+            w_k *= scale
             rhs_pow[rows] += weight * pow_integral_from_gaps(u_pre, lcm_gap_on_grid(u_pre, w_k), p)
     return CouplingIdentity(pwl._roots(lhs_pow, p), pwl._roots(rhs_pow, p))
 
@@ -285,10 +291,11 @@ def verify_dominance_coupling(
         full_gap = lcm_gap_on_grid(master, w)
         rhs_pow[rows] = pow_integral_from_gaps(master, full_gap, p)
         for i0, i1, u_pre, root, weight in blocks:
-            w_k = (w[:, i0:i1] - w[:, i0 : i0 + 1]) / root
+            w_k = w[:, i0:i1] - w[:, i0 : i0 + 1]
+            w_k /= root
             sub_gap = lcm_gap_on_grid(u_pre, w_k)
             lhs_pow[rows] += weight * pow_integral_from_gaps(u_pre, sub_gap, p)
-            excess = (sub_gap * root - full_gap[:, i0:i1]).max(axis=1)
+            excess = np.subtract(np.multiply(sub_gap, root, out=sub_gap), full_gap[:, i0:i1], out=sub_gap).max(axis=1)
             # Python's max(kept, new): the new value only where it is larger.
             hull_excess[rows] = np.where(excess > hull_excess[rows], excess, hull_excess[rows])
     return DominanceCheck(pwl._roots(lhs_pow, p), pwl._roots(rhs_pow, p), hull_excess)

@@ -229,12 +229,12 @@ _FACE_LAWS = {1.0: _area_table, 2.0: _energy_table, math.inf: _kennedy_table}
 
 def _face_quantiles(ps, u) -> dict[float, np.ndarray]:
     # The face functional of each norm index of ps, all in _FACE_LAWS, at the
-    # uniform draws u, by inverting its tabulated CDF.  u is sorted once for
-    # all of them: np.interp starts each search at the previous value's
-    # index, so on sorted input it runs as a merge.  Each value is still the
-    # one np.interp(u, cdf, xs) gives, since it depends only on the table
-    # cell holding it, and equal uniforms get equal values in any order.
-    order = np.argsort(u)
+    # uniform draws u, by inverting its tabulated CDF.  u is ordered once for all of
+    # them, by a stable radix sort of its leading 16 bits: np.interp starts each search
+    # at the previous value's index, so on nearly sorted input it runs almost as a merge.
+    # Each value is still the one np.interp(u, cdf, xs) gives, since it depends only on
+    # the table cell holding it, and equal uniforms get equal values in any order.
+    order = np.argsort((u * 65536).astype(np.uint16), kind="stable")
     sorted_u = u[order]
     out = {}
     for p in ps:
@@ -249,18 +249,18 @@ def _face_lengths(rng, streams: int) -> tuple[np.ndarray, np.ndarray]:
     # offsets ``first``: stream s has faces first[s]:first[s + 1].  Uniform
     # stick-breaking of [0, 1] until the stick left is below _STICK_TAIL.
     # Each round draws _STICKS uniforms a stream, in stream order, for the
-    # streams still above it; finished rows get zero columns, which leave
-    # their cumprod unchanged.
-    u = np.zeros((streams, 0))
-    unfinished = np.arange(streams)
-    while unfinished.size:
+    # streams still above it (the first for all); finished rows get zero
+    # columns, which leave their cumprod unchanged.
+    u = rng.random((streams, _STICKS))
+    rest = np.cumprod(1.0 - u, axis=1)
+    while (unfinished := np.flatnonzero(rest[:, -1] >= _STICK_TAIL)).size:
         more = np.zeros((streams, _STICKS))
         more[unfinished] = rng.random((unfinished.size, _STICKS))
         u = np.hstack([u, more])
         rest = np.cumprod(1.0 - u, axis=1)
-        unfinished = np.flatnonzero(rest[:, -1] >= _STICK_TAIL)
     counts = np.argmax(rest < _STICK_TAIL, axis=1) + 1
-    u[:, 1:] *= rest[:, :-1]
+    u = u[:, : counts.max()]  # the columns past the longest stream are unused
+    u[:, 1:] *= rest[:, : u.shape[1] - 1]
     first = np.zeros(streams + 1, dtype=np.intp)
     np.cumsum(counts, out=first[1:])
     return u[np.arange(u.shape[1]) < counts[:, None]], first

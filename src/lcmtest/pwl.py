@@ -134,10 +134,11 @@ def _pava(y, w) -> tuple[np.ndarray, np.ndarray | None]:
     if y.ndim not in (1, 2) or w.shape != y.shape[-1:]:
         raise ValueError("PAVA needs 1-d weights of equal length to the values' rows")
     fit = np.atleast_2d(y)[:, ::-1].copy()
-    pooled = np.broadcast_to(w[::-1], fit.shape).copy()
+    pooled = np.empty_like(w)
     starts = np.full(w.size + 1, -1, dtype=np.intp)
-    for j in range(fit.shape[0]):  # the kernel writes each start before it reads it
-        fit[j], _, blocks, b = _pava_kernel(fit[j], pooled[j], starts)
+    for row in fit:  # fitted in place; the kernel writes each start before it reads it
+        pooled[:] = w[::-1]
+        _, _, blocks, b = _pava_kernel(row, pooled, starts)
     # blocks[: b + 1] runs from 0 to the row's length.
     return fit.reshape(y.shape)[..., ::-1], (y.size - blocks[b::-1] if y.ndim == 1 else None)
 
@@ -180,10 +181,10 @@ def corner_gaps(px, py, idx) -> tuple[np.ndarray, np.ndarray]:
 def ramp_pow_integrals(v_lo, v_hi, lengths, p: float) -> np.ndarray:
     """Exact integral of ``ramp(t)**p`` per segment, for a finite norm index p.
 
-    Each segment carries an affine ramp running from ``v_lo`` to ``v_hi``
-    (both nonnegative) over ``lengths``.  p = 1, 2, 3 and 4 use the identity
-    ``(b^{p+1}-a^{p+1})/(b-a) = sum a^i b^{p-i}``, free of removable
-    singularities; any other p, where its 2p power arrays would grow, uses the
+    Each segment carries an affine ramp running from ``v_lo`` to ``v_hi`` (both
+    nonnegative, of one shape) over ``lengths``, which broadcast to that shape.  p = 1,
+    2, 3 and 4 use the identity ``(b^{p+1}-a^{p+1})/(b-a) = sum a^i b^{p-i}``, free of
+    removable singularities; any other p, where its 2p power arrays would grow, uses the
     closed-form antiderivative, with a midpoint fallback when the ends nearly agree.
     """
     p = norm_index(p)
@@ -195,17 +196,19 @@ def ramp_pow_integrals(v_lo, v_hi, lengths, p: float) -> np.ndarray:
     if p in (1.0, 2.0, 3.0, 4.0):
         k = int(p)
         # lo_pows[i] = v_lo**(i+1), likewise hi_pows; acc = hi^k + lo hi^(k-1)
-        # + ... + lo^k, summed in that order.
+        # + ... + lo^k, summed in that order in hi^k's own array (at k = 1, a copy).
         lo_pows = [v_lo]
         hi_pows = [v_hi]
         for _ in range(k - 1):
             lo_pows.append(lo_pows[-1] * v_lo)
             hi_pows.append(hi_pows[-1] * v_hi)
-        acc = hi_pows[-1].copy()
+        acc = hi_pows[-1] if k > 1 else v_hi.copy()
         for i in range(1, k):
             acc += lo_pows[i - 1] * hi_pows[k - i - 1]
         acc += lo_pows[-1]
-        return lengths * acc / (k + 1)
+        acc *= lengths
+        acc /= k + 1
+        return acc
     gap = v_hi - v_lo
     near = np.abs(gap) <= 1e-9 * np.maximum(v_lo, v_hi)
     den = np.where(near, 1.0, gap) * (p + 1.0)

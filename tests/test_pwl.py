@@ -415,6 +415,82 @@ def test_gap_on_grid_concave_input_is_exactly_zero():
     assert np.all(coupling.lcm_gap_on_grid(grid, values) == 0.0)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(3, 40), st.integers(1, 5))
+def test_gap_on_grid_reads_strided_views(seed, n, m):
+    # A strided view's gap has the bytes of the gap of a contiguous copy of
+    # it, with concave rows between bent ones.
+    rng = np.random.default_rng(seed)
+    w = np.cumsum(rng.standard_normal((2 * m, 2 * n)), axis=1) * 0.1
+    w[1::3] = np.sqrt(np.arange(2 * n))
+    i0 = int(rng.integers(0, n - 2))
+    i1 = int(rng.integers(i0 + 3, 2 * n + 1))
+
+    def grid(size):
+        return np.unique(np.concatenate(([0.0, 1.0], rng.random(size - 2))))
+
+    for g, view in [(grid(i1 - i0), w[:, i0:i1]), (grid(2 * n), w[::2]), (grid(n), w[1, ::2]), (grid(2 * m), w[:, 1])]:
+        if g.size != view.shape[-1]:  # two uniforms coincided
+            continue
+        got = coupling.lcm_gap_on_grid(g, view)
+        want = coupling.lcm_gap_on_grid(g, np.ascontiguousarray(view))
+        assert got.shape == view.shape and got.tobytes() == want.tobytes()
+
+
+_G4 = [0.0, 0.25, 0.5, 1.0]
+
+
+@pytest.mark.parametrize(
+    "grid, values, want",
+    [
+        # Two points: one slope, nothing to bend, whatever the values.
+        ([0.0, 1.0], [[0.3, 0.7], [math.nan, 1.0], [0.0, math.inf], [-math.inf, 2.0]], [[0.0, 0.0]] * 4),
+        # A NaN bends its row and stays; an infinity makes infinite slope dust.
+        (
+            _G4,
+            [[0.0, math.nan, 0.2, 0.1], [0.0, math.inf, 0.2, 0.1], [0.0, 0.1, -math.inf, 0.1],
+             [0.0, 0.1, 0.3, 0.2], [0.0, 0.5, 0.25, 0.5]],
+            [[0.0, math.nan, math.nan, math.nan], [0.0] * 4, [0.0] * 4, [0.0, 0.049999999999999975, 0.0, 0.0],
+             [0.0, 0.0, 0.25, 0.0]],
+        ),
+        # Every row concave: no PAVA at all.
+        (_G4, [np.sqrt(_G4), 0.5 - 2.0 * np.array(_G4), np.log1p(_G4)], [[0.0] * 4] * 3),
+        # Bent rows between a concave and a constant one.
+        (
+            _G4,
+            [[0.0, 0.5, 0.25, 0.5], [0.0, 0.5, 0.75, 1.0], [0.1, 0.0, 0.3, 0.2], [0.3] * 4],
+            [[0.0, 0.0, 0.25, 0.0], [0.0] * 4, [0.0, 0.19999999999999998, 0.0, 0.0], [0.0] * 4],
+        ),
+    ],
+)
+def test_gap_on_grid_pinned_edge_cases(grid, values, want):
+    # Branches that verify's Wiener paths never take, pinned to the bit.
+    with np.errstate(invalid="ignore"):
+        got = coupling.lcm_gap_on_grid(grid, np.array(values, dtype=np.float64))
+    assert np.array_equal(got, want, equal_nan=True)
+    assert not np.signbit(got[~np.isnan(got)]).any()
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0, 4.0])
+def test_ramp_pow_integrals_keeps_inputs_and_bits(p):
+    # The sum a^i b^(k-i), in its order, scaled by lengths / (k + 1), for
+    # scalar and 1-d lengths and for 2-d values with 1-d lengths.
+    rng = np.random.default_rng(2801)
+    for shape, lengths in [((9,), 0.125), ((9,), rng.random(9)), ((4, 9), rng.random(9))]:
+        lo, hi = rng.random(shape), rng.random(shape)
+        inputs = [np.copy(a) for a in (lo, hi, lengths)]
+        got = pwl.ramp_pow_integrals(lo, hi, lengths, p)
+        acc = {
+            1: hi + lo,
+            2: hi * hi + lo * hi + lo * lo,
+            3: hi * hi * hi + lo * (hi * hi) + (lo * lo) * hi + lo * lo * lo,
+            4: hi * hi * hi * hi + lo * (hi * hi * hi) + (lo * lo) * (hi * hi) + (lo * lo * lo) * hi + lo * lo * lo * lo,
+        }[int(p)]
+        want = lengths * acc / (int(p) + 1)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert all(np.array_equal(a, b) for a, b in zip((lo, hi, lengths), inputs))
+
+
 def test_gap_pow_integral_matches_lp_norm(rng):
     grid = np.linspace(0.0, 1.0, 129)
     values = np.cumsum(rng.standard_normal(129)) * 0.1
