@@ -30,7 +30,6 @@ from .limits import (
     SimConfig,
     build_critical_table,
     estimate_quantiles,
-    limit_draw_general,
     p_key,
     simulate_draws,
 )

@@ -594,7 +594,6 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--grid", type=int, default=limits.DEFAULT_GRID, help=budget_help)
     t.add_argument("--reps", type=int, default=limits.DEFAULT_REPLICATIONS, help="simulation replications")
     t.add_argument("--seed", type=int, default=limits.DEFAULT_SEED, help=seed_help)
-    t.add_argument("--workers", type=int, default=1, help=workers_help)
     t.set_defaults(func=cmd_test)
 
     c = sub.add_parser("critvals", help="simulate and cache critical values")

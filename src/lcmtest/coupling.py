@@ -101,14 +101,11 @@ def lcm_gap_on_grid(grid, values) -> np.ndarray:
     slope_dust = _SLOPE_TOL * (1.0 + np.abs(chord_slope) + np.maximum(s.max(axis=1), -s.min(axis=1)))
     rise = np.subtract(s[:, 1:], s[:, :-1], out=hull[:, 2:])
     bent = ~(rise.max(axis=1, initial=-np.inf) <= slope_dust) & (grid.size > 2)
-    if not bent.all():  # rows are independent, so the bent ones alone give the same gaps
-        gap = np.zeros(rows.shape)
-        gap[bent] = lcm_gap_on_grid(grid, rows[bent])
-        return gap.reshape(values.shape)
-    hull[:, 0] = yc[:, 0]  # every Wiener path is bent: this array becomes the gap
-    fit = pwl._pava(s, dx)[0]
+    hull[:, 0] = yc[:, 0]  # this array becomes the gap
+    fit = pwl._pava(s, dx)[0]  # each row alone, so a row's gap does not depend on the others
     np.cumsum(np.multiply(fit, dx, out=fit), axis=1, out=hull[:, 1:])
     hull -= yc
+    hull[~bent] = 0.0
     worst = hull.min(axis=1)
     low = worst < -1e-9 * np.maximum(1.0, np.maximum(yc.max(axis=1), -yc.min(axis=1)))
     if low.any():

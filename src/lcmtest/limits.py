@@ -355,9 +355,8 @@ def limit_draw_general(
     point budget at any other p).  The draw is the engine's block of one
     replication, drawn from ``stream``, so it is the one draw of
     ``simulate_draws`` with one replication and master seed s when
-    ``stream`` is ``substream(s, 0)``.
-
-    An empty collection (strictly concave CDF) gives exactly 0.
+    ``stream`` is ``substream(s, 0)``.  Its one caller is the correctness
+    check of ``benchmarks/run.py``; the package itself uses ``simulate_draws``.
     """
     return float(_law_draws(iv.d, iv.h, (pwl.norm_index(p),), stream, 1, grid_size)[0, 0])
 
@@ -496,6 +495,7 @@ def simulate_draws(iv: models.IntervalStructure, ps, config: SimConfig, progress
     optional callback ``progress(done, total)`` is called after each block.
     Every column shares the faces; p = 1, 2 and inf share one uniform per
     face, and the other finite norm indices the same sampled excursions.
+    An empty collection (strictly concave CDF) gives draws of exactly 0.
     """
     ps = tuple(pwl.norm_index(p) for p in ps)
     n = config.replications

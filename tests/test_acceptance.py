@@ -156,9 +156,7 @@ def test_criterion_4_stochastic_dominance_quantiles():
 
 
 def test_criterion_5_degenerate_limit_and_shrinking_statistic(rng):
-    draw = lt.limit_draw_general(
-        lt.extract_intervals(lt.PowerCdf(0.5)), 2.0, substream(505, 0), grid_size=256
-    )
+    draw = lt.simulate_draws(lt.extract_intervals(lt.PowerCdf(0.5)), (2.0,), lt.SimConfig(256, 1, 505))[0, 0]
     spec = lt.PowerCdf(0.5)
     reps = 500
     small = np.array(

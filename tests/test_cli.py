@@ -647,7 +647,8 @@ def test_cmd_test_report_is_the_same_from_run_to_run(capsys, data_file, two_segm
 
 def test_cmd_critvals_writes_and_reproduces(capsys, tmp_path):
     # A norm index or level given twice is simulated and recorded once, and
-    # --workers is accepted and changes nothing.
+    # critvals --workers is accepted and changes nothing; test --workers is
+    # refused with argparse's usage error.
     out1 = tmp_path / "t1.json"
     out2 = tmp_path / "t2.json"
     args = ["critvals", "--p", "1", "inf", "1.0", "--alpha", "0.05", "0.05", "--grid", "128",
@@ -655,6 +656,9 @@ def test_cmd_critvals_writes_and_reproduces(capsys, tmp_path):
     code1, doc1, _ = run_cli(capsys, *args, str(out1))
     code2, doc2, _ = run_cli(capsys, *args, str(out2), "--workers", "2")
     assert code1 == code2 == 0
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["test", str(tmp_path / "data.txt"), "--table", str(out1), "--workers", "2"])
+    assert exc.value.code == 2 and "unrecognized arguments: --workers 2" in capsys.readouterr().err
     e1 = json.loads(out1.read_text())["entries"]
     e2 = json.loads(out2.read_text())["entries"]
     assert e1 == e2
@@ -989,6 +993,7 @@ def test_cmd_verify_identity_narrow_interval(capsys, tmp_path):
         ["verify", "--cdf", "{spec}", "--mode", "dominance", "--p=-inf", "--paths", "2"],
         ["critvals", "--reps", "3", "--grid", "4", "--out", "{no_dir}"],
         ["critvals", "--reps", "3", "--grid", "4", "--out", "{out_dir}"],
+        ["test", "{data}", "--simulate", "--reps", "3", "--grid", "4", "--workers", "2"],
     ],
     ids=[
         "all-zero-data", "zero-reps", "grid-1", "zero-draws", "zero-paths",
@@ -997,7 +1002,7 @@ def test_cmd_verify_identity_narrow_interval(capsys, tmp_path):
         "simulate-limit-nan-knot", "test-cdf-nan-knot", "verify-nan-knot",
         "data-not-utf8", "spec-not-utf8", "test-simulate-unwritable-table",
         "test-p-200", "critvals-p-1e300", "simulate-limit-p-nan", "verify-p-neg-inf",
-        "critvals-unwritable-out", "critvals-out-is-dir",
+        "critvals-unwritable-out", "critvals-out-is-dir", "test-workers",
     ],
 )
 def test_cmd_input_faults_exit_2(capsys, tmp_path, two_segment_file, argv):
@@ -1016,7 +1021,10 @@ def test_cmd_input_faults_exit_2(capsys, tmp_path, two_segment_file, argv):
         "nan_spec": nan_spec, "latin1": latin1, "latin1_spec": latin1_spec,
         "no_dir": tmp_path / "nope" / "t.json", "out_dir": tmp_path,
     }
-    code = cli.main([tok.format(**paths) for tok in argv])
+    try:
+        code = cli.main([tok.format(**paths) for tok in argv])
+    except SystemExit as exc:  # argparse's usage error
+        code = exc.code
     out = capsys.readouterr()
     assert code == 2
     assert "error:" in out.err

@@ -95,9 +95,10 @@ def test_refined_grid_hull_dominates_coarse(rng):
 # -- limit draws ----------------------------------------------------------------------
 
 
-def test_limit_draw_general_empty_is_zero():
+def test_simulate_draws_empty_is_zero():
     iv = models.extract_intervals(models.PowerCdf(0.5))
-    assert limits.limit_draw_general(iv, 2.0, 1, grid_size=64) == 0.0
+    draws = limits.simulate_draws(iv, (1.0, 2.0, 2.5, math.inf), limits.SimConfig(64, 3, 1))
+    assert draws.shape == (3, 4) and not draws.any()
 
 
 def test_limit_draw_general_at_inf_is_a_row_of_simulate_draws():
