@@ -42,10 +42,13 @@ the draws, so order never matters.
 
 from __future__ import annotations
 
+import contextlib
 import datetime as _dt
 import functools
 import json
 import math
+import os
+import secrets
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -461,9 +464,24 @@ class CriticalValueTable:
         return cls(entries, dict(data.get("provenance", {})))
 
     def save(self, path) -> str:
-        """Write the table to ``path`` as indented JSON; returns the text."""
+        """Write the table to ``path`` as indented JSON; returns the text.
+
+        The bytes go to a new file beside the target, which then replaces it
+        in one rename, so a reader loads the old table or the new one, never a
+        part; the new file is removed if writing or renaming fails.  A symlink
+        at ``path`` still points at the table afterwards.
+        """
         text = json.dumps(self.to_dict(), indent=2) + "\n"
-        Path(path).write_text(text)
+        path = os.path.realpath(path) if os.path.islink(path) else os.fspath(path)
+        tmp = f"{path}.{secrets.token_hex(8)}.tmp"
+        try:
+            with open(tmp, "xb") as f:  # a file of our own, mode 0o666 less the umask
+                f.write(text.encode())
+            os.replace(tmp, path)
+        except BaseException:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(tmp)
+            raise
         return text
 
     @classmethod

@@ -70,21 +70,41 @@ def ecdf_corners(samples) -> tuple[np.ndarray, np.ndarray]:
     arr = np.asarray(samples, dtype=np.float64)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError("sample must be a nonempty 1-d collection")
-    if not np.all(np.isfinite(arr)):
+    # The sample is sorted in place after the leading 0, by the sort np.unique
+    # runs, and the checks read the sorted ends: NaN sorts last, -inf first.
+    n = arr.size
+    px = np.empty(n + 1)
+    px[0] = 0.0
+    xs = px[1:]
+    xs[:] = arr
+    xs.sort()
+    if not (np.isfinite(xs[0]) and np.isfinite(xs[-1])):
         raise ValueError("sample contains non-finite values")
-    if arr.min() < 0.0 or arr.max() > 1.0:
+    if xs[0] < 0.0 or xs[-1] > 1.0:
         bad = arr[(arr < 0.0) | (arr > 1.0)][0]
         raise ValueError(f"sample value {bad!r} outside [0, 1]")
-    if arr.max() == 0.0:
+    if xs[-1] == 0.0:
         raise ValueError("all observations are zero; the ECDF is degenerate")
-    xs, counts = np.unique(arr, return_counts=True)
-    vs = np.cumsum(counts) / arr.size
-    vs[-1] = 1.0
-    if xs[0] > 0.0:
-        return np.concatenate(([0.0], xs)), np.concatenate(([0.0], vs))
+    new = xs[1:] != xs[:-1]
+    if new.all():
+        py = np.arange(n + 1, dtype=np.float64)
+    else:
+        # A run of ties keeps its first value, as np.unique does: of -0.0 and
+        # 0.0, the one the sort put first.
+        first = np.flatnonzero(np.concatenate(([True], new)))
+        k = first.size
+        xs[:k] = xs[first]
+        px = px[: k + 1]
+        py = np.empty(k + 1)
+        py[0] = 0.0
+        py[1:k] = first[1:]  # a run ends just before the next one starts
+        py[k] = n
+    py /= n
+    if px[1] > 0.0:
+        return px, py
     # A jump at zero lifts the anchor: the majorant starts at the post-jump
     # value, not at the origin.
-    return xs, vs
+    return px[1:], py[1:]
 
 
 def hull_vertices(px, py) -> np.ndarray:
@@ -105,10 +125,13 @@ def hull_vertices(px, py) -> np.ndarray:
     py = np.asarray(py, dtype=np.float64)
     if px.ndim != 1 or px.size == 0 or px.shape != py.shape:
         raise ValueError("px and py must be nonempty 1-d arrays of equal length")
-    dx = np.ldexp(np.diff(px), 600)
+    dx = np.diff(px)
+    np.ldexp(dx, 600, out=dx)
     if not np.all(dx > 0.0):
         raise ValueError("px must be strictly increasing")
-    idx = _pava(np.diff(py) / dx, dx)[1]
+    slopes = np.diff(py)
+    slopes /= dx
+    idx = _pava(slopes, dx)[1]
     slopes = np.diff(py[idx]) / np.ldexp(np.diff(px[idx]), 600)
     if np.all(np.diff(slopes) < 0.0):
         return idx
@@ -135,7 +158,7 @@ def _pava(y, w) -> tuple[np.ndarray, np.ndarray | None]:
         raise ValueError("PAVA needs 1-d weights of equal length to the values' rows")
     fit = np.atleast_2d(y)[:, ::-1].copy()
     pooled = np.empty_like(w)
-    starts = np.full(w.size + 1, -1, dtype=np.intp)
+    starts = np.empty(w.size + 1, dtype=np.intp)
     for row in fit:  # fitted in place; the kernel writes each start before it reads it
         pooled[:] = w[::-1]
         _, _, blocks, b = _pava_kernel(row, pooled, starts)
@@ -170,12 +193,17 @@ def corner_gaps(px, py, idx) -> tuple[np.ndarray, np.ndarray]:
     """
     sx = np.ldexp(px, 600)
     hull = np.interp(sx, sx[idx], py[idx])
-    v_lo = hull[:-1] - py[:-1]
-    v_hi = hull[1:] - py[:-1]
+    # Both ramps overwrite arrays done with: v_lo the scaled abscissae, v_hi
+    # the hull, each entry read before it is written.
+    v_lo = np.subtract(hull[:-1], py[:-1], out=sx[:-1])
+    v_hi = np.subtract(hull[1:], py[:-1], out=hull[1:])
     worst = min(float(v_lo.min()), float(v_hi.min()))
     if worst < -MAJORIZATION_TOL:
         raise GeometryError(f"majorization violated by {-worst:.3e} at a corner")
-    return np.maximum(v_lo, 0.0), np.maximum(v_hi, 0.0)
+    if worst < 0.0:
+        np.maximum(v_lo, 0.0, out=v_lo)
+        np.maximum(v_hi, 0.0, out=v_hi)
+    return v_lo, v_hi
 
 
 def ramp_pow_integrals(v_lo, v_hi, lengths, p: float) -> np.ndarray:
@@ -195,17 +223,21 @@ def ramp_pow_integrals(v_lo, v_hi, lengths, p: float) -> np.ndarray:
     lengths = np.asarray(lengths, dtype=np.float64)
     if p in (1.0, 2.0, 3.0, 4.0):
         k = int(p)
-        # lo_pows[i] = v_lo**(i+1), likewise hi_pows; acc = hi^k + lo hi^(k-1)
-        # + ... + lo^k, summed in that order in hi^k's own array (at k = 1, a copy).
-        lo_pows = [v_lo]
-        hi_pows = [v_hi]
-        for _ in range(k - 1):
-            lo_pows.append(lo_pows[-1] * v_lo)
-            hi_pows.append(hi_pows[-1] * v_hi)
-        acc = hi_pows[-1] if k > 1 else v_hi.copy()
-        for i in range(1, k):
-            acc += lo_pows[i - 1] * hi_pows[k - i - 1]
-        acc += lo_pows[-1]
+        if k == 1:
+            acc = v_hi + v_lo
+        else:
+            # acc = hi^k + lo hi^(k-1) + ... + lo^k, added in that order.  Each
+            # power is v*v*...*v from the left and each mixed term one product
+            # of a lo and a hi power, so the bits are those of keeping every
+            # power; but one power array lives at a time, in `term`, save hi^2
+            # beside lo^2 at k = 4.
+            acc = _power(v_hi, k)
+            term = np.empty_like(acc)
+            for i in range(1, k):
+                lo = _power(v_lo, i, term)
+                hi = _power(v_hi, k - i, None if lo is term else term)
+                acc += np.multiply(lo, hi, out=term)
+            acc += _power(v_lo, k, term)
         acc *= lengths
         acc /= k + 1
         return acc
@@ -215,6 +247,17 @@ def ramp_pow_integrals(v_lo, v_hi, lengths, p: float) -> np.ndarray:
     exact = (np.power(v_hi, p + 1.0) - np.power(v_lo, p + 1.0)) / den
     mid = np.power(0.5 * (v_lo + v_hi), p)
     return lengths * np.where(near, mid, exact)
+
+
+def _power(v: np.ndarray, i: int, out: np.ndarray | None = None) -> np.ndarray:
+    # v**i for a whole i >= 1: v itself, or the products v*v*...*v from the
+    # left, written to out (a new array if None).
+    if i == 1:
+        return v
+    out = np.multiply(v, v, out=out)
+    for _ in range(i - 2):
+        out *= v
+    return out
 
 
 def _roots(powers: np.ndarray, p: float) -> np.ndarray:

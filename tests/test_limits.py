@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import tomllib
 from pathlib import Path
 
@@ -466,6 +467,48 @@ def test_table_json_roundtrip(tmp_path):
     assert timing["draws_seconds"] > 0.0 and timing["quantiles_seconds"] > 0.0
     assert timing["seconds"] == pytest.approx(timing["draws_seconds"] + timing["quantiles_seconds"])
     assert timing["reps_per_s"] == pytest.approx(400 / timing["seconds"])
+
+
+def test_table_save_replaces_the_file_whole(tmp_path):
+    # A reader loading the table while it is saved again and again sees a
+    # whole table every time, never an empty or partial file.
+    table = limits.build_critical_table(_tiny_config(), alphas=(0.05,), ps=(1.0,))
+    path = tmp_path / "table.json"
+    table.save(path)
+    want = table.to_dict()
+    done = threading.Event()
+    loads, failures = [], []
+
+    def reader():
+        while not done.is_set():
+            try:
+                loads.append(limits.CriticalValueTable.load(path).to_dict() == want)
+            except ValueError as exc:  # JSONDecodeError on an empty or cut file
+                failures.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    thread = threading.Thread(target=reader)
+    try:
+        thread.start()
+        for _ in range(200):
+            table.save(path)
+    finally:
+        done.set()
+        thread.join(timeout=60)
+        sys.setswitchinterval(interval)
+    assert not thread.is_alive()
+    assert failures == [] and loads and all(loads)
+    assert [f.name for f in tmp_path.iterdir()] == ["table.json"]
+
+
+def test_table_save_removes_its_new_file_on_failure(tmp_path):
+    table = limits.build_critical_table(_tiny_config(), alphas=(0.05,), ps=(1.0,))
+    target = tmp_path / "table.json"
+    target.mkdir()  # the rename onto a directory fails
+    with pytest.raises(OSError):
+        table.save(target)
+    assert [f.name for f in tmp_path.iterdir()] == ["table.json"]
 
 
 def test_package_version_matches_pyproject():

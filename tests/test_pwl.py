@@ -64,6 +64,74 @@ def test_build_ecdf_rejects_bad_input():
         pwl.ecdf_corners([0.0, 0.0])
 
 
+def _unique_corners(samples):
+    # The ECDF corners by np.unique and a cumulative count, the reference for
+    # ecdf_corners' in-place sort.
+    arr = np.asarray(samples, dtype=np.float64)
+    xs, counts = np.unique(arr, return_counts=True)
+    vs = np.cumsum(counts) / arr.size
+    vs[-1] = 1.0
+    if xs[0] > 0.0:
+        return np.concatenate(([0.0], xs)), np.concatenate(([0.0], vs))
+    return xs, vs
+
+
+def _assert_same_corners(samples):
+    got = pwl.ecdf_corners(samples)
+    want = _unique_corners(samples)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert g.tobytes() == w.tobytes()  # bytes, so a -0.0 for a 0.0 fails
+
+
+_CORNER_VALUES = st.one_of(
+    st.floats(0.0, 1.0),
+    st.sampled_from([0.0, -0.0, 1.0, 0.5, 2.2250738585072014e-308]),
+    st.integers(0, 6).map(lambda k: k * 5e-324),  # subnormal spacings
+)
+
+
+@given(st.lists(_CORNER_VALUES, min_size=1, max_size=300))
+@example([0.3])
+@example([-0.0, 0.0, 0.5])
+@example([0.0, -0.0, 0.5, 0.5])
+@example([0.0, 0.0, 1.0])
+@example([5e-324, 1e-323, 5e-324, 0.5])
+@settings(max_examples=400, deadline=None)
+def test_ecdf_corners_equals_unique_reference(values):
+    # Ties, -0.0 beside 0.0, n = 1, mass at 0 and subnormal spacings.
+    if max(values) > 0.0:
+        _assert_same_corners(values)
+
+
+def test_ecdf_corners_equals_unique_reference_at_scale():
+    rng = np.random.default_rng(3201)
+    for n in (10**4, 10**6):
+        x = rng.random(n)
+        _assert_same_corners(x)
+        x = np.round(x, 3)
+        x[rng.integers(0, n, 50)] = -0.0
+        _assert_same_corners(x)
+
+
+@pytest.mark.parametrize(
+    "values, message",
+    [
+        ([np.nan, -1.0], "non-finite"),
+        ([-1.0, np.nan], "non-finite"),
+        ([2.0, -np.inf, 0.5], "non-finite"),
+        ([0.5, 2.0, -1.0], r"sample value .*2\.0.* outside \[0, 1\]"),
+        ([0.5, -1.0, 2.0], r"sample value .*-1\.0.* outside \[0, 1\]"),
+        ([0.0, -0.0], "all observations are zero"),
+    ],
+)
+def test_ecdf_corners_error_precedence(values, message):
+    # Non-finite before out of range before all zero; the value named is the
+    # first offender in input order, not the smallest or largest.
+    with pytest.raises(ValueError, match=message):
+        pwl.ecdf_corners(values)
+
+
 def test_step_evaluate():
     # Corners carry the right-continuous value; mass at 0 replaces the origin.
     px, py = pwl.ecdf_corners([1.0, 0.25, 0.0, 0.25])

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -137,3 +138,73 @@ def test_finite_p_monotonicity_can_fail():
     before = stats.lp_stat([0.25, 1.0], 2.0).value
     after = stats.lp_stat(models.evaluate(models.PowerCdf(0.5), [0.25, 1.0]), 2.0).value
     assert after == pytest.approx(before, rel=1e-12)
+
+
+# -- bit pins at scale -------------------------------------------------------------------
+
+#: ``float.hex`` of ``lp_stat(_pin_sample(n, variant), p).value``, recorded when
+#: ``ecdf_corners`` still merged ties with ``np.unique``.  The p = 2.5 values rest on
+#: numpy's SIMD ``np.power``, and the CI job reruns them without AVX-512.
+LP_STAT_BITS = {
+    "1": {
+        (10_000, "raw"): "0x1.2347ce6c7b8d3p-2",
+        (10_000, "rounded"): "0x1.47a4e7ab75645p-2",
+        (10_000, "zeros"): "0x1.49888f861a61bp-2",
+        (1_000_000, "raw"): "0x1.c28466058c2e7p-2",
+        (1_000_000, "rounded"): "0x1.da0ce0b912e92p-1",
+    },
+    "2": {
+        (10_000, "raw"): "0x1.4849297dea55ep-2",
+        (10_000, "rounded"): "0x1.6adb62b190c0fp-2",
+        (10_000, "zeros"): "0x1.6ce51c97daf29p-2",
+        (1_000_000, "raw"): "0x1.e915b2ff2c2a3p-2",
+        (1_000_000, "rounded"): "0x1.f9915408cdc1ep-1",
+    },
+    "2.5": {
+        (10_000, "raw"): "0x1.578da00c12605p-2",
+        (10_000, "rounded"): "0x1.79cb1a0eb2615p-2",
+        (10_000, "zeros"): "0x1.7bf102dbe61c7p-2",
+        (1_000_000, "raw"): "0x1.f9030d906f33dp-2",
+        (1_000_000, "rounded"): "0x1.039e3c76566b3p+0",
+    },
+    "inf": {
+        (10_000, "raw"): "0x1.5cd59bdc02174p-1",
+        (10_000, "rounded"): "0x1.87042bfe7ba14p-1",
+        (10_000, "zeros"): "0x1.87042bfe7ba78p-1",
+        (1_000_000, "raw"): "0x1.0154c1b8012a4p+0",
+        (1_000_000, "rounded"): "0x1.f2f8725e00880p+0",
+    },
+}
+
+
+def _pin_sample(n: int, variant: str) -> np.ndarray:
+    # Seeded uniforms: raw; rounded to 3 decimals, so ties and mass at 0 and 1;
+    # or rounded, led by -0.0, 0.0 and 1.0.
+    x = np.random.default_rng(32_000 + n).random(n)
+    if variant != "raw":
+        x = np.round(x, 3)
+    if variant == "zeros":
+        x[:3] = (-0.0, 0.0, 1.0)
+    return x
+
+
+@pytest.mark.parametrize("p", list(LP_STAT_BITS))
+def test_lp_stat_bits(p):
+    got = {case: stats.lp_stat(_pin_sample(*case), float(p)).value.hex() for case in LP_STAT_BITS[p]}
+    assert got == LP_STAT_BITS[p]
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
+def test_lp_stat_memory_at_scale(p):
+    # The tracemalloc peak at n = 10^6 is seven row-sized arrays, in the PAVA
+    # kernel: px, py, spacings, slopes, the two reversed copies, block starts.
+    # 64 KiB covers the call's fixed-size objects.
+    x = np.random.default_rng(7).random(10**6)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        stats.lp_stat(x, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - base <= 56 * x.size + 64 * 1024
